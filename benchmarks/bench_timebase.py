@@ -9,9 +9,10 @@ dispatch-bound 200-task ring as ``bench_engine_dispatch.py``, plus one
 app-level row (the quickstart pipeline through ``repro.api``) where firing
 bodies and buffer bookkeeping dilute the queue's share of the work.
 
-Both modes execute the identical event sequence -- the equivalence tests
-(tests/test_timebase.py) assert bit-identical traces -- so the ratio below is
-pure time-representation cost.
+Both modes run the same dispatch loop (the engine's boolean-policy loop
+serves both time bases) and execute the identical event sequence -- the
+equivalence tests (tests/test_timebase.py) assert bit-identical traces -- so
+the ratio below is pure time-representation cost.
 """
 
 from __future__ import annotations

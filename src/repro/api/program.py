@@ -408,7 +408,6 @@ class Analysis:
         *,
         scheduler: Optional[SchedulerPolicy] = None,
         platform: Optional[Platform] = None,
-        dispatcher: str = "ready-set",
         trace: str = "full",
         mode_schedules: Optional[ModeSchedule] = None,
         registry: Optional[RegistryLike] = None,
@@ -418,7 +417,6 @@ class Analysis:
         time_base: Optional[TimeBaseLike] = None,
         fast_forward: Union[bool, str] = "auto",
         trace_retention: Optional[int] = None,
-        kernel: str = "auto",
     ) -> Simulation:
         """A fresh :class:`~repro.runtime.simulator.Simulation` of the program
         with the analysis-derived buffer capacities."""
@@ -442,12 +440,10 @@ class Analysis:
             sink_start_times=sink_start_times,
             scheduler=scheduler,
             platform=platform,
-            dispatcher=dispatcher,
             trace_level=trace,
             time_base=time_base if time_base is not None else program.time_base,
             fast_forward=fast_forward,
             trace_retention=trace_retention,
-            kernel=kernel,
         )
 
     def run(
@@ -457,7 +453,6 @@ class Analysis:
         horizon: Optional[RationalLike] = None,
         scheduler: Optional[SchedulerPolicy] = None,
         platform: Optional[Platform] = None,
-        dispatcher: str = "ready-set",
         trace: str = "full",
         mode_schedules: Optional[ModeSchedule] = None,
         registry: Optional[RegistryLike] = None,
@@ -467,7 +462,6 @@ class Analysis:
         time_base: Optional[TimeBaseLike] = None,
         fast_forward: Optional[Union[bool, str]] = None,
         trace_retention: Optional[int] = None,
-        kernel: str = "auto",
     ) -> "RunResult":
         """Execute the program for *duration* seconds of simulated time.
 
@@ -479,7 +473,8 @@ class Analysis:
         :class:`~repro.platform.model.Platform` shorthand for that
         platform's default policy (partitioned with an affinity mapping,
         greedy list scheduling otherwise) and is mutually exclusive with
-        ``scheduler``.  ``trace`` selects the recording granularity
+        ``scheduler``.  The policy also picks the engine's dispatch loop
+        (boolean or platform).  ``trace`` selects the recording granularity
         (``"full"``, ``"endpoints"``, ``"off"``); ``time_base`` the
         event-queue time representation (``"auto"`` by default: integer
         ticks when the program's -- speed-scaled -- durations fit one, exact
@@ -495,7 +490,7 @@ class Analysis:
         others step naively, recording structured warnings on the
         undeclared paths (see
         :class:`~repro.runtime.simulator.Simulation`).  ``fast_forward`` /
-        ``trace_retention`` / ``kernel`` are forwarded to the simulation;
+        ``trace_retention`` are forwarded to the simulation;
         configurations that cannot fast-forward run naively and record why
         in :attr:`RunResult.warnings`.
         """
@@ -510,7 +505,6 @@ class Analysis:
         simulation = self.simulation(
             scheduler=scheduler,
             platform=platform,
-            dispatcher=dispatcher,
             trace=trace,
             mode_schedules=mode_schedules,
             registry=registry,
@@ -520,7 +514,6 @@ class Analysis:
             time_base=time_base,
             fast_forward=fast_forward,
             trace_retention=trace_retention,
-            kernel=kernel,
         )
         duration = as_rational(duration)
         recorder = simulation.run(duration)

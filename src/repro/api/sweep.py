@@ -6,9 +6,10 @@ parameter grid -- frequency scales, processor counts, rates, mode schedules
 reporting.  The three pieces:
 
 * :class:`Sweep` -- declares the grid.  Axes are split automatically:
-  *run axes* (``scheduler``, ``platform``, ``duration``, ``dispatcher``,
-  ``trace``, ``mode_schedules``, ``sink_start_times``, ``time_base``) only
-  affect execution, every other axis is a *program axis* that is forwarded
+  *run axes* (``scheduler``, ``platform``, ``duration``, ``horizon``,
+  ``trace``, ``mode_schedules``, ``sink_start_times``, ``time_base``,
+  ``fast_forward``, ``trace_retention``; see :data:`RUN_AXES`) only affect
+  execution, every other axis is a *program axis* that is forwarded
   to :meth:`~repro.api.program.Program.from_app`.  Each **distinct** program
   parameter combination is compiled and analysed exactly once, no matter how
   many run-axis points fan out from it.  A ``platform`` axis sweeps
@@ -94,14 +95,12 @@ RUN_AXES = (
     "platform",
     "duration",
     "horizon",
-    "dispatcher",
     "trace",
     "mode_schedules",
     "sink_start_times",
     "time_base",
     "fast_forward",
     "trace_retention",
-    "kernel",
 )
 
 
@@ -969,7 +968,14 @@ class Sweep:
                 initializer=_process_worker_init,
                 initargs=(specs, self._runner, self.duration),
             ) as pool:
-                futures = [(pool.submit(_process_run_chunk, chunk), chunk) for chunk in chunks]
+                futures = []
+                for chunk in chunks:
+                    try:
+                        futures.append((pool.submit(_process_run_chunk, chunk), chunk))
+                    except BrokenExecutor as error:
+                        # a worker died while later chunks were still queued
+                        fail(chunk, error, "process pool broke")
+                        broken.append(chunk)
                 for future, chunk in futures:
                     try:
                         for index, ok, error_text, metrics in future.result():

@@ -252,7 +252,6 @@ def simulate_two_mode(
     result: Optional[CompilationResult] = None,
     sizing: Optional[BufferSizingResult] = None,
     scheduler=None,
-    dispatcher: str = "ready-set",
     trace_level: str = "full",
 ) -> Tuple[Simulation, TraceRecorder]:
     """Deprecated: use ``Program.from_app("modal_two_mode", ...)`` (facade)."""
@@ -267,7 +266,5 @@ def simulate_two_mode(
         analysis = Analysis(program, result, sizing=sizing)
     else:
         analysis = program.analyze()
-    run = analysis.run(
-        duration, scheduler=scheduler, dispatcher=dispatcher, trace=trace_level
-    )
+    run = analysis.run(duration, scheduler=scheduler, trace=trace_level)
     return run.simulation, run.trace

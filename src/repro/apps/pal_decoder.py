@@ -304,7 +304,6 @@ class PalDecoderApp:
         sizing: Optional[BufferSizingResult] = None,
         registry: Optional[FunctionRegistry] = None,
         scheduler=None,
-        dispatcher: str = "ready-set",
         trace_level: str = "full",
     ) -> Tuple[Simulation, TraceRecorder]:
         """Deprecated: use ``self.program().analyze().run(...)`` (facade).
@@ -324,11 +323,7 @@ class PalDecoderApp:
         else:
             analysis = program.analyze()
         run = analysis.run(
-            duration,
-            scheduler=scheduler,
-            dispatcher=dispatcher,
-            trace=trace_level,
-            registry=registry,
+            duration, scheduler=scheduler, trace=trace_level, registry=registry
         )
         return run.simulation, run.trace
 

@@ -115,7 +115,6 @@ def simulate_quickstart(
     result: Optional[CompilationResult] = None,
     sizing: Optional[BufferSizingResult] = None,
     scheduler=None,
-    dispatcher: str = "ready-set",
     trace_level: str = "full",
 ) -> Tuple[Simulation, TraceRecorder]:
     """Deprecated: use ``Program.from_app("quickstart").analyze().run(...)``."""
@@ -129,7 +128,5 @@ def simulate_quickstart(
         analysis = Analysis(program, result, sizing=sizing)
     else:
         analysis = program.analyze()
-    run = analysis.run(
-        duration, scheduler=scheduler, dispatcher=dispatcher, trace=trace_level
-    )
+    run = analysis.run(duration, scheduler=scheduler, trace=trace_level)
     return run.simulation, run.trace

@@ -9,10 +9,11 @@ occupies a processor when.
 * :mod:`repro.engine.policies` -- the legacy boolean start-gate protocol and
   the three built-in policies (self-timed unbounded, bounded processors,
   static order),
-* :mod:`repro.engine.dispatcher` -- the ready-set dispatch core, the polling
-  reference it is verified against, platform-mode execution (suspend/resume
-  of in-flight firings, per-processor accounting) and a standalone task
-  runner,
+* :mod:`repro.engine.dispatcher` -- the ready-set dispatch core: one loop
+  per policy protocol (boolean policies on either time base; platform
+  policies with suspend/resume of in-flight firings and per-processor
+  accounting), picked by the policy, and a standalone task runner.  The
+  polling reference it is verified against lives in the test suite,
 * :mod:`repro.engine.synthetic` -- synthetic task programs (ring, fork/join,
   SDF-derived) for scheduler experiments and benchmarks.
 

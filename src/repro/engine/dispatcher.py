@@ -17,8 +17,8 @@ replaces it with dependency-indexed dispatch:
   order of the polling dispatcher -- self-timed traces are bit-identical to
   the seed implementation,
 * a pluggable :class:`~repro.engine.policies.SchedulerPolicy` gates starts,
-  so the same dispatch core executes unbounded self-timed, bounded-processor
-  and static-order schedules,
+  so the same dispatch loop executes unbounded self-timed, bounded-processor
+  and static-order schedules, on both time bases,
 * a *platform* policy (:mod:`repro.platform.policies`, detected by the
   presence of ``decide_start``) upgrades the boolean gate to full
   ``(task, processor, start | preempt | resume)`` decisions: the engine then
@@ -26,10 +26,15 @@ replaces it with dependency-indexed dispatch:
   completion events on preemption with the exact remaining work, scales
   durations by processor speed, and accounts busy time per processor.
 
-The polling dispatcher survives as ``mode="polling"`` -- the brute-force
-reference the equivalence tests and the dispatch microbenchmark compare
-against.  Platform policies require ready-set mode (the polling reference
-predates processors as first-class objects).
+So there is one dispatch loop per policy protocol, and the policy picks it:
+:meth:`ExecutionEngine._dispatch_compiled` for boolean policies and
+:meth:`ExecutionEngine._dispatch_platform` for platform policies.  Both fire
+tasks through the windows bound at :meth:`ExecutionEngine.wire_buffers` time
+and share one eligibility rule, :meth:`RuntimeTask.can_fire
+<repro.runtime.tasks.RuntimeTask.can_fire>`.  The polling dispatcher
+survives only in the test suite (``tests/dispatch_oracle.py``), as the
+brute-force reference the equivalence tests and the dispatch microbenchmark
+compare against.
 
 Starting a task only *consumes* tokens (outputs are released at completion),
 and consuming can only enable other tasks -- a producer gains space, no
@@ -48,7 +53,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequ
 from repro.engine.policies import SchedulerPolicy, SelfTimedUnbounded
 from repro.graph.circular_buffer import CircularBuffer
 from repro.util.rational import Rat, TimeBase, TimeBaseError, as_rational
-from repro.util.validation import check_in
 
 if TYPE_CHECKING:  # imports only for annotations: runtime.simulator imports us
     from repro.engine.steady_state import SteadyState
@@ -57,9 +61,6 @@ if TYPE_CHECKING:  # imports only for annotations: runtime.simulator imports us
     from repro.runtime.sources import SinkDriver, SourceDriver
     from repro.runtime.tasks import RuntimeTask
     from repro.runtime.trace import TraceRecorder
-
-#: Compiled-kernel requests accepted by the engine.
-KERNEL_MODES = ("auto", "on", "off")
 
 
 class ReadySet:
@@ -148,24 +149,16 @@ class ExecutionEngine:
     queue, trace:
         The discrete-event queue and trace recorder shared with the drivers.
     policy:
-        A :class:`~repro.engine.policies.SchedulerPolicy`; default
+        A :class:`~repro.engine.policies.SchedulerPolicy` (dispatched by
+        :meth:`_dispatch_compiled`) or a platform policy (dispatched by
+        :meth:`_dispatch_platform`); default
         :class:`~repro.engine.policies.SelfTimedUnbounded`.
-    mode:
-        ``"ready-set"`` (indexed dispatch, the default) or ``"polling"``
-        (the brute-force whole-fleet reference).
-    kernel:
-        The compiled dispatch kernel specialises the per-program hot loop at
-        :meth:`wire_buffers` time: wcets pre-converted to ticks, window
-        objects pre-bound per task, dependent indices pre-resolved per
-        buffer -- the firing path then touches no dicts and no
-        :class:`~fractions.Fraction`.  It applies to ready-set dispatch
-        under boolean policies on an integer-tick queue; traces are
-        bit-identical to the interpreted path.  ``"auto"`` (default) uses
-        it whenever applicable, ``"off"`` never, ``"on"`` requires it
-        (``ValueError`` at :meth:`wire_buffers` when inapplicable).
-    """
 
-    MODES = ("ready-set", "polling")
+    :meth:`wire_buffers` specialises the per-program hot path: wcets
+    pre-converted to the queue's native units, window objects pre-bound per
+    task, dependent indices pre-resolved per buffer -- the firing path then
+    touches no dicts.
+    """
 
     def __init__(
         self,
@@ -173,24 +166,17 @@ class ExecutionEngine:
         trace: TraceRecorder,
         *,
         policy: Optional[SchedulerPolicy] = None,
-        mode: str = "ready-set",
-        kernel: str = "auto",
     ) -> None:
-        check_in(mode, self.MODES, "mode")
-        check_in(kernel, KERNEL_MODES, "kernel")
         self.queue = queue
         self.trace = trace
         self.policy: SchedulerPolicy = policy if policy is not None else SelfTimedUnbounded()
-        self.mode = mode
         #: True when the policy speaks the rich platform protocol
         #: (``decide_start``); detected by duck-typing so this module never
         #: imports :mod:`repro.platform`
         self.platform_mode = callable(getattr(self.policy, "decide_start", None))
-        if self.platform_mode and mode == "polling":
-            raise ValueError(
-                "platform policies require the ready-set dispatcher; the "
-                "polling reference predates processors as first-class objects"
-            )
+        #: the trivial self-timed policy's calls are no-ops by definition, so
+        #: the boolean loop skips them outright
+        self._trivial_policy = type(self.policy) is SelfTimedUnbounded
         self.tasks: List[RuntimeTask] = []
         self._index: Dict[RuntimeTask, int] = {}
         self._ready = ReadySet()
@@ -210,12 +196,9 @@ class ExecutionEngine:
         #: units; maintained independently of the trace so makespans survive
         #: ``trace_level="off"``.  Read via :attr:`last_completion_time`.
         self._last_completion: Union[int, Fraction] = 0
-        #: compiled-kernel state: the request ("auto"/"on"/"off"), whether it
-        #: was activated at wire time, and whether the policy is the trivial
-        #: self-timed one (per-firing policy calls skipped entirely)
-        self._kernel_request = kernel
+        #: True once :meth:`wire_buffers` set up the boolean loop
+        #: (:meth:`_dispatch_compiled`), i.e. ``not platform_mode``
         self.kernel_active = False
-        self._kernel_trivial = False
         #: steady-state fast-forward detector (enable_fast_forward)
         self._steady: Optional["SteadyState"] = None
         # A fresh engine is a fresh execution: drop any processor accounting
@@ -332,12 +315,14 @@ class ExecutionEngine:
         so that a moved produced floor wakes the buffer's readers and a moved
         consumed floor wakes its writers.  Call once, after all tasks are
         registered and the queue's time base (if any) is set -- response
-        times are pre-converted to the queue's native units here so the
-        firing hot path only adds them.  The index itself is skipped in
-        polling mode, which re-scans everything."""
+        times are pre-converted to the queue's native units and every task's
+        windows are bound here, so the firing hot path only adds and looks
+        nothing up."""
         queue = self.queue
         for task in self.tasks:
             task.wcet_internal = queue.to_internal(task.wcet)
+            task.bind_windows()
+        self.kernel_active = not self.platform_mode
         if self.platform_mode:
             bind = getattr(self.policy, "bind", None)
             if bind is not None:
@@ -353,26 +338,6 @@ class ExecutionEngine:
             if callable(processor_of):
                 for task in self.tasks:
                     self._duration_on(task, processor_of(task))
-        # The compiled kernel needs pre-resolvable state: indexed dispatch
-        # (pass order), boolean policies (no processors/preemption) and an
-        # integer-tick clock (wcets as plain ints).
-        applicable = (
-            self.mode == "ready-set"
-            and not self.platform_mode
-            and queue.timebase is not None
-        )
-        if self._kernel_request == "on" and not applicable:
-            raise ValueError(
-                "kernel='on' requires ready-set dispatch under a boolean "
-                "policy on an integer-tick time base"
-            )
-        self.kernel_active = applicable and self._kernel_request != "off"
-        if self.kernel_active:
-            self._kernel_trivial = type(self.policy) is SelfTimedUnbounded
-            for task in self.tasks:
-                task.bind_windows()
-        if self.mode == "polling":
-            return
         readers: Dict[CircularBuffer, List[RuntimeTask]] = {}
         writers: Dict[CircularBuffer, List[RuntimeTask]] = {}
         for task in self.tasks:
@@ -384,24 +349,17 @@ class ExecutionEngine:
                 dependents = writers.setdefault(task.buffers[access.buffer], [])
                 if task not in dependents:
                     dependents.append(task)
-        waker = self._index_waker if self.kernel_active else self._waker
         for buffer, dependents in readers.items():
-            buffer.watch_tokens(waker(dependents))
+            buffer.watch_tokens(self._index_waker(dependents))
         for buffer, dependents in writers.items():
-            buffer.watch_space(waker(dependents))
-
-    def _waker(self, dependents: Sequence[RuntimeTask]) -> Callable[[], None]:
-        def wake() -> None:
-            for task in dependents:
-                self.wake_task(task)
-
-        return wake
+            buffer.watch_space(self._index_waker(dependents))
 
     def _index_waker(self, dependents: Sequence[RuntimeTask]) -> Callable[[], None]:
-        """Compiled-kernel waker: dependent indices pre-resolved, ready-set
-        pushes inlined.  Wake-for-wake identical to :meth:`_waker` -- the
-        dispatch event is scheduled exactly when a non-busy dependent was
-        pushed (and :meth:`schedule_dispatch` is idempotent anyway)."""
+        """A buffer's waker: dependent indices pre-resolved, ready-set pushes
+        inlined.  Wake-for-wake identical to calling :meth:`wake_task` per
+        dependent -- the dispatch event is scheduled exactly when a non-busy
+        dependent was pushed (and :meth:`schedule_dispatch` is idempotent
+        anyway)."""
         pairs = [(task, self._index[task]) for task in dependents]
         ready = self._ready
 
@@ -422,8 +380,7 @@ class ExecutionEngine:
         """Mark *task* for (re-)examination at the next dispatch."""
         if task.busy or (task.one_shot and task.fired_once):
             return
-        if self.mode == "ready-set":
-            self._ready.push(self._index[task])
+        self._ready.push(self._index[task])
         if not self._in_dispatch:
             self.schedule_dispatch()
 
@@ -446,99 +403,41 @@ class ExecutionEngine:
         self._dispatch_pending = False
         self._in_dispatch = True
         try:
-            if self.kernel_active:
-                self._dispatch_compiled()
-            elif self.mode == "polling":
-                self._dispatch_polling()
-            elif self.platform_mode:
+            if self.platform_mode:
                 self._dispatch_platform()
             else:
-                self._dispatch_ready_set()
+                self._dispatch_compiled()
         finally:
             self._in_dispatch = False
 
-    def _dispatch_polling(self) -> None:
-        """The seed's dispatcher: rescan the whole fleet until a fixpoint."""
-        progress = True
-        while progress:
-            progress = False
-            for task in self.tasks:
-                if task.can_fire() and self.policy.allow_start(task):
-                    self._start_task(task)
-                    progress = True
-
-    def _dispatch_ready_set(self) -> None:
-        """Examine only woken tasks, in the polling dispatcher's pass order.
+    def _dispatch_compiled(self) -> None:
+        """The boolean-policy loop: examine only woken tasks, in the polling
+        dispatcher's pass order, over the windows bound at wire time.
 
         Tasks that are eligible but denied by the policy (all processors
         busy, not next in the static order) are kept queued for the next
         dispatch, which the policy's releasing completion always schedules.
-        """
-        stalled: List[int] = []
-        while True:
-            index = self._ready.pop()
-            if index is None:
-                break
-            task = self.tasks[index]
-            if not task.can_fire():
-                continue  # re-queued by the next relevant buffer change
-            if not self.policy.allow_start(task):
-                stalled.append(index)
-                continue
-            self._start_task(task)
-        for index in stalled:
-            self._ready.push(index)
-
-    def _dispatch_compiled(self) -> None:
-        """The compiled kernel's hot loop: :meth:`_dispatch_ready_set` with
-        eligibility inlined over pre-bound windows and cached floors.
-
-        Same pop order, same eligibility semantics (reads before writes,
-        first failure wins), same stalled re-queueing -- traces are
-        bit-identical to the interpreted loop; only dict lookups, method
-        calls and Fraction arithmetic are gone.  Under the trivial
-        self-timed policy the per-firing policy calls are skipped outright
-        (they are no-ops by definition).
+        Under the trivial self-timed policy the per-firing policy calls are
+        skipped outright (they are no-ops by definition).
         """
         ready = self._ready
         tasks = self.tasks
         policy = self.policy
-        trivial = self._kernel_trivial
+        trivial = self._trivial_policy
         stalled: Optional[List[int]] = None
         while True:
             index = ready.pop()
             if index is None:
                 break
             task = tasks[index]
-            if task.busy or not task.active or (task.one_shot and task.fired_once):
-                continue
-            eligible = True
-            for _, count, buffer, window in task._read_windows:
-                floor = buffer._producer_floor_cache
-                if floor is None:
-                    floor = buffer._producer_floor()
-                if window.acquired + count > floor:
-                    eligible = False
-                    break
-            if eligible:
-                for _, count, buffer, window in task._write_windows:
-                    if buffer._consumers:
-                        floor = buffer._consumer_floor_cache
-                        if floor is None:
-                            floor = buffer._consumer_floor()
-                    else:
-                        floor = 0
-                    if window.acquired + count - floor > buffer.capacity:
-                        eligible = False
-                        break
-            if not eligible:
+            if not task.can_fire():
                 continue  # re-queued by the next relevant buffer change
             if not trivial and not policy.allow_start(task):
                 if stalled is None:
                     stalled = []
                 stalled.append(index)
                 continue
-            self._start_task_compiled(task)
+            self._start_task(task)
         if stalled:
             for index in stalled:
                 ready.push(index)
@@ -546,7 +445,7 @@ class ExecutionEngine:
     def _dispatch_platform(self) -> None:
         """Ready-set dispatch under the rich platform protocol.
 
-        The loop mirrors :meth:`_dispatch_ready_set` exactly -- same pop
+        The loop mirrors :meth:`_dispatch_compiled` exactly -- same pop
         order, same can-fire check, same stalled re-queueing -- so a
         degenerate platform policy (no preemption, unit speeds) schedules
         the very same events in the very same order as its legacy boolean
@@ -585,16 +484,19 @@ class ExecutionEngine:
 
     # -------------------------------------------------------------- execution
     def _start_task(self, task: RuntimeTask) -> None:
-        start = self.queue.now
+        """Start a firing under a boolean policy and post its completion."""
+        queue = self.queue
+        trivial = self._trivial_policy
         values = task.start_firing()
-        self.policy.on_start(task)
+        if not trivial:
+            self.policy.on_start(task)
         self.started_firings += 1
 
         def complete() -> None:
             executed = task.finish_firing(values)
             self.completed_firings += 1
-            queue = self.queue
-            self._last_completion = queue.now
+            now = queue.now
+            self._last_completion = now
             trace = self.trace
             if trace.firings_enabled:
                 # The start is recomputed from the completion instant rather
@@ -602,52 +504,14 @@ class ExecutionEngine:
                 # pending completion event, and ``now - wcet`` translates
                 # with it (identical to the closed-over start otherwise).
                 trace.record_firing(
-                    task.producer_key(),
-                    queue.to_time(queue.now - task.wcet_internal),
-                    queue.to_time(queue.now),
-                    executed,
-                )
-            if trace.occupancy_enabled:
-                for access in task.task.writes:
-                    buffer = task.buffers[access.buffer]
-                    trace.record_occupancy(buffer.name, buffer.occupancy())
-            self.policy.on_complete(task)
-            if self.on_complete is not None:
-                self.on_complete(task)
-            self.wake_task(task)
-            self.schedule_dispatch()
-            steady = self._steady
-            if steady is not None and task is steady.anchor:
-                steady.on_anchor_completion()
-
-        self.queue.schedule(start + task.wcet_internal, complete, label=task._complete_label)
-
-    def _start_task_compiled(self, task: RuntimeTask) -> None:
-        """:meth:`_start_task` over the pre-bound fast paths (identical
-        event schedule, trace records and policy interaction)."""
-        queue = self.queue
-        values = task.start_firing_fast()
-        if not self._kernel_trivial:
-            self.policy.on_start(task)
-        self.started_firings += 1
-
-        def complete() -> None:
-            executed = task.finish_firing_fast(values)
-            self.completed_firings += 1
-            now = queue.now
-            self._last_completion = now
-            trace = self.trace
-            if trace.firings_enabled:
-                trace.record_firing(
                     task._key,
                     queue.to_time(now - task.wcet_internal),
                     queue.to_time(now),
                     executed,
                 )
             if trace.occupancy_enabled:
-                for _, _, buffer, _ in task._write_windows:
-                    trace.record_occupancy(buffer.name, buffer.occupancy())
-            if not self._kernel_trivial:
+                self._record_occupancy(task)
+            if not trivial:
                 self.policy.on_complete(task)
             if self.on_complete is not None:
                 self.on_complete(task)
@@ -658,6 +522,10 @@ class ExecutionEngine:
                 steady.on_anchor_completion()
 
         queue.schedule(queue.now + task.wcet_internal, complete, label=task._complete_label)
+
+    def _record_occupancy(self, task: RuntimeTask) -> None:
+        for _, _, buffer, _ in task._write_windows:
+            self.trace.record_occupancy(buffer.name, buffer.occupancy())
 
     # ------------------------------------------------- platform-mode execution
     def _duration_on(self, task: RuntimeTask, processor: "Processor") -> Union[int, Fraction]:
@@ -703,12 +571,10 @@ class ExecutionEngine:
         trace = self.trace
         if trace.firings_enabled:
             trace.record_firing(
-                task.producer_key(), queue.to_time(firing.start), queue.to_time(queue.now), executed
+                task._key, queue.to_time(firing.start), queue.to_time(queue.now), executed
             )
         if trace.occupancy_enabled:
-            for access in task.task.writes:
-                buffer = task.buffers[access.buffer]
-                trace.record_occupancy(buffer.name, buffer.occupancy())
+            self._record_occupancy(task)
         self.policy.on_complete(task, firing.processor)
         if self.on_complete is not None:
             self.on_complete(task)
@@ -809,13 +675,11 @@ def run_tasks(
     *,
     policy: Optional[SchedulerPolicy] = None,
     platform: Optional["Platform"] = None,
-    mode: str = "ready-set",
     stop_after_firings: Optional[int] = None,
     horizon=Fraction(10**9),
     trace: Optional[TraceRecorder] = None,
     time_base: Union[str, TimeBase, None] = "auto",
     fast_forward: Union[bool, str] = "auto",
-    kernel: str = "auto",
 ) -> EngineRun:
     """Execute *tasks* data-driven on a fresh event queue.
 
@@ -859,8 +723,9 @@ def run_tasks(
       are recorded in ``EngineRun.warnings``.
     * ``False`` runs naively.
 
-    ``kernel`` selects the compiled dispatch kernel (see
-    :class:`ExecutionEngine`).
+    The policy picks the dispatch loop: boolean policies run
+    :meth:`ExecutionEngine._dispatch_compiled` and platform policies
+    :meth:`ExecutionEngine._dispatch_platform`, on either time base.
     """
     from repro.runtime.events import EventQueue
     from repro.runtime.trace import TraceRecorder
@@ -897,7 +762,7 @@ def run_tasks(
         raise ValueError(f"unknown time base {time_base!r}")
     queue = EventQueue(timebase)
     trace = trace if trace is not None else TraceRecorder()
-    engine = ExecutionEngine(queue, trace, policy=policy, mode=mode, kernel=kernel)
+    engine = ExecutionEngine(queue, trace, policy=policy)
     for task in tasks:
         engine.register_task(task)
     engine.wire_buffers()

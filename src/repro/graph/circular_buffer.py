@@ -321,7 +321,10 @@ class CircularBuffer:
     # ------------------------------------------------------------- producers
     def can_produce(self, producer: str, count: int) -> bool:
         """True when *producer* can acquire *count* locations."""
-        window = self._producers[producer]
+        return self.can_produce_window(self._producers[producer], count)
+
+    def can_produce_window(self, window: WindowState, count: int) -> bool:
+        """:meth:`can_produce` on a pre-resolved window."""
         consumer_floor = self._consumer_floor()
         freed = consumer_floor if consumer_floor is not None else 0
         return window.acquired + count - freed <= self.capacity
@@ -333,33 +336,24 @@ class CircularBuffer:
         ``values`` must have exactly *count* elements when given.
         """
         require(self.can_produce(producer, count), f"buffer {self.name!r}: produce would overflow")
-        window = self._producers[producer]
         if values is not None:
             require(
                 len(values) == count,
                 f"buffer {self.name!r}: produced {len(values)} values, expected {count}",
             )
-            digests = self._slot_digests
-            for offset in range(count):
-                slot = (window.acquired + offset) % self.capacity
-                self._storage[slot] = values[offset]
-                if digests is not None:
-                    digests[slot] = value_digest(values[offset])
-        old_floor = self._producer_floor()
-        window.acquired += count
-        window.released += count
-        self._producers_moved(old_floor)
+        self.produce_window(self._producers[producer], values, count)
 
     def produce_window(self, window: WindowState, values: Optional[Sequence[Any]], count: int) -> None:
         """Unchecked :meth:`produce` on a pre-resolved window.
 
-        The compiled dispatch kernel resolves windows once at wire time and
-        checks eligibility itself, so the per-firing dict lookup and the
-        redundant ``can_produce`` re-check are dropped here.  Skipping the
-        check is safe for task windows: ``can_produce`` depends only on this
-        window's ``acquired`` (unchanged between the eligibility check at
-        firing start and the produce at completion -- producing acquires and
-        releases atomically) and on the consumer floor, which only grows.
+        Runtime tasks resolve their windows once at wire time and check
+        eligibility when a firing starts, so the per-firing dict lookup and
+        the redundant ``can_produce`` re-check are dropped here.  Skipping
+        the check is safe for task windows: ``can_produce`` depends only on
+        this window's ``acquired`` (unchanged between the eligibility check
+        at firing start and the produce at completion -- producing acquires
+        and releases atomically) and on the consumer floor, which only
+        grows.
         """
         if values is not None:
             storage, capacity, base = self._storage, self.capacity, window.acquired
@@ -380,26 +374,22 @@ class CircularBuffer:
     # ------------------------------------------------------------- consumers
     def can_consume(self, consumer: str, count: int) -> bool:
         """True when *consumer* can acquire *count* full locations."""
-        window = self._consumers[consumer]
+        return self.can_consume_window(self._consumers[consumer], count)
+
+    def can_consume_window(self, window: WindowState, count: int) -> bool:
+        """:meth:`can_consume` on a pre-resolved window."""
         return window.acquired + count <= self._producer_floor()
 
     def consume(self, consumer: str, count: int) -> List[Any]:
         """Acquire, read and release *count* tokens; returns the values."""
         require(self.can_consume(consumer, count), f"buffer {self.name!r}: consume would underflow")
-        window = self._consumers[consumer]
-        values = [
-            self._storage[(window.acquired + offset) % self.capacity] for offset in range(count)
-        ]
-        old_floor = self._consumer_floor()
-        window.acquired += count
-        window.released += count
-        self._consumers_moved(old_floor)
-        return values
+        return self.consume_window(self._consumers[consumer], count)
 
     def consume_window(self, window: WindowState, count: int) -> List[Any]:
-        """Unchecked :meth:`consume` on a pre-resolved window (compiled
-        kernel fast path; the kernel verified ``can_consume`` as part of the
-        eligibility check immediately before, with no events in between)."""
+        """Unchecked :meth:`consume` on a pre-resolved window (the firing
+        path of runtime tasks: ``can_fire`` verified ``can_consume`` as part
+        of the eligibility check immediately before, with no events in
+        between)."""
         storage, capacity, base = self._storage, self.capacity, window.acquired
         values = [storage[(base + offset) % capacity] for offset in range(count)]
         old_floor = self._consumer_floor()
@@ -446,11 +436,11 @@ class CircularBuffer:
             digests[:] = digests[-rotation:] + digests[:-rotation]
 
     def window_of_producer(self, name: str) -> WindowState:
-        """The producer window object itself (bound once by the kernel)."""
+        """The producer window object itself (bound once per runtime task)."""
         return self._producers[name]
 
     def window_of_consumer(self, name: str) -> WindowState:
-        """The consumer window object itself (bound once by the kernel)."""
+        """The consumer window object itself (bound once per runtime task)."""
         return self._consumers[name]
 
     def peek(self, consumer: str, count: int) -> List[Any]:

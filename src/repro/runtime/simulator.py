@@ -159,7 +159,9 @@ class Simulation:
     (:mod:`repro.engine`): this class instantiates the module hierarchy --
     buffers, drivers, runtime tasks, mode schedules -- and registers the
     resulting task fleet with an :class:`~repro.engine.dispatcher.ExecutionEngine`
-    that performs indexed ready-set dispatch.
+    that performs indexed ready-set dispatch.  The scheduler picks the
+    engine's dispatch loop -- the boolean-policy loop or the platform loop --
+    on either time base.
 
     Parameters (scheduling)
     -----------------------
@@ -178,10 +180,6 @@ class Simulation:
         Mutually exclusive with ``scheduler``.  The platform's speed-scaled
         firing durations join the tick-base derivation, so heterogeneous
         runs stay exact under ``time_base="auto"``/``"ticks"``.
-    dispatcher:
-        ``"ready-set"`` (default) or ``"polling"`` -- the brute-force
-        whole-fleet reference dispatcher kept for equivalence testing and
-        benchmarking.  Both produce bit-identical self-timed traces.
     trace_level:
         Granularity of the :class:`~repro.runtime.trace.TraceRecorder`
         (``"full"``, ``"endpoints"`` or ``"off"``).
@@ -224,12 +222,6 @@ class Simulation:
         stores everything.  Streaming counters and rates remain exact either
         way; long fast-forwarded horizons need a cap (or a coarser
         ``trace_level``) to avoid materialising billions of records.
-    kernel:
-        ``"auto"`` (default), ``"on"`` or ``"off"`` -- the engine's compiled
-        integer dispatch kernel (flat window bindings, no dict lookups in
-        the hot loop).  ``"auto"`` engages it whenever applicable
-        (ready-set dispatcher, tick time base, non-platform policy); traces
-        are bit-identical with the kernel on or off.
     """
 
     def __init__(
@@ -245,12 +237,10 @@ class Simulation:
         top: Optional[str] = None,
         scheduler: Optional[SchedulerPolicy] = None,
         platform: Optional["Platform"] = None,
-        dispatcher: str = "ready-set",
         trace_level: str = "full",
         time_base: Union[str, TimeBase] = "auto",
         fast_forward: Union[bool, str] = "auto",
         trace_retention: Optional[int] = None,
-        kernel: str = "auto",
     ) -> None:
         self.result = result
         self.registry = registry
@@ -264,9 +254,7 @@ class Simulation:
         self.platform = platform if platform is not None else getattr(scheduler, "platform", None)
         self.queue = EventQueue()
         self.trace = TraceRecorder(level=trace_level, retention=trace_retention)
-        self.engine = ExecutionEngine(
-            self.queue, self.trace, policy=scheduler, mode=dispatcher, kernel=kernel
-        )
+        self.engine = ExecutionEngine(self.queue, self.trace, policy=scheduler)
         self.engine.on_complete = self._after_firing
         self.fast_forward = fast_forward
         #: fast-forward refusals recorded for this simulation (see the

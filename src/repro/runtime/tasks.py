@@ -137,9 +137,10 @@ class RuntimeTask:
 
     The producer key and the (name, count, buffer) access bindings are
     immutable for the lifetime of the task, so they are resolved once at
-    construction: ``can_fire`` / ``start_firing`` / ``finish_firing`` run on
-    every single firing of a simulation and must not rebuild strings or chase
-    two dictionary lookups per access.
+    construction, and the window objects once every window is registered
+    (:meth:`bind_windows`): ``can_fire`` / ``start_firing`` /
+    ``finish_firing`` run on every single firing of a simulation and must
+    not rebuild strings or chase dictionary lookups per access.
     """
 
     name: str
@@ -184,9 +185,9 @@ class RuntimeTask:
         #: completion-event label; unique per task instance so the pending
         #: events of the queue identify the firing in the steady-state key
         self._complete_label = f"complete:{self._key}"
-        # Window bindings for the compiled kernel (see bind_windows).
-        self._read_windows: List[tuple] = []
-        self._write_windows: List[tuple] = []
+        # _read_windows / _write_windows are set by bind_windows(), once the
+        # windows exist; an unbound task fails loudly instead of firing
+        # without its accesses.
         #: the input values of the in-flight firing (None while idle); the
         #: value-exact fast-forward key folds them in -- a busy task's
         #: pending body runs on exactly these values after a jump
@@ -234,11 +235,13 @@ class RuntimeTask:
         return self._function_names
 
     def bind_windows(self) -> None:
-        """Resolve this task's window objects once (compiled-kernel setup).
+        """Resolve this task's window objects once.
 
-        Called by the engine after every window is registered: the per-firing
-        fast paths then mutate the :class:`WindowState` objects directly
-        instead of looking them up by producer key in the buffer's dicts.
+        Called by the engine (``ExecutionEngine.wire_buffers``) after every
+        window is registered, and required before the task fires:
+        eligibility and firings then use the :class:`WindowState` objects
+        directly instead of looking them up by producer key in the buffer's
+        dicts.
         """
         key = self._key
         self._read_windows = [
@@ -252,26 +255,27 @@ class RuntimeTask:
 
     # ------------------------------------------------------------ eligibility
     def can_fire(self) -> bool:
-        if self.busy or not self.active:
+        """The eligibility rule every dispatch loop applies: loop active, no
+        firing in flight (or a completed one-shot), enough tokens on every
+        read window and enough space on every write window -- reads before
+        writes, first failure wins."""
+        if self.busy or not self.active or (self.one_shot and self.fired_once):
             return False
-        if self.one_shot and self.fired_once:
-            return False
-        key = self._key
-        for _, count, buffer in self._reads:
-            if not buffer.can_consume(key, count):
+        for _, count, buffer, window in self._read_windows:
+            if not buffer.can_consume_window(window, count):
                 return False
-        for _, count, buffer in self._writes:
-            if not buffer.can_produce(key, count):
+        for _, count, buffer, window in self._write_windows:
+            if not buffer.can_produce_window(window, count):
                 return False
         return True
 
     # --------------------------------------------------------------- execution
     def start_firing(self) -> Dict[str, Any]:
-        """Atomically consume the inputs and return the values read."""
-        key = self._key
+        """Atomically consume the inputs and return the values read (call
+        only while :meth:`can_fire` holds; the reads are unchecked)."""
         values: Dict[str, Any] = {}
-        for name, count, buffer in self._reads:
-            data = buffer.consume(key, count)
+        for name, count, buffer, window in self._read_windows:
+            data = buffer.consume_window(window, count)
             values[name] = data if count > 1 else data[0]
         self.busy = True
         self.inflight_values = values
@@ -282,55 +286,6 @@ class RuntimeTask:
 
         Returns True when the guarded body actually executed.
         """
-        key = self._key
-        execute = True
-        if self.task.guard is not None:
-            execute = bool(evaluate_expression(self.task.guard, values, self.registry))
-
-        outputs: Optional[Dict[str, List[Any]]] = self._run_body(values) if execute else None
-
-        for name, count, buffer in self._writes:
-            produced = outputs.get(name) if outputs is not None else None
-            if produced is not None and len(produced) != count:
-                raise OilRuntimeError(
-                    f"task {self.name!r}: function produced {len(produced)} values for "
-                    f"{name!r}, expected {count}"
-                )
-            buffer.produce(key, produced, count)
-
-        self.busy = False
-        self.inflight_values = None
-        self.completed_firings += 1
-        self.phase_firings += 1
-        if self.one_shot:
-            self.fired_once = True
-            # A completed initialisation retires its windows: the floors it
-            # would otherwise pin forever are handed over to the loop tasks
-            # of the same module instance, which continue the streams (see
-            # CircularBuffer.retire_producer); windows of other instances
-            # and of sink/source drivers are left untouched.
-            scope = f"{self.instance}:"
-            for _, _, buffer in self._writes:
-                buffer.retire_producer(key, scope=scope)
-            for _, _, buffer in self._reads:
-                buffer.retire_consumer(key, scope=scope)
-        return execute
-
-    # ---------------------------------------------- compiled-kernel fast paths
-    def start_firing_fast(self) -> Dict[str, Any]:
-        """:meth:`start_firing` on pre-bound windows (no dict lookups)."""
-        values: Dict[str, Any] = {}
-        for name, count, buffer, window in self._read_windows:
-            data = buffer.consume_window(window, count)
-            values[name] = data if count > 1 else data[0]
-        self.busy = True
-        self.inflight_values = values
-        return values
-
-    def finish_firing_fast(self, values: Dict[str, Any]) -> bool:
-        """:meth:`finish_firing` on pre-bound windows.  Bit-identical
-        semantics: guard, body, output-length check and one-shot retirement
-        are the same code paths; only the window resolution is precomputed."""
         execute = True
         if self.task.guard is not None:
             execute = bool(evaluate_expression(self.task.guard, values, self.registry))
@@ -352,6 +307,11 @@ class RuntimeTask:
         self.phase_firings += 1
         if self.one_shot:
             self.fired_once = True
+            # A completed initialisation retires its windows: the floors it
+            # would otherwise pin forever are handed over to the loop tasks
+            # of the same module instance, which continue the streams (see
+            # CircularBuffer.retire_producer); windows of other instances
+            # and of sink/source drivers are left untouched.
             key = self._key
             scope = f"{self.instance}:"
             for _, _, buffer, _ in self._write_windows:

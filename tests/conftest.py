@@ -12,7 +12,7 @@ import pytest
 
 from repro.apps.modal_audio import compile_mute, compile_two_mode
 from repro.apps.pal_decoder import PalDecoderApp
-from repro.apps.producer_consumer import compile_quickstart
+from repro.apps.producer_consumer import quickstart_program
 from repro.apps.rate_converter import compile_fig2
 
 
@@ -35,12 +35,12 @@ def pal_sized(pal_app):
 
 @pytest.fixture(scope="session")
 def quickstart_compiled():
-    return compile_quickstart()
+    return quickstart_program().compile()
 
 
 @pytest.fixture(scope="session")
 def quickstart_sized():
-    result = compile_quickstart()
+    result = quickstart_program().compile()
     sizing = result.size_buffers()
     return result, sizing
 

@@ -1,0 +1,57 @@
+"""The seed's polling dispatcher, kept as the reference oracle.
+
+The engine dispatches event-driven (:mod:`repro.engine.dispatcher`): only
+tasks woken by a moved buffer floor are examined, in the pass order of a
+brute-force scan.  The seed simulator instead rescanned the whole task fleet
+on every dispatch round, until a pass started nothing.  That rescan is the
+reference the engine's boolean-policy loop must match bit for bit
+(``tests/test_engine.py::TestDispatcherEquivalence``) and the baseline of the
+dispatch microbenchmark (``benchmarks/bench_engine_dispatch.py``).  It is not
+an engine option, so it lives here, in one copy::
+
+    with polling_dispatch():
+        reference = analysis.run(duration)  # every engine in the block polls
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator
+
+from repro.engine.dispatcher import ExecutionEngine, ReadySet
+
+
+def _dispatch_polling(engine: ExecutionEngine) -> None:
+    """Rescan the whole fleet, in registration order, until a pass starts
+    nothing."""
+    if engine.platform_mode:
+        raise ValueError("the polling oracle covers boolean scheduler policies only")
+    engine._dispatch_pending = False
+    engine._in_dispatch = True
+    try:
+        progress = True
+        while progress:
+            progress = False
+            for task in engine.tasks:
+                if task.can_fire() and engine.policy.allow_start(task):
+                    engine._start_task(task)
+                    progress = True
+    finally:
+        engine._in_dispatch = False
+
+
+def _discard_wake(ready: ReadySet, index: int) -> None:
+    """The rescan needs no ready set.  Keeping it empty also keeps the
+    steady-state key, which folds the queued indices in, as the seed had it."""
+
+
+@contextmanager
+def polling_dispatch() -> Iterator[None]:
+    """Dispatch every engine inside the block by whole-fleet rescan."""
+    saved = ExecutionEngine._dispatch, ReadySet.push
+    ExecutionEngine._dispatch = _dispatch_polling
+    ReadySet.push = _discard_wake
+    try:
+        yield
+    finally:
+        ExecutionEngine._dispatch, ReadySet.push = saved

@@ -358,6 +358,30 @@ class TestProcessSweep:
         assert any("re-running" in warning for warning in report.warnings)
         assert report.column("value") == [1, 2, 3, 4]
 
+    def test_pool_broken_while_queueing_reruns_points(self, monkeypatch):
+        # A worker can die before the parent has queued every chunk; submit
+        # then raises BrokenProcessPool.  Force that interleaving: every
+        # submit after a pool's first one finds the pool broken.
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        real_submit = ProcessPoolExecutor.submit
+
+        def submit(pool, fn, *args, **kwargs):
+            if getattr(pool, "queued_once", False):
+                raise BrokenProcessPool("a child process terminated abruptly")
+            pool.queued_once = True
+            return real_submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        report = (
+            Sweep.from_callable(_crash_in_worker)
+            .add_axis("n", [1, 2, 3, 4])
+            .run(executor="process", workers=2)
+        )
+        assert report.ok, [failure.error for failure in report.failures]
+        assert any("re-running" in warning for warning in report.warnings)
+        assert report.column("value") == [1, 2, 3, 4]
+
     def test_failing_points_report_identically_across_backends(self):
         def build():
             return (

@@ -1,19 +1,19 @@
 """Tests for the pluggable scheduler engine (ready set, policies, dispatch).
 
 The load-bearing guarantee of the engine refactor is *observational
-equivalence*: indexed ready-set dispatch must produce bit-identical
-self-timed traces to the brute-force polling reference (the seed
-implementation) on every application, while the policies reshape timing in
-exactly the documented ways (bounded processors serialise, static order
-replays the sequential baseline's schedule).
+equivalence*: indexed ready-set dispatch must produce bit-identical traces to
+the brute-force polling reference (the seed implementation, kept as the
+oracle in tests/dispatch_oracle.py) on every application, while the policies
+reshape timing in exactly the documented ways (bounded processors serialise,
+static order replays the sequential baseline's schedule).
 """
 
 from fractions import Fraction
 
 import pytest
 
-from repro.apps.modal_audio import simulate_two_mode, two_mode_registry
-from repro.apps.pal_decoder import PalDecoderApp
+from dispatch_oracle import polling_dispatch
+from repro.api import Program
 from repro.apps.producer_consumer import quickstart_registry, simulate_quickstart
 from repro.apps.rate_converter import fig2_task_graph
 from repro.baselines.sequential_schedule import (
@@ -168,69 +168,94 @@ class TestBufferCaching:
 
 
 # ---------------------------------------------------------------------------
-# Scheduler equivalence: ready set vs brute-force polling
+# Scheduler equivalence: the engine vs the brute-force polling oracle
 # ---------------------------------------------------------------------------
 
+def engine_and_oracle(run):
+    """``run()`` once on the engine's own loop and once under the polling
+    oracle (tests/dispatch_oracle.py)."""
+    candidate = run()
+    with polling_dispatch():
+        reference = run()
+    return reference, candidate
+
+
 class TestDispatcherEquivalence:
-    def test_quickstart_traces_identical(self, quickstart_sized):
-        result, sizing = quickstart_sized
+    def test_quickstart_traces_identical(self):
+        analysis = Program.from_app("quickstart").analyze()
         traces = [
-            simulate_quickstart(
-                Fraction(1, 5), result=result, sizing=sizing, dispatcher=mode
-            )[1]
-            for mode in ("polling", "ready-set")
+            result.trace for result in engine_and_oracle(lambda: analysis.run(Fraction(1, 5)))
         ]
         assert len(traces[0].firings) > 100
         assert_traces_identical(*traces)
 
     def test_rate_converter_traces_identical(self):
         # The Fig. 2 rate-conversion task graph, executed self-timed.
-        tasks_a = tasks_from_sdf(fig2_task_graph(), iterations=40)
-        tasks_b = tasks_from_sdf(fig2_task_graph(), iterations=40)
-        a = run_tasks(tasks_a, mode="polling", stop_after_firings=150)
-        b = run_tasks(tasks_b, mode="ready-set", stop_after_firings=150)
+        a, b = engine_and_oracle(
+            lambda: run_tasks(tasks_from_sdf(fig2_task_graph(), iterations=40),
+                              stop_after_firings=150)
+        )
         assert len(a.trace.firings) >= 150
         assert_traces_identical(a.trace, b.trace)
 
-    def test_pal_decoder_traces_identical(self, pal_sized):
-        result, sizing = pal_sized
-        app = PalDecoderApp(scale=1000)
+    def test_pal_decoder_traces_identical(self):
+        analysis = Program.from_app("pal_decoder", scale=1000).analyze()
         traces = [
-            app.simulate(
-                Fraction(1, 20), result=result, sizing=sizing, dispatcher=mode
-            )[1]
-            for mode in ("polling", "ready-set")
+            result.trace for result in engine_and_oracle(lambda: analysis.run(Fraction(1, 20)))
         ]
         assert len(traces[0].firings) > 500
         assert_traces_identical(*traces)
 
-    def test_modal_mode_switching_traces_identical(self, two_mode_sized):
+    def test_modal_mode_switching_traces_identical(self):
         # Mode switches (de)activate whole loops: the ready-set dispatcher
         # must re-examine tasks whose eligibility changed without any buffer
         # floor moving.
-        result, sizing = two_mode_sized
+        analysis = Program.from_app("modal_two_mode").analyze()
         traces = [
-            simulate_two_mode(
-                Fraction(1, 5), result=result, sizing=sizing, dispatcher=mode
-            )[1]
-            for mode in ("polling", "ready-set")
+            result.trace for result in engine_and_oracle(lambda: analysis.run(Fraction(1, 5)))
         ]
         assert len(traces[0].firings) > 100
         assert_traces_identical(*traces)
 
     def test_ring_traces_identical(self):
-        a = run_tasks(ring_program(60, tokens=5, stagger=7), mode="polling",
-                      stop_after_firings=600)
-        b = run_tasks(ring_program(60, tokens=5, stagger=7), mode="ready-set",
-                      stop_after_firings=600)
+        a, b = engine_and_oracle(
+            lambda: run_tasks(ring_program(60, tokens=5, stagger=7), stop_after_firings=600)
+        )
         assert a.engine.completed_firings == b.engine.completed_firings == 600
         assert_traces_identical(a.trace, b.trace)
 
-    def test_invalid_dispatcher_rejected(self, quickstart_sized):
-        result, sizing = quickstart_sized
-        with pytest.raises(ValueError):
-            Simulation(result, quickstart_registry(), capacities=sizing.capacities,
-                       dispatcher="quantum")
+    def test_bounded_processors_traces_identical(self):
+        # A gating policy: eligible-but-denied tasks stall and re-queue.
+        a, b = engine_and_oracle(
+            lambda: run_tasks(ring_program(10, tokens=2), policy=BoundedProcessors(2),
+                              stop_after_firings=500)
+        )
+        assert a.engine.completed_firings == b.engine.completed_firings == 500
+        assert_traces_identical(a.trace, b.trace)
+
+    def test_static_order_traces_identical(self):
+        # The SDF sequential baseline: a single processor replaying the
+        # generated program's schedule.
+        graph = rate_conversion_graph(3, 2)
+        program = generate_sequential_program(graph)
+        a, b = engine_and_oracle(
+            lambda: run_tasks(tasks_from_sdf(graph, iterations=3),
+                              policy=static_order_policy(graph),
+                              stop_after_firings=len(program.schedule) * 3)
+        )
+        assert a.firing_sequence() == b.firing_sequence() == program.schedule * 3
+        assert_traces_identical(a.trace, b.trace)
+
+    def test_fraction_time_base_traces_identical(self):
+        # The boolean loop runs on both time bases; Fraction timestamps must
+        # not change what it dispatches.
+        a, b = engine_and_oracle(
+            lambda: run_tasks(ring_program(30, tokens=4, stagger=2), time_base="fraction",
+                              stop_after_firings=2000)
+        )
+        assert b.queue.timebase is None and b.engine.kernel_active
+        assert a.engine.completed_firings == b.engine.completed_firings == 2000
+        assert_traces_identical(a.trace, b.trace)
 
 
 # ---------------------------------------------------------------------------

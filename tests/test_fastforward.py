@@ -12,8 +12,9 @@ program whose stimuli are declared value-periodic and whose functions
 declare jump-exact behaviour produces *bit-identical sink values* through a
 jump -- the detector folds every value state into its periodicity key --
 and everything else silently falls back to naive stepping.  The compiled
-kernel must be observationally invisible: bit-identical traces with
-``kernel="on"`` and ``"off"``.
+kernel -- the engine's boolean-policy loop -- runs every non-platform run,
+on both time bases, and composes with fast-forward; its equivalence with
+the polling oracle is asserted in tests/test_engine.py.
 """
 
 import itertools
@@ -193,34 +194,7 @@ class TestEngineFastForward:
 # ---------------------------------------------------------------------------
 
 class TestCompiledKernel:
-    def test_kernel_on_off_bit_identical(self):
-        on = run_tasks(ring_program(30, tokens=4, stagger=2), kernel="on",
-                       stop_after_firings=2000)
-        off = run_tasks(ring_program(30, tokens=4, stagger=2), kernel="off",
-                        stop_after_firings=2000)
-        assert on.engine.kernel_active and not off.engine.kernel_active
-        assert_traces_identical(on.trace, off.trace)
-
-    def test_kernel_with_gating_policy_bit_identical(self):
-        on = run_tasks(ring_program(10, tokens=2), policy=BoundedProcessors(2),
-                       kernel="on", stop_after_firings=500)
-        off = run_tasks(ring_program(10, tokens=2), policy=BoundedProcessors(2),
-                        kernel="off", stop_after_firings=500)
-        assert on.engine.kernel_active
-        assert_traces_identical(on.trace, off.trace)
-
-    def test_kernel_on_raises_when_inapplicable(self):
-        with pytest.raises(ValueError):
-            run_tasks(
-                ring_program(10, tokens=2),
-                policy=ListScheduledPlatform(Platform.homogeneous(2)),
-                kernel="on",
-                stop_after_firings=10,
-            )
-        with pytest.raises(ValueError):
-            run_tasks(ring_program(10, tokens=2), kernel="sometimes")
-
-    def test_kernel_auto_disengages_for_platform_and_fraction_modes(self):
+    def test_kernel_inactive_only_under_platform_policies(self):
         platform_run = run_tasks(
             ring_program(10, tokens=2),
             policy=ListScheduledPlatform(Platform.homogeneous(2)),
@@ -230,14 +204,12 @@ class TestCompiledKernel:
         fraction_run = run_tasks(
             ring_program(10, tokens=2), time_base="fraction", stop_after_firings=50
         )
-        assert not fraction_run.engine.kernel_active
+        assert fraction_run.engine.kernel_active
 
     def test_kernel_composes_with_fast_forward(self):
         horizon = Fraction(100)
-        reference = run_tasks(ring_program(16, tokens=3), kernel="off", horizon=horizon)
-        combined = run_tasks(
-            ring_program(16, tokens=3), kernel="on", horizon=horizon, fast_forward=True
-        )
+        reference = run_tasks(ring_program(16, tokens=3), horizon=horizon)
+        combined = run_tasks(ring_program(16, tokens=3), horizon=horizon, fast_forward=True)
         assert combined.fast_forwarded and combined.engine.kernel_active
         assert combined.engine.completed_firings == reference.engine.completed_firings
         assert_traces_identical(reference.trace, combined.trace)

@@ -237,14 +237,6 @@ class TestDegenerateEquivalenceSynthetic:
                 platform=Platform.homogeneous(2),
             )
 
-    def test_platform_policy_rejected_in_polling_mode(self):
-        with pytest.raises(ValueError):
-            run_tasks(
-                ring_program(10, tokens=2),
-                policy=ListScheduledPlatform(Platform.homogeneous(2)),
-                mode="polling",
-            )
-
 
 # ---------------------------------------------------------------------------
 # Preemption: suspend / resume with exact tick accounting

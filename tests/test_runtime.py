@@ -159,6 +159,7 @@ class TestRuntimeTask:
         buffers["a"].register_producer("env")
         buffers["b"].register_producer(runtime.producer_key())
         buffers["b"].register_consumer("env")
+        runtime.bind_windows()  # the engine does this in wire_buffers
         return runtime, buffers
 
     def test_fire_executes_function(self):
