@@ -320,6 +320,9 @@ class Analysis:
     def sizing(self) -> BufferSizingResult:
         """Sufficient buffer capacities (and the consistency proof at them)."""
         if self._sizing is None:
+            # Sizing writes the capacities into the model: analyse the
+            # unbounded model first, whichever property is read first.
+            self.consistency
             self._sizing = self.compilation.size_buffers()
         return self._sizing
 

@@ -28,19 +28,20 @@ constraints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from repro.cta.consistency import (
     ConsistencyResult,
     _build_graph,
-    _delay_evaluator,
+    _DelayEdgeData,
     _prepare_edges,
     check_consistency,
 )
-from repro.cta.model import BufferParameter, Component, Connection, PortRef
+from repro.cta.model import BufferParameter, Component, PortRef
 from repro.cta.rates import compute_rate_structure
+from repro.util.graphs import Edge
 from repro.util.rational import Rat, rational_str
 
 
@@ -129,9 +130,18 @@ def size_buffers(
         if buffer.value is None:
             buffer.value = max(buffer.minimum, 1)
 
+    # One delay graph per rate component with a required scale, built once;
+    # every probe below evaluates it at the buffers' current capacities.
+    per_component = _prepare_edges(model, structure, assume_infinite_unsized=False)
+    graphs = [
+        _SizingGraph(per_component[component.index], scale)
+        for component, scale in zip(structure.components, required_scale)
+        if scale is not None
+    ]
+
     iterations = 0
     for _ in range(max_iterations):
-        enlarged = _enlarge_once(model, structure, required_scale)
+        enlarged = _enlarge_once(graphs)
         if not enlarged:
             break
         iterations += 1
@@ -141,7 +151,7 @@ def size_buffers(
         )
 
     if minimize:
-        _minimize(model, structure, required_scale)
+        _minimize(model, graphs)
 
     capacities = {buffer.name: buffer.resolved() for buffer in model.all_buffers()}
     consistency = check_consistency(model)
@@ -157,54 +167,54 @@ def size_buffers(
 # internals
 # --------------------------------------------------------------------------
 
-def _component_positive_cycle(
-    model: Component,
-    structure,
-    component_index: int,
-    scale: Rat,
-):
-    """Return (cycle_edges, edge->connection-data map) for a positive cycle of
-    the given rate component at the given scale, or (None, None) if feasible."""
-    per_component = _prepare_edges(model, structure, assume_infinite_unsized=False)
-    edges = per_component[component_index]
-    graph, _ = _build_graph(edges)
-    # Rebuild the label -> data mapping (labels are stable "e{i}").
-    label_map = {}
-    kept = [d for d in edges if d.phi_effective is not None]
-    for i, data in enumerate(edges):
-        label_map[f"e{i}"] = data
-    theta = Fraction(1) / scale
-    result = graph.longest_paths(evaluate=_delay_evaluator(theta))
-    if not result.has_positive_cycle:
-        return None, None
-    return result.cycle, label_map
+class _SizingGraph:
+    """The delay graph of one rate component at its required scale.
+
+    Built once per :func:`size_buffers` call.  An edge's delay is read at the
+    buffers' current capacities, ``epsilon + effective_phi / rho_src * theta``,
+    so a probe after an enlargement or during the minimisation pass needs no
+    rebuild; ``edge.parametric`` holds the coefficient at build time and is
+    never read here.
+    """
+
+    def __init__(self, edges: List[_DelayEdgeData], scale: Rat) -> None:
+        self.graph, self._data = _build_graph(edges)
+        self.theta = Fraction(1) / scale
+
+    def data(self, edge: Edge) -> _DelayEdgeData:
+        return self._data[id(edge)]
+
+    def delay(self, edge: Edge) -> Rat:
+        """The edge's delay at the required scale and current capacities."""
+        data = self._data[id(edge)]
+        return edge.weight + data.connection.effective_phi() / data.rho_src * self.theta
+
+    def positive_cycle(self) -> Optional[List[Edge]]:
+        """A witness positive-delay cycle, or None when the component is feasible."""
+        result = self.graph.longest_paths(evaluate=self.delay)
+        return result.cycle if result.has_positive_cycle else None
 
 
-def _enlarge_once(model: Component, structure, required_scale) -> bool:
+def _enlarge_once(graphs: List[_SizingGraph]) -> bool:
     """Run one enlargement step; return True if some buffer was enlarged."""
-    for component in structure.components:
-        scale = required_scale[component.index]
-        if scale is None:
-            continue
-        cycle, label_map = _component_positive_cycle(model, structure, component.index, scale)
+    for sizing_graph in graphs:
+        cycle = sizing_graph.positive_cycle()
         if cycle is None:
             continue
-        theta = Fraction(1) / scale
+        theta = sizing_graph.theta
 
         # Total positive delay of the cycle at the required rate.
         total = Fraction(0)
         for edge in cycle:
-            total += edge.weight + edge.parametric * theta
+            total += sizing_graph.delay(edge)
         assert total > 0
 
         # Candidate buffer connections on the cycle: adding x tokens to buffer
         # b on edge e reduces the cycle delay by x * buffer_scale * theta / rho_src.
         candidates: List[Tuple[int, BufferParameter]] = []
         for edge in cycle:
-            data = label_map.get(edge.label)
-            if data is None:
-                continue
-            connection: Connection = data.connection
+            data = sizing_graph.data(edge)
+            connection = data.connection
             if connection.buffer is None:
                 continue
             per_token = connection.buffer_scale * theta / data.rho_src
@@ -230,19 +240,7 @@ def _enlarge_once(model: Component, structure, required_scale) -> bool:
     return False
 
 
-def _feasible_everywhere(model: Component, structure, required_scale) -> bool:
-    """True when every rate component with a required scale is feasible."""
-    for component in structure.components:
-        scale = required_scale[component.index]
-        if scale is None:
-            continue
-        cycle, _ = _component_positive_cycle(model, structure, component.index, scale)
-        if cycle is not None:
-            return False
-    return True
-
-
-def _minimize(model: Component, structure, required_scale) -> None:
+def _minimize(model: Component, graphs: List[_SizingGraph]) -> None:
     """Shrink each buffer in turn to the smallest consistent capacity."""
     buffers = model.all_buffers()
     for buffer in buffers:
@@ -257,7 +255,7 @@ def _minimize(model: Component, structure, required_scale) -> None:
         while low <= high:
             mid = (low + high) // 2
             buffer.value = mid
-            if _feasible_everywhere(model, structure, required_scale):
+            if all(graph.positive_cycle() is None for graph in graphs):
                 best = mid
                 high = mid - 1
             else:

@@ -18,12 +18,20 @@ throughput baseline, reduce to questions about weighted directed graphs:
   bisection fallback; every check is a single Bellman-Ford run, so the whole
   computation is polynomial.
 
-All algorithms use exact :class:`fractions.Fraction` weights so that the rate
-computations of the analysis are bit-exact.
+Edge weights are exact :class:`fractions.Fraction` values, so the rate
+computations of the analysis are bit-exact.  Bellman-Ford does not relax them
+as fractions, though: a query evaluates every edge weight once, multiplies all
+of them by the LCM of their denominators and relaxes the resulting integers.
+Scaling by a positive constant preserves every comparison, so each relaxation
+happens exactly as it would on the rationals, and the offsets map back exactly
+(``Fraction(d, L)``).  Edges are relaxed in insertion order, over nodes in
+insertion order, for at most ``|V|`` rounds; the witness cycle of a positive
+cycle, and so every capacity buffer sizing reads off it, depends on that order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
@@ -94,15 +102,18 @@ class ConstraintGraph:
     """
 
     def __init__(self) -> None:
-        self._nodes: Dict[Node, None] = {}
+        #: node -> its insertion index (the index the relaxation loop uses)
+        self._nodes: Dict[Node, int] = {}
         self._edges: List[Edge] = []
         self._out: Dict[Node, List[Edge]] = {}
+        #: per edge, in insertion order: (source index, target index)
+        self._ends: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------ build
     def add_node(self, node: Node) -> None:
         """Add *node* (idempotent)."""
         if node not in self._nodes:
-            self._nodes[node] = None
+            self._nodes[node] = len(self._nodes)
             self._out.setdefault(node, [])
 
     def add_edge(
@@ -120,6 +131,7 @@ class ConstraintGraph:
         edge = Edge(source, target, as_rational(weight), as_rational(parametric), label)
         self._edges.append(edge)
         self._out[source].append(edge)
+        self._ends.append((self._nodes[source], self._nodes[target]))
         return edge
 
     # --------------------------------------------------------------- accessors
@@ -149,56 +161,66 @@ class ConstraintGraph:
         positive-weight cycle.  When feasible, the returned offsets are the
         componentwise-smallest non-negative solution.
 
+        Every weight is evaluated once and scaled to an integer by the LCM of
+        the weights' denominators; the relaxation compares integers and the
+        offsets map back to exact fractions (see the module docstring).
+
         Parameters
         ----------
         evaluate:
             Optional callable mapping an :class:`Edge` to its effective
-            rational weight.  Defaults to ``edge.weight``; the CTA consistency
-            algorithm passes a closure that folds the rate-dependent part in.
+            rational weight (a ``Fraction`` or an ``int``).  Defaults to
+            ``edge.weight``; the CTA consistency algorithm passes a closure
+            that folds the rate-dependent part in.
         """
         if evaluate is None:
-            evaluate = lambda e: e.weight  # noqa: E731 - tiny adapter
+            weights = [edge.weight for edge in self._edges]
+        else:
+            weights = [evaluate(edge) for edge in self._edges]
+        scale = math.lcm(*{w.denominator for w in weights})
+        relax = [
+            (source, target, w.numerator * (scale // w.denominator), index)
+            for index, ((source, target), w) in enumerate(zip(self._ends, weights))
+        ]
 
-        nodes = list(self._nodes)
-        dist: Dict[Node, Rat] = {n: Fraction(0) for n in nodes}
-        pred: Dict[Node, Optional[Edge]] = {n: None for n in nodes}
-
-        weights = [(edge, evaluate(edge)) for edge in self._edges]
-
-        updated_node: Optional[Node] = None
-        for _ in range(len(nodes)):
-            updated_node = None
-            for edge, w in weights:
-                cand = dist[edge.source] + w
-                if cand > dist[edge.target]:
-                    dist[edge.target] = cand
-                    pred[edge.target] = edge
-                    updated_node = edge.target
-            if updated_node is None:
+        count = len(self._nodes)
+        dist = [0] * count
+        #: per node, the index of the edge that last relaxed it (-1: none)
+        pred = [-1] * count
+        updated = -1
+        for _ in range(count):
+            updated = -1
+            for source, target, w, index in relax:
+                cand = dist[source] + w
+                if cand > dist[target]:
+                    dist[target] = cand
+                    pred[target] = index
+                    updated = target
+            if updated < 0:
                 break
 
-        if updated_node is not None:
+        if updated >= 0:
             # A node was still relaxed in the n-th round: positive cycle.
-            cycle = self._extract_cycle(pred, updated_node)
-            return BellmanFordResult(True, {}, cycle)
-        return BellmanFordResult(False, dist, [])
+            return BellmanFordResult(True, {}, self._extract_cycle(pred, updated))
+        offsets = {node: Fraction(d, scale) for node, d in zip(self._nodes, dist)}
+        return BellmanFordResult(False, offsets, [])
 
-    def _extract_cycle(self, pred: Dict[Node, Optional[Edge]], start: Node) -> List[Edge]:
-        """Walk predecessor edges from *start* to recover a cycle."""
+    def _extract_cycle(self, pred: List[int], start: int) -> List[Edge]:
+        """Walk predecessor edges from node index *start* to recover a cycle."""
+        ends = self._ends
         node = start
-        for _ in range(len(self._nodes)):
-            edge = pred[node]
-            if edge is None:
+        for _ in range(len(pred)):
+            index = pred[node]
+            if index < 0:
                 return []
-            node = edge.source
+            node = ends[index][0]
         # ``node`` is now guaranteed to lie on a cycle of predecessor edges.
         cycle_edges: List[Edge] = []
         cursor = node
         while True:
-            edge = pred[cursor]
-            assert edge is not None
-            cycle_edges.append(edge)
-            cursor = edge.source
+            index = pred[cursor]
+            cycle_edges.append(self._edges[index])
+            cursor = ends[index][0]
             if cursor == node:
                 break
         cycle_edges.reverse()
@@ -272,13 +294,14 @@ class ConstraintGraph:
 
         # Cycles consisting solely of parametric == 0 edges with positive total
         # weight make the ratio unbounded.
+        zero_edges = [edge for edge in self._edges if edge.parametric == 0]
         zero_graph = ConstraintGraph()
-        for edge in self._edges:
-            if edge.parametric == 0:
-                zero_graph.add_edge(edge.source, edge.target, edge.weight, label=edge.label)
+        for edge in zero_edges:
+            zero_graph.add_edge(edge.source, edge.target, edge.weight, label=edge.label)
         zero_result = zero_graph.longest_paths()
         if zero_result.has_positive_cycle:
-            return CycleRatioResult(None, zero_result.cycle, unbounded=True)
+            witness = _map_back(zero_edges, zero_graph, zero_result.cycle)
+            return CycleRatioResult(None, witness, unbounded=True)
 
         if all(edge.parametric == 0 for edge in self._edges):
             return CycleRatioResult(None, [], unbounded=False)
@@ -332,25 +355,16 @@ class ConstraintGraph:
                 label=edge.label,
             )
         result = negated.maximum_cycle_ratio()
-        if result.ratio is None:
-            # Map the witness edges back to the original graph's edges.
-            return CycleRatioResult(None, _map_back(self, result.cycle), result.unbounded)
-        return CycleRatioResult(-result.ratio, _map_back(self, result.cycle), result.unbounded)
+        ratio = None if result.ratio is None else -result.ratio
+        return CycleRatioResult(ratio, _map_back(self._edges, negated, result.cycle), result.unbounded)
 
 
-def _map_back(graph: ConstraintGraph, cycle: Sequence[Edge]) -> List[Edge]:
-    """Map witness edges from a derived graph back onto *graph* by endpoints/label."""
-    mapped: List[Edge] = []
-    for witness in cycle:
-        for edge in graph.edges:
-            if (
-                edge.source == witness.source
-                and edge.target == witness.target
-                and edge.label == witness.label
-            ):
-                mapped.append(edge)
-                break
-    return mapped
+def _map_back(originals: Sequence[Edge], derived: ConstraintGraph, cycle: Sequence[Edge]) -> List[Edge]:
+    """Map witness edges of *derived*, which was built edge for edge from
+    *originals* in order, back onto *originals* by position (parallel edges
+    may share endpoints and label, so nothing else identifies them)."""
+    position = {id(edge): index for index, edge in enumerate(derived._edges)}
+    return [originals[position[id(edge)]] for edge in cycle]
 
 
 # --------------------------------------------------------------------------

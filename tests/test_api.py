@@ -128,6 +128,18 @@ class TestAnalysisParity:
         assert analysis.source_rates == {"samples": Fraction(2000)}
         assert analysis.sink_rates == {"averages": Fraction(1000)}
 
+    @pytest.mark.parametrize("app", ["quickstart", "pal_decoder"])
+    def test_consistency_does_not_depend_on_access_order(self, app):
+        # Sizing writes capacities into the model; a later first read of
+        # ``consistency`` must still analyse the unbounded model.
+        fresh = Program.from_app(app).analyze().consistency
+        analysis = Program.from_app(app).analyze()
+        analysis.sizing
+        late = analysis.consistency
+        assert late.offsets == fresh.offsets
+        assert late.port_rates == fresh.port_rates
+        assert late.scales == fresh.scales
+
     def test_pal_parity_with_session_fixture(self, pal_sized):
         result, sizing = pal_sized
         analysis = Program.from_app("pal_decoder", scale=1000).analyze()

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Program
+from repro.baselines.comparison import decimation_pipeline_source
 from repro.cta import BufferParameter, CTAModel, check_consistency, size_buffers
 from repro.cta.buffer_sizing import BufferSizingError
 
@@ -85,3 +87,64 @@ def test_sizing_always_produces_consistent_model(stages, rate):
     assert result.consistency.consistent
     # capacities respect the declared minima
     assert all(value >= 1 for value in result.capacities.values())
+
+
+# Capacities read off Bellman-Ford witness cycles: ``_enlarge_once`` grows the
+# cheapest buffer on the witness, so a change to the relaxation order (edges
+# in insertion order, nodes in insertion order, at most |V| rounds) changes
+# them.  Recorded with the seed's Fraction relaxation loop.
+PINNED_SIZING = {
+    "quickstart": (1, {
+        "Downsample/loop0/x.access0": 2, "Downsample/loop0/y.access0": 1,
+        "main/averages": 4, "main/samples": 2,
+    }),
+    "pal_decoder": (7, {
+        "SRC_A/loop0/si.access0": 34, "SRC_A/loop0/so.access0": 1,
+        "SRC_V/loop0/si.access0": 22, "SRC_V/loop0/so.access0": 13,
+        "Splitter/mas": 25, "Splitter/mvs": 16, "main/aud": 12, "main/rf": 2,
+        "main/screen": 41, "main/speakers": 2, "main/vid": 10,
+    }),
+    "rate_converter": (0, {
+        "A/loop0/a.access0": 3, "A/loop0/b.access0": 3, "B/loop0/c.access0": 2,
+        "B/loop0/d.access0": 2, "C/x": 3, "C/y": 6,
+    }),
+    "modal_mute": (1, {
+        "Mute/level": 1, "Mute/loop0/sin.access0": 4, "Mute/loop0/sout.access0": 1,
+        "main/mic": 4, "main/speaker": 2,
+    }),
+    "modal_two_mode": (2, {
+        "TwoMode/loop0/sin.access0": 2, "TwoMode/loop0/sout.access0": 1,
+        "TwoMode/loop1/sin.access0": 2, "TwoMode/loop1/sout.access0": 1,
+        "main/adc": 3, "main/dac": 3,
+    }),
+}
+
+
+@pytest.mark.parametrize("app", sorted(PINNED_SIZING))
+def test_packaged_app_sizing_is_pinned(app):
+    iterations, capacities = PINNED_SIZING[app]
+    sizing = Program.from_app(app).analyze().sizing
+    assert sizing.iterations == iterations
+    assert sizing.capacities == capacities
+
+
+def test_decimation_chain_sizing_is_pinned():
+    stages, rate = 6, 4
+    base_hz = 4 * rate ** stages
+    utilisations = (Fraction(6, 20), Fraction(7, 20), Fraction(8, 20))
+    wcets = {
+        f"dec{stage}": Fraction(rate ** (stage + 1), base_hz) * utilisations[stage % 3]
+        for stage in range(stages)
+    }
+    program = Program.from_source(
+        decimation_pipeline_source(stages, rate=rate, base_hz=base_hz),
+        name="chain6x4",
+        function_wcets=wcets,
+    )
+    sizing = program.analyze().sizing
+    assert sizing.iterations == 7
+    expected = {f"Dec{stage}/loop0/i.access0": 5 for stage in range(stages)}
+    expected.update({f"Dec{stage}/loop0/o.access0": 1 for stage in range(stages)})
+    expected.update({"main/input": 4, "main/output": 2})
+    expected.update({f"main/s{stage}": 4 for stage in range(stages - 1)})
+    assert sizing.capacities == expected

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from graph_oracle import fraction_longest_paths
+from repro.api import Program
 from repro.cta import (
     BufferParameter,
     CTAModel,
@@ -138,3 +140,24 @@ class TestVerifyThroughput:
         ok, problems = verify_throughput(model, {port: Fraction(100)})
         assert not ok
         assert problems
+
+
+@pytest.mark.parametrize(
+    "app", ["quickstart", "pal_decoder", "rate_converter", "modal_mute", "modal_two_mode"]
+)
+def test_analysis_equals_the_fraction_oracle(app):
+    """Every Bellman-Ford query of a whole analysis (pinned-scale checks,
+    the maximal-scale search, offsets, sizing probes) answered by the
+    integer kernel and by the seed's Fraction loop gives the same results."""
+
+    def analyse():
+        analysis = Program.from_app(app).analyze()
+        consistency, sizing = analysis.consistency, analysis.sizing
+        return (
+            consistency.scales, consistency.port_rates, consistency.offsets,
+            sizing.capacities, sizing.iterations, sizing.consistency.offsets,
+        )
+
+    with fraction_longest_paths():
+        expected = analyse()
+    assert analyse() == expected

@@ -14,6 +14,8 @@ from repro.util.graphs import (
     simple_cycles,
 )
 
+import graph_oracle
+
 
 def chain_graph():
     g = ConstraintGraph()
@@ -117,6 +119,29 @@ class TestCycleRatios:
         with pytest.raises(ValueError):
             maximum_cycle_ratio(g)
 
+    def test_min_cycle_ratio_witness_on_parallel_edges(self):
+        # Two unlabeled a->b edges share endpoints; the witness must run
+        # through the weight-1 edge, the one that attains the ratio.
+        g = ConstraintGraph()
+        g.add_edge("a", "b", 5, parametric=1)
+        light = g.add_edge("a", "b", 1, parametric=1)
+        back = g.add_edge("b", "a", 1, parametric=1)
+        result = minimum_cycle_ratio(g)
+        assert result.ratio == 1
+        assert len(result.cycle) == 2
+        assert result.cycle[0] is light and result.cycle[1] is back
+
+    @pytest.mark.parametrize("sign, ratio", [(1, maximum_cycle_ratio), (-1, minimum_cycle_ratio)])
+    def test_unbounded_witness_is_made_of_the_graphs_own_edges(self, sign, ratio):
+        g = ConstraintGraph()
+        g.add_edge("a", "b", sign, parametric=1)
+        g.add_edge("a", "b", sign)
+        g.add_edge("b", "a", sign)
+        result = ratio(g)
+        assert result.unbounded
+        assert len(result.cycle) == 2
+        assert all(mine is own for mine, own in zip(result.cycle, g.edges[1:]))
+
     def test_ratio_with_exact_fractions(self):
         g = ConstraintGraph()
         g.add_edge("a", "b", Fraction(1, 3), parametric=Fraction(1, 7))
@@ -176,3 +201,45 @@ def test_bellman_ford_agrees_with_cycle_enumeration(edges):
         sum(e.weight for e in cycle) > 0 for cycle in simple_cycles(g)
     )
     assert detect_positive_cycle(g).has_positive_cycle == has_positive
+
+
+#: large co-prime denominators next to small ones: the scaled integers span
+#: many orders of magnitude, as they do for MHz/kHz periods
+DENOMINATORS = (1, 2, 3, 7, 6400, 32000, 1000003)
+
+
+def rationals(bound=5):
+    return st.sampled_from(DENOMINATORS).flatmap(
+        lambda d: st.integers(-bound * d, bound * d).map(lambda n: Fraction(n, d))
+    )
+
+
+@st.composite
+def random_multigraph(draw):
+    """Up to 10 nodes (some isolated, in a random insertion order) and 30
+    edges; parallel edges and self-loops allowed."""
+    count = draw(st.integers(1, 10))
+    order = draw(st.permutations(range(count)))
+    node = st.integers(0, count - 1)
+    edges = draw(st.lists(st.tuples(node, node, rationals(), rationals()), max_size=30))
+    graph = ConstraintGraph()
+    for index in order[: draw(st.integers(0, count))]:
+        graph.add_node(f"n{index}")
+    for source, target, weight, parametric in edges:
+        graph.add_edge(f"n{source}", f"n{target}", weight, parametric=parametric)
+    theta = draw(st.one_of(st.none(), rationals(bound=3)))
+    return graph, theta
+
+
+@given(random_multigraph())
+@settings(max_examples=300, deadline=None)
+def test_integer_kernel_matches_fraction_oracle(case):
+    graph, theta = case
+    evaluate = None if theta is None else (lambda e: e.weight + e.parametric * theta)
+    expected = graph_oracle.longest_paths(graph, evaluate=evaluate)
+    actual = graph.longest_paths(evaluate=evaluate)
+    assert actual.has_positive_cycle == expected.has_positive_cycle
+    assert list(actual.offsets.items()) == list(expected.offsets.items())
+    assert all(type(value) is Fraction for value in actual.offsets.values())
+    assert len(actual.cycle) == len(expected.cycle)
+    assert all(mine is theirs for mine, theirs in zip(actual.cycle, expected.cycle))
