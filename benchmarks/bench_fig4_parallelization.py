@@ -86,7 +86,7 @@ def test_fig4_bounded_processor_speedup(benchmark):
     report = (
         Sweep.from_callable(point, name="fig4 fork/join speedup")
         .add_axis("processors", [1, 2, 4, 8])
-        .run(workers=2)
+        .run()
     )
     benchmark(makespan, 8)
 

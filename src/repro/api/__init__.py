@@ -13,9 +13,8 @@ for parameter-grid scenario studies:
   occupancy-vs-capacity validation,
 * :class:`Sweep` / :class:`SweepReport` -- parameter grids (frequency
   scales, processor counts, rates, mode schedules) with shared compilation,
-  parallel workers (``executor="thread"`` or true multi-core
-  ``executor="process"`` via picklable :class:`ProgramSpec` shipping) and
-  tabular/JSON aggregation.
+  serial or true multi-core execution (``executor="process"`` via
+  picklable :class:`ProgramSpec` shipping) and tabular/JSON aggregation.
 
 The three-line happy path::
 

@@ -251,9 +251,8 @@ class Program:
             self._analysis = Analysis(self, self.compile())
         return self._analysis
 
-    def run(self, duration: Optional[RationalLike] = None, **kwargs: Any) -> "RunResult":
-        """Shortcut for ``self.analyze().run(duration, ...)`` (accepts the
-        ``horizon=`` spelling as a keyword, like :meth:`Analysis.run`)."""
+    def run(self, duration: RationalLike, **kwargs: Any) -> "RunResult":
+        """Shortcut for ``self.analyze().run(duration, ...)``."""
         return self.analyze().run(duration, **kwargs)
 
     def check(self, **kwargs: Any) -> "CheckReport":
@@ -451,9 +450,8 @@ class Analysis:
 
     def run(
         self,
-        duration: Optional[RationalLike] = None,
+        duration: RationalLike,
         *,
-        horizon: Optional[RationalLike] = None,
         scheduler: Optional[SchedulerPolicy] = None,
         platform: Optional[Platform] = None,
         trace: str = "full",
@@ -463,7 +461,7 @@ class Analysis:
         sink_start_times: Optional[Mapping[str, RationalLike]] = None,
         capacities: Optional[Mapping[str, Optional[int]]] = None,
         time_base: Optional[TimeBaseLike] = None,
-        fast_forward: Optional[Union[bool, str]] = None,
+        fast_forward: Union[bool, str] = "auto",
         trace_retention: Optional[int] = None,
     ) -> "RunResult":
         """Execute the program for *duration* seconds of simulated time.
@@ -483,28 +481,14 @@ class Analysis:
         ticks when the program's -- speed-scaled -- durations fit one, exact
         fractions otherwise, observationally identical either way).
 
-        ``horizon`` is an alternative spelling of *duration* (exactly one of
-        the two must be given) that additionally turns on timing-exact
-        steady-state ``fast_forward=True`` unless overridden -- the natural
-        phrasing of a long run whose event count would be infeasible
-        naively.  ``fast_forward`` defaults to ``"auto"`` otherwise:
-        programs whose stimuli and functions declare their jump behaviour
-        fast-forward *value-exactly* (bit-identical to a naive run), all
-        others step naively, recording structured warnings on the
-        undeclared paths (see
+        ``fast_forward`` is ``"auto"`` (the default) or ``False``: under
+        ``"auto"`` programs whose stimuli and functions declare their jump
+        behaviour fast-forward *value-exactly* (bit-identical to a naive
+        run), all others step naively, recording structured warnings on the
+        undeclared paths in :attr:`RunResult.warnings` (see
         :class:`~repro.runtime.simulator.Simulation`).  ``fast_forward`` /
-        ``trace_retention`` are forwarded to the simulation;
-        configurations that cannot fast-forward run naively and record why
-        in :attr:`RunResult.warnings`.
+        ``trace_retention`` are forwarded to the simulation.
         """
-        if (duration is None) == (horizon is None):
-            raise TypeError("pass exactly one of duration= or horizon=")
-        if duration is None:
-            duration = horizon
-            if fast_forward is None:
-                fast_forward = True
-        if fast_forward is None:
-            fast_forward = "auto"
         simulation = self.simulation(
             scheduler=scheduler,
             platform=platform,

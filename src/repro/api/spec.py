@@ -136,7 +136,7 @@ class SweepConfigError(ValueError):
     Raised when the process executor is asked to ship something pickle
     cannot represent (an unpicklable program-axis value, a closure-based
     registry factory, a recipe-less precompiled program) and the caller
-    requested strict behaviour instead of the thread-backend fallback.
+    requested strict behaviour instead of the serial fallback.
     """
 
 

@@ -6,8 +6,8 @@ parameter grid -- frequency scales, processor counts, rates, mode schedules
 reporting.  The three pieces:
 
 * :class:`Sweep` -- declares the grid.  Axes are split automatically:
-  *run axes* (``scheduler``, ``platform``, ``duration``, ``horizon``,
-  ``trace``, ``mode_schedules``, ``sink_start_times``, ``time_base``,
+  *run axes* (``scheduler``, ``platform``, ``duration``, ``trace``,
+  ``mode_schedules``, ``sink_start_times``, ``time_base``,
   ``fast_forward``, ``trace_retention``; see :data:`RUN_AXES`) only affect
   execution, every other axis is a *program axis* that is forwarded
   to :meth:`~repro.api.program.Program.from_app`.  Each **distinct** program
@@ -27,13 +27,13 @@ reporting.  The three pieces:
 
 Execution order is the grid's cartesian-product order and results are
 aggregated by point index, so serial execution and parallel workers produce
-the *same* report.  Two worker backends share that contract:
+the *same* report.  Two backends share that contract:
 
-* ``executor="thread"`` (the default): points share the compiled program
-  read-only, while every run builds its own simulation state (buffers,
-  tasks, registries via the program's factories) and stateful scheduler
-  policies are deep-copied per point.  Determinism-first, but GIL-bound --
-  CPU-heavy grids gain little wall-clock from extra threads.
+* ``executor="serial"`` (the default): points run one after another in the
+  calling process.  They share the compiled program read-only, while every
+  run builds its own simulation state (buffers, tasks, registries via the
+  program's factories) and stateful scheduler policies are deep-copied per
+  point.
 * ``executor="process"``: true multi-core execution.  The parent derives a
   picklable :class:`~repro.api.spec.ProgramSpec` per distinct program
   parameter combination and ships only specs + run parameters; each worker
@@ -43,7 +43,7 @@ the *same* report.  Two worker backends share that contract:
   Aggregation stays by point index, so the report is bit-identical to a
   serial run.  Anything the backend cannot ship degrades gracefully instead
   of raising: an unpicklable *program* axis falls the whole sweep back to
-  the thread backend (the dedup keys would otherwise be unsound), an
+  the serial backend (the dedup keys would otherwise be unsound), an
   unpicklable *run* parameter or a crashed worker re-runs just those points
   in the parent -- each with a warning recorded on the report
   (:attr:`SweepReport.warnings`).  Pass ``strict=True`` to turn those
@@ -62,7 +62,7 @@ Example::
     report = (
         Sweep("pal_decoder", duration=Fraction(1, 10))
         .add_axis("scheduler", [BoundedProcessors(n) for n in (1, 2, 3, 4)])
-        .run(workers=2)
+        .run(executor="process", workers=2)
     )
     print(report.table())
 """
@@ -74,8 +74,7 @@ import itertools
 import json
 import math
 import pickle
-import threading
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -87,14 +86,13 @@ from repro.util.runwarnings import RunWarning, warning_code
 from repro.util.validation import check_positive
 
 #: Supported Sweep.run backends.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 #: Axes that configure the *run*, not the program (no recompilation needed).
 RUN_AXES = (
     "scheduler",
     "platform",
     "duration",
-    "horizon",
     "trace",
     "mode_schedules",
     "sink_start_times",
@@ -111,7 +109,7 @@ def _program_key(program_params: Mapping[str, Any], *, strict: bool = False) -> 
     arrays) would collapse distinct parameter values into one compiled
     program.  Pickle bytes compare by value for all picklable types;
     unpicklable axis values (lambdas, generators, open handles) must not
-    crash a thread-backend sweep, so they fall back to a ``repr``-based key.
+    crash a serial sweep, so they fall back to a ``repr``-based key.
     Default object reprs embed the instance id, so equal-valued unpicklable
     objects usually get distinct keys -- such axes may compile the same
     program redundantly, which is the safe direction.  (An unpicklable type
@@ -160,22 +158,14 @@ def _execute_point(
 
     The single definition of per-point semantics -- duration override,
     per-point scheduler deep copy (policies are stateful), metric-row
-    assembly -- shared by the serial/thread path and the process workers, so
-    the backends cannot drift apart and break the identical-reports
-    contract.
+    assembly -- shared by the serial path and the process workers, so the
+    backends cannot drift apart and break the identical-reports contract.
     """
     run_params = dict(run_params)
     duration = as_rational(run_params.pop("duration", default_duration))
     if run_params.get("scheduler") is not None:
         run_params["scheduler"] = copy.deepcopy(run_params["scheduler"])
-    if run_params.get("horizon") is not None:
-        # a horizon axis replaces the duration (Analysis.run takes exactly
-        # one of the two; it implies fast_forward unless the axis says no)
-        run_params["horizon"] = as_rational(run_params["horizon"])
-        run = analysis.run(**run_params)
-    else:
-        run_params.pop("horizon", None)
-        run = analysis.run(duration, **run_params)
+    run = analysis.run(duration, **run_params)
     metrics = {
         "consistent": analysis.consistent,
         "total_capacity": analysis.total_capacity,
@@ -271,7 +261,7 @@ class SweepReport:
     ) -> None:
         self.name = name
         self.results = list(results)
-        #: execution-backend degradations (thread fallback for unpicklable
+        #: execution-backend degradations (serial fallback for unpicklable
         #: axes, in-parent re-runs after worker crashes); the *rows* are
         #: unaffected -- fallbacks preserve serial-identical metrics -- so
         #: warnings live beside the results, not inside them
@@ -621,8 +611,8 @@ class Sweep:
     def _check_program_source(self, program_params: Mapping[str, Any]) -> None:
         """Reject grids this sweep cannot build programs for.
 
-        One definition of the two misconfiguration errors, so the serial,
-        thread and process backends report identical messages.
+        One definition of the two misconfiguration errors, so the serial
+        and process backends report identical messages.
         """
         if self._program is not None:
             if program_params:
@@ -668,7 +658,7 @@ class Sweep:
         self,
         *,
         workers: int = 1,
-        executor: str = "thread",
+        executor: str = "serial",
         keep_runs: bool = True,
         strict: bool = False,
         store: Any = None,
@@ -676,26 +666,25 @@ class Sweep:
     ) -> SweepReport:
         """Execute every grid point and aggregate a :class:`SweepReport`.
 
-        ``executor`` selects the worker backend: ``"thread"`` (the default)
-        fans the points out over a thread pool when ``workers > 1`` --
-        deterministic and cheap, but GIL-bound; ``"process"`` over a process
-        pool for true multi-core execution (each worker rebuilds and
-        compiles each distinct program at most once from its picklable
-        :class:`~repro.api.spec.ProgramSpec`), taken at *any* worker count
-        so its contract does not vary with ``workers``; ``"serial"`` forces
-        the in-thread loop regardless of *workers*.  Results are aggregated
-        by point index under every backend, so the report rows are identical
-        to a serial run.
+        ``executor`` selects the backend: ``"serial"`` (the default) runs
+        the points one after another in this process; ``"process"`` fans
+        them out over a process pool for true multi-core execution (each
+        worker rebuilds and compiles each distinct program at most once
+        from its picklable :class:`~repro.api.spec.ProgramSpec`), taken at
+        *any* worker count so its contract does not vary with ``workers``.
+        ``workers`` only sizes the process pool; the serial backend ignores
+        it.  Results are aggregated by point index under both backends, so
+        the report rows are identical to a serial run.
 
         The process backend degrades rather than raises when something
         cannot be shipped: unpicklable program axes fall the whole sweep
-        back to threads, unpicklable run parameters or crashed workers
-        re-run just those points in the parent -- each recorded in
+        back to serial execution, unpicklable run parameters or crashed
+        workers re-run just those points in the parent -- each recorded in
         :attr:`SweepReport.warnings`.  ``strict=True`` turns those
         degradations into :class:`~repro.api.spec.SweepConfigError`; on the
-        serial/thread backends it likewise refuses the repr-based dedup-key
-        fallback for unpicklable program-axis values (which may otherwise
-        compile one program redundantly) instead of being silently ignored.
+        serial backend it likewise refuses the repr-based dedup-key fallback
+        for unpicklable program-axis values (which may otherwise compile one
+        program redundantly) instead of being silently ignored.
 
         ``keep_runs=False`` drops each point's full :class:`RunResult`
         (simulation state, complete trace, sink sample lists) once its flat
@@ -767,8 +756,7 @@ class Sweep:
         of a grid, with their original positions), results come back in the
         given order alongside the backend's degradation warnings, and
         ``on_result`` fires exactly once per point as it completes -- the
-        checkpoint-append hook, called under a lock on the thread backend
-        and from the parent process on the process backend.
+        checkpoint-append hook, always called from the parent process.
         """
         if executor == "process":
             # Even with workers=1 the process path is taken: the backend's
@@ -777,46 +765,29 @@ class Sweep:
             return self._run_process(
                 indexed_points, workers, strict=strict, on_result=on_result
             )
+        return self._run_serial(indexed_points, keep_runs, on_result, strict=strict), []
+
+    def _run_serial(
+        self,
+        indexed_points: Sequence[Tuple[int, Dict[str, Any]]],
+        keep_runs: bool,
+        on_result: Optional[Callable[[SweepResult], None]] = None,
+        *,
+        strict: bool = False,
+    ) -> List[SweepResult]:
         if self._runner is None:
             analyses = self._analyses(
                 [params for _, params in indexed_points], strict=strict
             )
         else:
             analyses = {}
-        if executor == "serial" or workers == 1 or len(indexed_points) <= 1:
-            results = []
-            for index, params in indexed_points:
-                result = self._run_point(index, params, analyses, keep_runs)
-                if on_result is not None:
-                    on_result(result)
-                results.append(result)
-        else:
-            results = self._run_threads(
-                indexed_points, workers, analyses, keep_runs, on_result
-            )
-        return results, []
-
-    def _run_threads(
-        self,
-        indexed_points: Sequence[Tuple[int, Dict[str, Any]]],
-        workers: int,
-        analyses: Dict[Tuple, Analysis],
-        keep_runs: bool,
-        on_result: Optional[Callable[[SweepResult], None]] = None,
-    ) -> List[SweepResult]:
-        lock = threading.Lock()
-
-        def execute(item: Tuple[int, Dict[str, Any]]) -> SweepResult:
-            result = self._run_point(item[0], item[1], analyses, keep_runs)
+        results = []
+        for index, params in indexed_points:
+            result = self._run_point(index, params, analyses, keep_runs)
             if on_result is not None:
-                # checkpoint/store writers are plain appenders, not
-                # thread-safe objects -- serialise the callback
-                with lock:
-                    on_result(result)
-            return result
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(execute, indexed_points))
+                on_result(result)
+            results.append(result)
+        return results
 
     # ------------------------------------------------------- process backend
     def _spec_for(self, program_params: Dict[str, Any]) -> ProgramSpec:
@@ -838,21 +809,15 @@ class Sweep:
         warnings: List[str] = []
         params_by_index = dict(indexed_points)
 
-        def degrade_to_threads(
+        def degrade_to_serial(
             reason: str, error: Exception
         ) -> Tuple[List[SweepResult], List[str]]:
             if strict:
                 if isinstance(error, SweepConfigError):
                     raise error
                 raise SweepConfigError(reason) from error
-            warnings.append(f"{reason}; falling back to the thread executor")
-            if self._runner is None:
-                analyses = self._analyses([params for _, params in indexed_points])
-            else:
-                analyses = {}
-            results = self._run_threads(
-                indexed_points, workers, analyses, keep_runs=False, on_result=on_result
-            )
+            warnings.append(f"{reason}; running the sweep serially instead")
+            results = self._run_serial(indexed_points, keep_runs=False, on_result=on_result)
             return results, warnings
 
         # -- 1. shared state must be picklable: specs (or the runner).  An
@@ -867,7 +832,7 @@ class Sweep:
             try:
                 pickle.dumps(self._runner)
             except Exception as error:
-                return degrade_to_threads(
+                return degrade_to_serial(
                     f"sweep runner {self._runner!r} is not picklable "
                     f"({type(error).__name__}: {error})",
                     error,
@@ -886,7 +851,7 @@ class Sweep:
                         specs[spec_ids[key]] = spec
                     spec_id_by_index[index] = spec_ids[key]
             except SweepConfigError as error:
-                return degrade_to_threads(str(error), error)
+                return degrade_to_serial(str(error), error)
 
         # -- 2. per-point run parameters: a point the backend cannot ship
         # (an unpicklable scheduler key, a custom trace sink, ...) runs in

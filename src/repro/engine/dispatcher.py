@@ -251,8 +251,6 @@ class ExecutionEngine:
         sources: Sequence["SourceDriver"] = (),
         sinks: Sequence["SinkDriver"] = (),
         firing_target: Optional[int] = None,
-        max_states: int = 10_000,
-        value_exact: bool = False,
         functions=None,
     ) -> Optional[str]:
         """Install the steady-state detector for a run up to *horizon*.
@@ -261,18 +259,17 @@ class ExecutionEngine:
         tick grid like :meth:`~repro.runtime.events.EventQueue.run_until`).
         Returns a refusal message (and leaves the engine naive) when the
         configuration cannot fast-forward -- see
-        :func:`repro.engine.steady_state.fast_forward_refusal`; callers
-        record it like a ``SweepReport`` warning.  Calling again (a second
-        ``run`` on the same simulation) refreshes the horizon and firing
-        target but keeps the learned state table.
+        :func:`repro.engine.steady_state.fast_forward_refusal`.  Calling
+        again (a second ``run`` on the same simulation) refreshes the
+        horizon and firing target but keeps the learned state table.
 
-        ``value_exact=True`` folds buffer contents, stimulus state and the
-        state of the *functions* mapping (name -> ``FunctionSpec`` with
-        ``get_state``) into the periodicity key, making jumps exact for
-        data values too; callers must have qualified the configuration
-        first (every stimulus declared periodic, every function
-        ``jump_exact``).  Installing the value-exact detector arms
-        incremental per-slot value digests on every reachable buffer
+        The detector folds buffer contents, stimulus state and the state of
+        the *functions* mapping (name -> ``FunctionSpec`` with
+        ``get_state``) into the periodicity key, making jumps exact for data
+        values too; callers must have qualified the configuration first
+        (every stimulus declared periodic, every function ``jump_exact``).
+        Installing it arms incremental per-slot value digests on every
+        reachable buffer
         (:meth:`~repro.graph.circular_buffer.CircularBuffer.enable_value_digests`),
         so subsequent writes carry a small constant digest cost and the
         per-anchor-completion sampling does O(changed-since-last-sample)
@@ -297,8 +294,6 @@ class ExecutionEngine:
             sources=sources,
             sinks=sinks,
             firing_target=firing_target,
-            max_states=max_states,
-            value_exact=value_exact,
             functions=functions,
         )
         return None
@@ -643,7 +638,7 @@ class EngineRun:
     engine: ExecutionEngine
     queue: EventQueue
     trace: TraceRecorder
-    #: fast-forward refusals and give-ups (empty when disabled or clean)
+    #: fast-forward fallbacks and give-ups (empty when disabled or clean)
     warnings: List[str] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -706,7 +701,7 @@ def run_tasks(
     ``fast_forward`` selects the steady-state detector
     (:mod:`repro.engine.steady_state`):
 
-    * ``"auto"`` (the default) installs a *value-exact* detector when every
+    * ``"auto"`` (the default) installs the value-exact detector when every
       function the fleet invokes declares jump-exact behaviour
       (``stateless``, ``jump_invariant`` or ``get_state`` -- see
       :class:`~repro.runtime.functions.FunctionSpec`); the run is then
@@ -715,21 +710,19 @@ def run_tasks(
       ``undeclared-function`` :class:`~repro.util.runwarnings.RunWarning`;
       engine-level refusals fall back silently (auto never promised a
       jump).
-    * ``True`` installs the legacy *timing-exact* detector: once the
-      execution state repeats, the remaining horizon is skipped in O(1)
-      per period with exactly the aggregate counters and trace a naive run
-      would produce, but replayed data values are periodic-stale.
-      Refusals (speed-migrating preemptive policies, fraction-mode queues)
-      are recorded in ``EngineRun.warnings``.
     * ``False`` runs naively.
+
+    Any other value raises :class:`ValueError`.
 
     The policy picks the dispatch loop: boolean policies run
     :meth:`ExecutionEngine._dispatch_compiled` and platform policies
     :meth:`ExecutionEngine._dispatch_platform`, on either time base.
     """
+    from repro.engine.steady_state import check_fast_forward
     from repro.runtime.events import EventQueue
     from repro.runtime.trace import TraceRecorder
 
+    check_fast_forward(fast_forward)
     if platform is not None:
         if policy is not None:
             raise ValueError("pass either policy= or platform=, not both")
@@ -800,20 +793,10 @@ def run_tasks(
                 )
             )
         if qualified:
-            # Value periods are multiples of the timing period, so the
-            # value-exact detector gets a larger state budget; refusals are
-            # silent -- "auto" never promised a jump.
+            # Refusals are silent: "auto" never promised a jump.
             engine.enable_fast_forward(
-                horizon,
-                firing_target=stop_after_firings,
-                max_states=16_384,
-                value_exact=True,
-                functions=specs,
+                horizon, firing_target=stop_after_firings, functions=specs
             )
-    elif fast_forward:
-        refusal = engine.enable_fast_forward(horizon, firing_target=stop_after_firings)
-        if refusal is not None:
-            warnings.append(refusal)
     if stop_after_firings is None:
         queue.run_until(horizon)
     else:

@@ -15,7 +15,8 @@ execution state:
 
 * per buffer: the window positions of every producer/consumer relative to
   the buffer's least-advanced window (absolute positions grow forever; the
-  *relative* layout is what repeats),
+  *relative* layout is what repeats) and the stored values, read from the
+  least-advanced producer on,
 * the pending event multiset in execution order, as ``(time - now, rank,
   label)`` -- completion events, driver ticks and the dispatch event, with
   same-instant ties kept in their sequence order (ties execute in that
@@ -25,7 +26,9 @@ execution state:
   or the exact remaining work and accrual speed (suspended),
 * the ready set's queued indices, the policy's
   ``steady_state_key()`` and any simulator-supplied extra state (mode
-  schedule phases).
+  schedule phases),
+* every source stimulus's position, every declared stateful function's
+  state and the input values of in-flight firings.
 
 The components are canonicalised through the same
 :func:`~repro.dataflow.statespace.canonical_state_key` helper as the offline
@@ -43,8 +46,9 @@ per-``delta`` increments.  The detector then *jumps* ``K`` periods at once:
   time, driver production/consumption counters and the trace's streaming
   statistics advance by ``K`` times their per-period delta,
 * every buffer window advances by ``K`` times its buffer's per-period
-  advance (caches translated, no watcher fires: relative state is unchanged,
-  so nothing new is enabled),
+  advance and the storage ring rotates with it (caches translated, no
+  watcher fires: relative state is unchanged, so nothing new is enabled),
+* every source stimulus advances by the skipped draw count,
 * with unbounded trace retention, the stored trace records and sink values
   of the canonical period are replayed ``K`` times with shifted timestamps,
   keeping even the stored trace bit-identical to a naive run.
@@ -58,31 +62,25 @@ Exactness contract
 Timing in this engine is value-independent (guards gate *data*, never token
 counts or durations), so every timing-derived quantity -- completion times,
 deadline misses, measured rates, busy/utilisation/energy accounting,
-buffer high-water marks -- is *exactly* equal to a naive simulation in
-either mode.  Data values come in two flavours:
-
-* **timing-exact** (legacy, ``fast_forward=True``): the key covers timing
-  state only; values are replayed from the canonical period, so streams
-  are periodic-stale (exact for constant/periodic stimuli, approximate
-  otherwise).  Finite sources that would exhaust mid-skip break the
-  equivalence -- this mode stays explicitly opt-in.
-* **value-exact** (``value_exact=True``, the ``fast_forward="auto"``
-  path): the key additionally folds in every buffer's stored values
-  (rotation-anchored, so the fold is shift-invariant), every source
-  stimulus's ``state()``, the ``get_state()`` of every declared stateful
-  function, and the in-flight input values of busy tasks.  A repeat of
-  this key proves the skipped periods are exact copies *including data*,
-  so the existing replay machinery (buffer pattern replication, sink-value
-  replay, trace replay) reproduces a naive run bit-for-bit; at the jump
-  each stimulus is advanced by ``K * per-period draws`` (an exact O(1)
-  index move for declared-periodic stimuli -- a semantic no-op modulo
-  their period, which the key repeat guarantees).  Declared function
-  state needs no touching at all: the fold guarantees the live state *is*
-  the canonical state on both sides of the jump.  Value-exact keys are
-  folded down to a single :func:`~repro.util.digests.value_digest` (buffer
-  contents would make exact tuples large), and the caller grants a larger
-  ``max_states`` budget because value periods are multiples of timing
-  periods.
+buffer high-water marks -- is *exactly* equal to a naive simulation.  Data
+values are exact too: the key folds in every buffer's stored values
+(rotation-anchored, so the fold is shift-invariant), every source
+stimulus's ``state()``, the ``get_state()`` of every declared stateful
+function, and the in-flight input values of busy tasks.  A repeat of this
+key proves the skipped periods are exact copies *including data*, so the
+replay machinery (ring rotation of resident buffer values, sink-value
+replay, trace replay) reproduces a naive run bit-for-bit; at the jump each
+stimulus is advanced by ``K * per-period draws`` (an exact O(1) index move
+for declared-periodic stimuli -- a semantic no-op modulo their period,
+which the key repeat guarantees).  Declared function state needs no
+touching at all: the fold guarantees the live state *is* the canonical
+state on both sides of the jump.  The key is folded down to a single
+:func:`~repro.util.digests.value_digest` (buffer contents would make exact
+tuples large), and the state table holds up to :data:`MAX_STATES` entries
+because value periods are multiples of timing periods.  The callers only
+install the detector once the run qualifies (every stimulus
+``value_periodic``, every used function ``jump_exact``); a run that does
+not qualify steps naively, which is exact by definition.
 
 Incremental key maintenance
 ---------------------------
@@ -106,7 +104,7 @@ previous sample:
   re-serialised,
 * the pending-event fold first settles the queue's lazy cancelled-prune
   debt (:meth:`~repro.runtime.events.EventQueue.prune_cancelled`) so only
-  live events are sorted, in both key modes.
+  live events are sorted.
 
 :meth:`SteadyState.state_key_slow` recomputes the identical key from
 scratch -- same digest functions, none of the incremental caches -- and is
@@ -116,22 +114,21 @@ incremental key must be *equal*, not merely collision-safe.
 Refusals
 --------
 :func:`fast_forward_refusal` reports (as a :class:`RunWarning` with a
-stable ``warning_code``, recorded like ``SweepReport.warnings``) why a
-configuration cannot fast-forward: speed-migrating preemptive platform
-policies (rescaled remainders are not closed under a tick grid -- the same
-reason their ``time_base="auto"`` falls back to fractions), fraction-mode
-queues, and policies that do not expose ``steady_state_key()``.  Refused
-runs fall back to naive simulation.  The *value-exact qualification*
-(every stimulus ``value_periodic``, every used function ``jump_exact``) is
-checked by the callers (:mod:`repro.engine.dispatcher`,
-:mod:`repro.runtime.simulator`), which emit ``undeclared-source`` /
-``undeclared-function`` warnings on the fallback paths.
+stable ``warning_code``) why a configuration cannot fast-forward:
+speed-migrating preemptive platform policies (rescaled remainders are not
+closed under a tick grid -- the same reason their ``time_base="auto"``
+falls back to fractions), fraction-mode queues, and policies that do not
+expose ``steady_state_key()``.  Refused runs fall back silently to naive
+simulation.  The *value-exact qualification* (every stimulus
+``value_periodic``, every used function ``jump_exact``) is checked by the
+callers (:mod:`repro.engine.dispatcher`, :mod:`repro.runtime.simulator`),
+which emit ``undeclared-source`` / ``undeclared-function`` warnings on the
+fallback paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dataflow.statespace import canonical_state_key
@@ -151,6 +148,23 @@ if TYPE_CHECKING:  # annotations only
 #: ``generator-advance`` warning: the jump still happens, but its cost is
 #: linear in the skipped horizon, which defeats the point of fast-forward.
 GENERATOR_ADVANCE_THRESHOLD = 10_000
+
+#: The detector gives up (``state-table-overflow``) after storing this many
+#: distinct anchor states without a repeat.
+MAX_STATES = 16_384
+
+
+def check_fast_forward(mode) -> None:
+    """Reject a ``fast_forward=`` value other than ``"auto"`` (the
+    value-exact detector) or ``False`` (naive stepping)."""
+    if mode is False or mode == "auto":
+        return
+    if mode is True:
+        raise ValueError(
+            'fast_forward=True (the timing-exact mode) was removed; use "auto" '
+            "(the default: value-exact jumps, bit-identical to a naive run) or False"
+        )
+    raise ValueError(f'fast_forward must be "auto" or False, got {mode!r}')
 
 
 def fast_forward_refusal(policy, timebase) -> Optional[str]:
@@ -225,8 +239,6 @@ class SteadyState:
         sources: Sequence["SourceDriver"] = (),
         sinks: Sequence["SinkDriver"] = (),
         firing_target: Optional[int] = None,
-        max_states: int = 10_000,
-        value_exact: bool = False,
         functions: Optional[Mapping[str, "FunctionSpec"]] = None,
     ) -> None:
         self.engine = engine
@@ -237,11 +249,6 @@ class SteadyState:
         self.sources = tuple(sources)
         self.sinks = tuple(sinks)
         self.firing_target = firing_target
-        self.max_states = max_states
-        #: fold values, stimulus state and declared function state into the
-        #: key so a repeat proves skipped periods are exact copies (see
-        #: module doc).  The callers only enable this after qualification.
-        self.value_exact = value_exact
         self._stateful_functions: Tuple[Tuple[str, "FunctionSpec"], ...] = tuple(
             sorted(
                 ((name, spec) for name, spec in (functions or {}).items()
@@ -275,9 +282,8 @@ class SteadyState:
             self._buffers
         )
         self._function_digest_cache: Dict[str, Tuple[int, int]] = {}
-        if value_exact:
-            for buffer in self._buffers:
-                buffer.enable_value_digests()
+        for buffer in self._buffers:
+            buffer.enable_value_digests()
         #: producer keys of one-shot (initialisation) tasks: their windows,
         #: once retired (``active=False``), are frozen forever and must be
         #: ignored by the periodicity key and the jump -- a window pinned at
@@ -353,7 +359,6 @@ class SteadyState:
         queue = self.queue
         engine = self.engine
         now = queue.now
-        value_exact = self.value_exact
         buffer_items = []
         for index, buffer in enumerate(self._buffers):
             version = buffer.mutation_version
@@ -378,25 +383,22 @@ class SteadyState:
                     for kind, w in windows
                 )
             )
-            if value_exact:
-                # Stored values, rotation-anchored at the producer floor so
-                # the fold is shift-invariant like the window layout: token
-                # index i lives in slot i % capacity, and the floor advances
-                # with the windows, so two period-equivalent states read the
-                # same sequence regardless of absolute position.  The values
-                # themselves were digested at write time; here only the
-                # integer digest ring is rotated and hashed.
-                capacity = buffer.capacity
-                anchor = buffer._producer_floor() if buffer._producers else base
-                rotation = anchor % capacity
-                if incremental:
-                    digests = buffer._slot_digests
-                else:
-                    digests = [value_digest(value) for value in buffer._storage]
-                folded = hash(tuple(digests[rotation:] + digests[:rotation]))
-                item = (buffer.name, layout, folded)
+            # Stored values, rotation-anchored at the producer floor so the
+            # fold is shift-invariant like the window layout: token index i
+            # lives in slot i % capacity, and the floor advances with the
+            # windows, so two period-equivalent states read the same
+            # sequence regardless of absolute position.  The values
+            # themselves were digested at write time; here only the integer
+            # digest ring is rotated and hashed.
+            capacity = buffer.capacity
+            anchor = buffer._producer_floor() if buffer._producers else base
+            rotation = anchor % capacity
+            if incremental:
+                digests = buffer._slot_digests
             else:
-                item = (buffer.name, layout)
+                digests = [value_digest(value) for value in buffer._storage]
+            folded = hash(tuple(digests[rotation:] + digests[:rotation]))
+            item = (buffer.name, layout, folded)
             if incremental:
                 self._buffer_key_cache[index] = (version, item)
             buffer_items.append(item)
@@ -455,17 +457,14 @@ class SteadyState:
         ready = tuple(sorted(engine._ready._queued))
         policy_key = self.engine.policy.steady_state_key()
         extra = self.extra_state() if self.extra_state is not None else ()
-        full = key + (ready, policy_key, extra)
-        if not value_exact:
-            return full
-        # Value-exact mode additionally folds every mutable value state in
-        # the system; the fat tuple is collapsed to a single digest so the
-        # state table stays small even with large buffer contents and long
-        # value periods.  Every component is already an integer digest or a
-        # small token, so the final fold is one C-level tuple hash (with
-        # value_digest's repr fallback if a stimulus token is unhashable)
-        # instead of repr + sha256 of the whole structure, which used to
-        # dominate the per-sample cost.
+        # Every mutable value state in the system joins the key; the fat
+        # tuple is collapsed to a single digest so the state table stays
+        # small even with large buffer contents and long value periods.
+        # Every component is already an integer digest or a small token, so
+        # the final fold is one C-level tuple hash (with value_digest's repr
+        # fallback if a stimulus token is unhashable) instead of repr +
+        # sha256 of the whole structure, which used to dominate the
+        # per-sample cost.
         stimulus_states = tuple(
             source.values.state_token() for source in self.sources
         )
@@ -487,7 +486,7 @@ class SteadyState:
             for index, task in enumerate(engine.tasks)
             if task.busy and task.inflight_values is not None
         )
-        fat = full + (stimulus_states, tuple(function_states), inflight)
+        fat = key + (ready, policy_key, extra, stimulus_states, tuple(function_states), inflight)
         return (value_digest(fat),)
 
     def _snapshot(self) -> _Snapshot:
@@ -519,12 +518,12 @@ class SteadyState:
         key = self.state_key()
         snapshot = self._seen.get(key)
         if snapshot is None:
-            if len(self._seen) >= self.max_states:
+            if len(self._seen) >= MAX_STATES:
                 self.done = True
                 self.warnings.append(
                     RunWarning(
                         f"fast-forward gave up: no state repetition within "
-                        f"{self.max_states} sampled anchor states; running naively",
+                        f"{MAX_STATES} sampled anchor states; running naively",
                         "state-table-overflow",
                     )
                 )
@@ -627,47 +626,20 @@ class SteadyState:
         for buffer, d in zip(self._buffers, buffer_deltas):
             if d == 0:
                 continue
-            # Storage: token index i lives in slot i % capacity, and every
-            # index below the producer floor has been written -- unless the
-            # buffer is oversized and never wrapped, in which case the slots
-            # ahead of the floor still hold their uninitialised None.  A
-            # naive run would have filled them during the skipped periods;
-            # replicate the canonical period's d-value pattern forward so
-            # post-jump reads see period values (value-stale like every
-            # replayed datum, but shape- and type-correct).
             move = periods * d
             if buffer._producers:
-                storage = buffer._storage
-                capacity = buffer.capacity
-                if self.value_exact:
-                    # Token index i lives in slot i % capacity, and every
-                    # window advances by `move`: values resident across the
-                    # jump must move to the slots their new indices map to.
-                    # The canonical period guarantees value(i) == value(i -
-                    # move), so rotating the whole ring forward by `move`
-                    # realigns every live token (and touches only slots that
-                    # are either rewritten before the next read or outside
-                    # the readable window).  The slot digests rotate with
-                    # the storage, which together with the equally moved
-                    # producer floor keeps the rotation-anchored fold -- and
-                    # therefore the detector's cached per-buffer entry --
-                    # invariant across the jump.
-                    buffer.rotate_storage(move)
-                else:
-                    # Value-stale mode: indices below the producer floor have
-                    # been written -- unless the buffer is oversized and
-                    # never wrapped, in which case the slots ahead of the
-                    # floor still hold their uninitialised None.  A naive run
-                    # would have filled them during the skipped periods;
-                    # replicate the canonical period's d-value pattern
-                    # forward so post-jump reads see period values
-                    # (value-stale like every replayed datum, but shape- and
-                    # type-correct).
-                    floor = buffer._producer_floor()
-                    if d <= floor < capacity:
-                        pattern_start = floor - d
-                        for k in range(capacity - floor):
-                            storage[floor + k] = storage[(pattern_start + k % d) % capacity]
+                # Token index i lives in slot i % capacity, and every window
+                # advances by `move`: values resident across the jump must
+                # move to the slots their new indices map to.  The canonical
+                # period guarantees value(i) == value(i - move), so rotating
+                # the whole ring forward by `move` realigns every live token
+                # (and touches only slots that are either rewritten before
+                # the next read or outside the readable window).  The slot
+                # digests rotate with the storage, which together with the
+                # equally moved producer floor keeps the rotation-anchored
+                # fold -- and therefore the detector's cached per-buffer
+                # entry -- invariant across the jump.
+                buffer.rotate_storage(move)
             for table in (buffer._producers, buffer._consumers):
                 for window in table.values():
                     if self._retired(window):
@@ -685,27 +657,26 @@ class SteadyState:
         for source, (d_produced, d_dropped) in zip(self.sources, source_deltas):
             source.produced += periods * d_produced
             source.dropped += periods * d_dropped
-            if self.value_exact:
-                # One draw per tick, hit or dropped.  For the declared
-                # periodic stimuli that qualify for value-exact mode this is
-                # an O(1) index move -- and a provable no-op modulo the
-                # stimulus period, since the key repeat folded its state.
-                stimulus = source.values
-                draws = periods * (d_produced + d_dropped)
-                if (
-                    draws > GENERATOR_ADVANCE_THRESHOLD
-                    and getattr(stimulus, "advance_linear", True)
-                ):
-                    self.warnings.append(
-                        RunWarning(
-                            f"fast-forward jump replayed {draws} draws of source "
-                            f"{source.name!r}'s {type(stimulus).__name__} one by "
-                            "one (its advance() is O(k)); declare a closed-form "
-                            "stimulus for O(1) jumps",
-                            "generator-advance",
-                        )
+            # One draw per tick, hit or dropped.  For the declared periodic
+            # stimuli that qualify a run this is an O(1) index move -- and a
+            # provable no-op modulo the stimulus period, since the key
+            # repeat folded its state.
+            stimulus = source.values
+            draws = periods * (d_produced + d_dropped)
+            if (
+                draws > GENERATOR_ADVANCE_THRESHOLD
+                and getattr(stimulus, "advance_linear", True)
+            ):
+                self.warnings.append(
+                    RunWarning(
+                        f"fast-forward jump replayed {draws} draws of source "
+                        f"{source.name!r}'s {type(stimulus).__name__} one by "
+                        "one (its advance() is O(k)); declare a closed-form "
+                        "stimulus for O(1) jumps",
+                        "generator-advance",
                     )
-                stimulus.advance(draws)
+                )
+            stimulus.advance(draws)
         for sink, (d_consumed, d_misses, stored_before) in zip(self.sinks, sink_deltas):
             sink.consumed_count += periods * d_consumed
             sink.misses += periods * d_misses

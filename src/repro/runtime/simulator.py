@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List,
 from repro.core.compiler import CompilationResult
 from repro.engine.dispatcher import ExecutionEngine
 from repro.engine.policies import SchedulerPolicy
+from repro.engine.steady_state import check_fast_forward
 from repro.graph.circular_buffer import CircularBuffer
 from repro.graph.taskgraph import Access, Task, TaskGraph
 from repro.lang import ast
@@ -197,7 +198,7 @@ class Simulation:
         Online steady-state detection and O(1) period skipping
         (:mod:`repro.engine.steady_state`):
 
-        * ``"auto"`` (default) engages a *value-exact* detector when the
+        * ``"auto"`` (default) engages the value-exact detector when the
           program qualifies -- every source stimulus declared periodic in
           value (:class:`~repro.runtime.sources.Stimulus`) and every
           coordinated function declaring jump-exact behaviour
@@ -207,15 +208,9 @@ class Simulation:
           iterators and undeclared functions record ``undeclared-source``
           / ``undeclared-function`` warnings, while declared-but-aperiodic
           stimuli and engine-level refusals fall back silently.
-        * ``True`` engages the legacy *timing-exact* detector for
-          :meth:`run`.  Timing-derived results (completion times, misses,
-          rates, busy accounting) stay exactly equal to a naive run; data
-          values are replayed from the canonical period, so finite or
-          aperiodic source signals are the caller's responsibility.
-          Configurations that cannot fast-forward (fraction-mode queues,
-          speed-migrating preemptive policies) record the reason in
-          :attr:`warnings`.
         * ``False`` always steps naively.
+
+        Any other value raises :class:`ValueError`.
     trace_retention:
         Keep only the most recent N records per trace stream (see
         :class:`~repro.runtime.trace.TraceRecorder`); ``None`` (default)
@@ -242,6 +237,7 @@ class Simulation:
         fast_forward: Union[bool, str] = "auto",
         trace_retention: Optional[int] = None,
     ) -> None:
+        check_fast_forward(fast_forward)
         self.result = result
         self.registry = registry
         if platform is not None:
@@ -257,8 +253,8 @@ class Simulation:
         self.engine = ExecutionEngine(self.queue, self.trace, policy=scheduler)
         self.engine.on_complete = self._after_firing
         self.fast_forward = fast_forward
-        #: fast-forward refusals recorded for this simulation (see the
-        #: ``warnings`` property for the merged view)
+        #: fast-forward qualification warnings recorded for this simulation
+        #: (see the ``warnings`` property for the merged view)
         self._warnings: List[str] = []
         #: cached auto-mode qualification: (qualified, function specs);
         #: computed once at the first install so warnings appear once
@@ -655,7 +651,7 @@ class Simulation:
     # ---------------------------------------------------------- fast-forward
     @property
     def warnings(self) -> List[str]:
-        """Fast-forward refusals and give-ups recorded so far (the same
+        """Fast-forward fallbacks and give-ups recorded so far (the same
         strings a :class:`~repro.api.sweep.SweepReport` collects)."""
         steady = self.engine.steady_state
         extra = list(steady.warnings) if steady is not None else []
@@ -747,33 +743,19 @@ class Simulation:
         return qualified, specs
 
     def _install_fast_forward(self, horizon: Rat) -> None:
-        if self.fast_forward == "auto":
-            if self._auto_setup is None:
-                self._auto_setup = self._value_exact_qualification()
-            qualified, specs = self._auto_setup
-            if not qualified:
-                return
-            # Engine-level refusals are silent under auto ("auto" never
-            # promised a jump); the value-exact detector gets a larger state
-            # budget because value periods are multiples of timing periods.
-            self.engine.enable_fast_forward(
-                horizon,
-                extra_state=self._mode_state,
-                sources=list(self.sources.values()),
-                sinks=list(self.sinks.values()),
-                max_states=16_384,
-                value_exact=True,
-                functions=specs,
-            )
+        if self._auto_setup is None:
+            self._auto_setup = self._value_exact_qualification()
+        qualified, specs = self._auto_setup
+        if not qualified:
             return
-        refusal = self.engine.enable_fast_forward(
+        # Engine-level refusals are silent ("auto" never promised a jump).
+        self.engine.enable_fast_forward(
             horizon,
             extra_state=self._mode_state,
             sources=list(self.sources.values()),
             sinks=list(self.sinks.values()),
+            functions=specs,
         )
-        if refusal is not None and refusal not in self._warnings:
-            self._warnings.append(refusal)
 
     # ------------------------------------------------------------------- run
     def _start_drivers(self) -> None:
@@ -815,25 +797,18 @@ class Simulation:
     ) -> TraceRecorder:
         """Run until *sink* consumed *count* values (or *max_time* elapsed).
 
-        Value-exact programs (``fast_forward="auto"``, qualified) may
-        fast-forward here too: jumps are capped strictly short of the
-        requested count (the final consumptions run naively), so the run
-        halts at the exact instant -- with the exact sink values -- a naive
-        run would.  A *timing-exact* detector (``fast_forward=True``) could
-        overshoot with stale values, so it is parked by zeroing its horizon
-        for the duration of this call; the next :meth:`run` re-arms it.
+        Qualified programs fast-forward here too: jumps are capped strictly
+        short of the requested count (the final consumptions run naively),
+        so the run halts at the exact instant -- with the exact sink values
+        -- a naive run would.
         """
         max_time = as_rational(max_time)
         self._start_drivers()
-        if self.fast_forward == "auto":
+        if self.fast_forward:
             self._install_fast_forward(max_time)
         steady = self.engine.steady_state
-        value_exact = steady is not None and steady.value_exact
         if steady is not None:
-            if value_exact:
-                steady.sink_target = (list(self.sinks).index(sink), count)
-            else:
-                steady.horizon = 0
+            steady.sink_target = (list(self.sinks).index(sink), count)
         target = self.sinks[sink]
         queue = self.queue
         # Step in the queue's native units: on a tick base the step is at
@@ -859,6 +834,6 @@ class Simulation:
                 if queue.empty():
                     break
         finally:
-            if value_exact:
+            if steady is not None:
                 steady.sink_target = None
         return self.trace

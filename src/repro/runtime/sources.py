@@ -31,8 +31,8 @@ stimuli (:class:`ConstantStimulus`, :class:`PeriodicStimulus`,
 the stream position through a serialisable value.  The declaration is what
 lets the steady-state fast-forwarder (:mod:`repro.engine.steady_state`)
 fold the stream position into its periodicity key and advance the stream
-exactly through a jump, making jumps *value*-exact and not just
-timing-exact.  :func:`as_stimulus` adapts the legacy signal spellings
+exactly through a jump, so a jumped run's values equal a naive run's.
+:func:`as_stimulus` adapts the legacy signal spellings
 (``None``, lists, factories); bare iterators still work behind a
 deprecation shim.
 """

@@ -34,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.api.sweep import Sweep
+from repro.api.sweep import EXECUTORS, Sweep
 from repro.service.jobs import JobQueue
 from repro.service.shard import run_shard, shard
 
@@ -99,7 +99,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     submit = commands.add_parser("submit", help="enqueue a sweep from a JSON spec")
     submit.add_argument("spec", help="sweep spec JSON file")
-    submit.add_argument("--executor", default="serial", choices=("serial", "thread", "process"))
+    submit.add_argument("--executor", default="serial", choices=EXECUTORS)
     submit.add_argument("--workers", type=int, default=1)
 
     status = commands.add_parser("status", help="show job state and progress")
@@ -120,7 +120,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_shard_cmd.add_argument("shard", help="shard file written by `shard`")
     run_shard_cmd.add_argument("--checkpoint", required=True, help="shard checkpoint path")
     run_shard_cmd.add_argument("--store", default=None, help="optional shared store dir")
-    run_shard_cmd.add_argument("--executor", default="serial", choices=("serial", "thread", "process"))
+    run_shard_cmd.add_argument("--executor", default="serial", choices=EXECUTORS)
     run_shard_cmd.add_argument("--workers", type=int, default=1)
 
     merge_cmd = commands.add_parser("merge", help="recombine shard checkpoints")

@@ -70,7 +70,7 @@ def run_service_sweep(
     *,
     store: Any = None,
     checkpoint: Any = None,
-    executor: str = "thread",
+    executor: str = "serial",
     workers: int = 1,
     keep_runs: bool = True,
     strict: bool = False,

@@ -1,6 +1,6 @@
 """Structured run warnings with stable machine-readable codes.
 
-Fast-forward refusals and give-ups have always been plain strings on
+Fast-forward fallbacks and give-ups have always been plain strings on
 ``RunResult.warnings`` / ``SweepReport.warnings``.  :class:`RunWarning`
 keeps that contract -- it *is* a ``str``, so substring assertions, report
 rendering and JSON serialisation are unchanged -- while carrying a stable
@@ -30,19 +30,20 @@ WARNING_CODES: Dict[str, str] = {
     ),
     "speed-migrating-policy": (
         "the policy can resume a preempted firing at a different speed; "
-        "engine-level fast-forward refusal"
+        "engine-level fast-forward refusal (not emitted as a run warning)"
     ),
     "fraction-time-base": (
         "the run executes on the fraction time base, which the steady-state "
-        "detector does not support; engine-level fast-forward refusal"
+        "detector does not support; engine-level fast-forward refusal (not "
+        "emitted as a run warning)"
     ),
     "no-steady-state-key": (
         "the configuration exposes no periodicity key (e.g. no anchor task); "
-        "engine-level fast-forward refusal"
+        "engine-level fast-forward refusal (not emitted as a run warning)"
     ),
     "state-table-overflow": (
-        "the detector sampled max_states anchor states without finding a "
-        "repeat and gave up"
+        "the detector sampled its full state table (16384 anchor states) "
+        "without finding a repeat and gave up"
     ),
     "generator-advance": (
         "a steady-state jump replayed a large number of draws through a "

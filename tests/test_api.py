@@ -1,5 +1,5 @@
 """Tests for the repro.api facade: Program -> Analysis -> RunResult, the app
-catalogue, the Sweep subsystem (thread and process backends, ProgramSpec
+catalogue, the Sweep subsystem (serial and process backends, ProgramSpec
 shipping) and the deprecated pre-facade aliases."""
 
 import os
@@ -26,6 +26,9 @@ from repro.apps.producer_consumer import (
 )
 from repro.core.compiler import compile_program
 from repro.engine import BoundedProcessors, SelfTimedUnbounded
+from repro.runtime.functions import FunctionRegistry
+from repro.runtime.sources import PeriodicStimulus, as_stimulus
+from repro.util.runwarnings import warning_code
 
 
 def quickstart_facade(**params):
@@ -35,6 +38,30 @@ def quickstart_facade(**params):
 def _square_point(n):
     """Module-level sweep runner: picklable by reference for process tests."""
     return {"value": n * n}
+
+
+def _undeclared_registry():
+    """Module-level (picklable) registry factory with an undeclared body."""
+    registry = FunctionRegistry()
+    registry.register("average2", lambda pair: sum(pair) / len(pair))
+    return registry
+
+
+def _two_value_signals():
+    return {"samples": PeriodicStimulus([1.0, 2.0])}
+
+
+def _undeclared_quickstart():
+    """Quickstart whose ``average2`` declares no jump behaviour: every run
+    records an ``undeclared-function`` warning.  Built from module-level
+    factories, so its spec ships to process workers."""
+    return Program.from_source(
+        QUICKSTART_OIL_SOURCE,
+        name="undeclared-quickstart",
+        function_wcets=quickstart_wcets(),
+        registry=_undeclared_registry,
+        signals=_two_value_signals,
+    )
 
 
 def _crash_in_worker(n):
@@ -262,18 +289,15 @@ class TestProcessSweep:
             )
         )
 
-    def test_process_vs_thread_vs_serial_reports_identical(self):
-        serial = self.build_quickstart_grid().run(workers=1)
-        threaded = self.build_quickstart_grid().run(executor="thread", workers=3)
+    def test_process_vs_serial_reports_identical(self):
+        serial = self.build_quickstart_grid().run()
         process = self.build_quickstart_grid().run(executor="process", workers=2)
-        assert serial.ok and threaded.ok and process.ok, [
+        assert serial.ok and process.ok, [
             failure.error for failure in process.failures
         ]
         assert not process.warnings
-        assert serial.rows() == threaded.rows() == process.rows()
-        assert (
-            serial.speedup_table() == threaded.speedup_table() == process.speedup_table()
-        )
+        assert serial.rows() == process.rows()
+        assert serial.speedup_table() == process.speedup_table()
         assert serial.to_json() == process.to_json()
         # simulations stay in the workers: process results carry no RunResult
         assert all(result.run is None for result in process.results)
@@ -281,8 +305,10 @@ class TestProcessSweep:
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             Sweep("quickstart").run(executor="rocket")
+        with pytest.raises(ValueError, match="unknown executor"):
+            Sweep("quickstart").run(executor="thread")
 
-    def test_unpicklable_program_axis_falls_back_to_threads(self):
+    def test_unpicklable_program_axis_falls_back_to_serial(self):
         sweep = (
             Sweep("quickstart", duration=Fraction(1, 100))
             .add_axis("signal", [(float(i) for i in range(100))])
@@ -291,7 +317,7 @@ class TestProcessSweep:
         report = sweep.run(executor="process", workers=2)
         assert report.ok, [failure.error for failure in report.failures]
         assert len(report) == 2
-        assert any("thread executor" in warning for warning in report.warnings)
+        assert any("serially" in warning for warning in report.warnings)
         assert any("'signal'" in warning for warning in report.warnings)
 
     def test_strict_mode_raises_naming_the_axis(self):
@@ -303,7 +329,7 @@ class TestProcessSweep:
         with pytest.raises(SweepConfigError, match="'signal'"):
             sweep.run(executor="process", workers=2, strict=True)
 
-    def test_strict_applies_to_serial_and_thread_backends_too(self):
+    def test_strict_applies_to_serial_backend_too(self):
         # strict forbids the repr-based dedup-key fallback everywhere, not
         # just on the process backend -- it must never be a silent no-op.
         def build():
@@ -313,8 +339,6 @@ class TestProcessSweep:
 
         with pytest.raises(SweepConfigError, match="'signal'"):
             build().run(strict=True)
-        with pytest.raises(SweepConfigError, match="'signal'"):
-            build().run(executor="thread", workers=2, strict=True)
 
     def test_unpicklable_run_param_degrades_that_point_only(self):
         class LocalPolicy(SelfTimedUnbounded):
@@ -350,7 +374,7 @@ class TestProcessSweep:
         assert report.ok and not report.warnings
         assert report.column("value") == [1, 4, 9, 16, 25]
 
-    def test_unpicklable_runner_falls_back_to_threads(self):
+    def test_unpicklable_runner_falls_back_to_serial(self):
         report = (
             Sweep.from_callable(lambda n: {"value": n})
             .add_axis("n", [1, 2, 3])
@@ -652,45 +676,41 @@ class TestWarningsPropagation:
     path, alongside the degradation's own warning (the happy path is covered
     elsewhere; these pin the fallback paths)."""
 
-    @staticmethod
-    def _fraction_ff_axes(sweep):
-        # fast_forward on a fraction time base is refused with a per-point
-        # "integer-tick" warning on every point -- a deterministic marker
-        return sweep.add_axis("fast_forward", [True]).add_axis(
-            "time_base", ["fraction"]
-        )
-
-    def test_thread_fallback_keeps_point_warnings(self):
-        sweep = self._fraction_ff_axes(
-            Sweep("quickstart", duration=Fraction(1, 100)).add_axis(
-                "signal", [(float(i) for i in range(100))]  # unpicklable axis
-            )
-        )
+    def test_serial_fallback_keeps_point_warnings(self):
+        # A bare-iterator signal is both unpicklable (forcing the serial
+        # fallback) and undeclared (an "undeclared-source" warning on every
+        # point -- a deterministic marker).
+        with pytest.warns(DeprecationWarning):
+            signal = as_stimulus(float(i) for i in range(100))
+        sweep = Sweep("quickstart", duration=Fraction(1, 100)).add_axis("signal", [signal])
         report = sweep.run(executor="process", workers=2)
         assert report.ok, [failure.error for failure in report.failures]
-        assert any("thread executor" in w for w in report.warnings)
-        assert any("integer-tick" in w for w in report.warnings)
+        assert any("serially" in w for w in report.warnings)
+        assert any(warning_code(w) == "undeclared-source" for w in report.warnings)
         # the run warning also stays inside the point's metric row
         assert any(
-            "integer-tick" in w for w in report.results[0].metrics["warnings"]
+            warning_code(w) == "undeclared-source"
+            for w in report.results[0].metrics["warnings"]
         )
 
     def test_in_parent_rerun_keeps_point_warnings(self):
         class LocalPolicy(SelfTimedUnbounded):
             """Unpicklable run-axis value: forces the in-parent re-run."""
 
-        sweep = self._fraction_ff_axes(
-            Sweep("quickstart", duration=Fraction(1, 100)).add_axis(
-                "scheduler", [LocalPolicy(), BoundedProcessors(1)]
-            )
+        # every point of the undeclared program records an
+        # "undeclared-function" warning -- a deterministic marker
+        sweep = Sweep(program=_undeclared_quickstart(), duration=Fraction(1, 100)).add_axis(
+            "scheduler", [LocalPolicy(), BoundedProcessors(1)]
         )
         report = sweep.run(executor="process", workers=2)
         assert report.ok, [failure.error for failure in report.failures]
         assert any("running the point in-process" in w for w in report.warnings)
         # both the degraded point and the worker-run point kept their
-        # fast-forward refusal warning
+        # fast-forward fallback warning
         point_warnings = [
-            w for w in report.warnings if w.startswith("point ") and "integer-tick" in w
+            w
+            for w in report.warnings
+            if w.startswith("point ") and warning_code(w) == "undeclared-function"
         ]
         assert len(point_warnings) == 2
 

@@ -179,11 +179,13 @@ class TestOnlinePeriodicityCrossCheck:
         from repro.engine import run_tasks
         from repro.engine.synthetic import tasks_from_sdf
 
-        run = run_tasks(
-            tasks_from_sdf(graph, iterations=64),
-            horizon=Fraction(horizon),
-            fast_forward=True,
-        )
+        tasks = tasks_from_sdf(graph, iterations=64)
+        # Declare the synthetic actor bodies (pure averagers) stateless, so
+        # the default "auto" detector may arm on the fleet.
+        registry = tasks[0].registry
+        for task in tasks:
+            registry.register(task.name, registry.get(task.name).callable, stateless=True)
+        run = run_tasks(tasks, horizon=Fraction(horizon))
         return run, run.engine.steady_state
 
     def test_online_period_is_integer_iteration_multiple(self):
@@ -212,7 +214,9 @@ class TestOnlinePeriodicityCrossCheck:
     def test_online_throughput_matches_offline(self):
         graph = fig2_task_graph(f_duration=2, g_duration=3)
         offline = self_timed_statespace(graph)
-        run, steady = self._steady(graph, 700)
+        # The value state only recurs once every oversized edge buffer has
+        # wrapped, which takes this slower graph past 700 s.
+        run, steady = self._steady(graph, 5000)
         assert steady.period_ticks is not None
         period_seconds = run.queue.to_time(steady.period_ticks)
         q = repetition_vector(graph)

@@ -1,27 +1,24 @@
 """Steady-state fast-forward and the compiled dispatch kernel.
 
-The contract under test (see :mod:`repro.engine.steady_state`) comes in two
-strengths.  With ``fast_forward=True`` (timing-exact mode) every
-timing-derived quantity -- trace records, completion counters, makespan,
-deadline misses, measured rates, busy accounting -- is *exactly* equal to a
-naive run, while whole periods of the steady-state regime are skipped in
-O(1); data values are replayed from the canonical period, so full value
-equality additionally requires constant stimuli and stateless actor
-functions.  With ``fast_forward="auto"`` (the default, value-exact mode) a
-program whose stimuli are declared value-periodic and whose functions
-declare jump-exact behaviour produces *bit-identical sink values* through a
-jump -- the detector folds every value state into its periodicity key --
-and everything else silently falls back to naive stepping.  The compiled
-kernel -- the engine's boolean-policy loop -- runs every non-platform run,
-on both time bases, and composes with fast-forward; its equivalence with
-the polling oracle is asserted in tests/test_engine.py.
+The contract under test (see :mod:`repro.engine.steady_state`): under
+``fast_forward="auto"`` (the default) a program whose stimuli are declared
+value-periodic and whose functions declare jump-exact behaviour skips whole
+periods of its steady-state regime in O(1), and the run is *bit-identical*
+to a naive one -- trace records, completion counters, makespan, deadline
+misses, measured rates, busy accounting and sink values -- because the
+detector folds every value state into its periodicity key.  Everything
+else steps naively.  ``fast_forward`` accepts exactly ``"auto"`` and
+``False``.  The compiled kernel -- the engine's boolean-policy loop -- runs
+every non-platform run, on both time bases, and composes with
+fast-forward; its equivalence with the polling oracle is asserted in
+tests/test_engine.py.
 """
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import Program
 from repro.api.sweep import Sweep
@@ -30,6 +27,7 @@ from repro.apps.rate_converter import fig2_task_graph
 from repro.dataflow import repetition_vector, self_timed_statespace
 from repro.engine.dispatcher import run_tasks
 from repro.engine.policies import BoundedProcessors, SelfTimedUnbounded, StaticOrder
+from repro.engine.steady_state import fast_forward_refusal
 from repro.engine.synthetic import fork_join_program, ring_program, tasks_from_sdf
 from repro.platform.model import Platform
 from repro.platform.policies import FixedPriorityPreemptive, ListScheduledPlatform
@@ -46,22 +44,7 @@ def assert_traces_identical(a, b):
     assert a.buffer_high_water == b.buffer_high_water
 
 
-def assert_timing_identical(a, b):
-    """Bit-identical timing: everything except the replayed data values."""
-    assert a.firings == b.firings
-    assert a.violations == b.violations
-    assert [replace(e, value=None) for e in a.endpoint_events] == [
-        replace(e, value=None) for e in b.endpoint_events
-    ]
-    assert a.buffer_high_water == b.buffer_high_water
-
-
 APPS = ["quickstart", "pal_decoder", "rate_converter", "modal_mute", "modal_two_mode"]
-#: apps whose actor functions are stateless, so under legacy timing-exact
-#: mode even the *values* survive a jump with constant stimuli (pal_decoder /
-#: modal_two_mode carry oscillator and filter state outside the execution
-#: state -- legacy replay leaves their values periodic-stale)
-STATELESS_APPS = ["quickstart", "rate_converter", "modal_mute"]
 #: apps the value-exact detector can jump with bit-identical sink values:
 #: every stimulus declared value-periodic, every stateful function exposing
 #: get_state/set_state.  rate_converter is absent because its ``f`` emits an
@@ -80,6 +63,53 @@ def assert_sink_values_identical(naive, ff):
         assert naive.simulation.sinks[name].consumed == ff.simulation.sinks[name].consumed, name
 
 
+def _identity(value):
+    return value
+
+
+def declared(tasks, **bodies):
+    """Re-register a synthetic fleet's bodies as declared stateless, so
+    ``"auto"`` may jump it; *bodies* replace callables by name.  The
+    builders' own bodies stay undeclared (the dispatch benchmarks need ring
+    runs to step naively under the default)."""
+    registry = tasks[0].registry
+    for name in sorted({name for task in tasks for name in task.function_names()}):
+        registry.register(name, bodies.get(name, registry.get(name).callable), stateless=True)
+    return tasks
+
+
+def declared_ring(task_count, **kwargs):
+    """A ring whose ``step`` is a declared identity: the token values
+    circulate unchanged, so the value state recurs."""
+    return declared(ring_program(task_count, **kwargs), step=_identity)
+
+
+def declared_fork_join(width, **kwargs):
+    return declared(fork_join_program(width, **kwargs), work=_identity)
+
+
+def declared_sdf(graph, **kwargs):
+    return declared(tasks_from_sdf(graph, **kwargs))
+
+
+def _undeclared_registry():
+    registry = FunctionRegistry()
+    registry.register("average2", lambda pair: sum(pair) / len(pair))
+    return registry
+
+
+def _undeclared_quickstart():
+    """The quickstart pipeline with a periodic stimulus but an undeclared
+    ``average2``: "auto" falls back with an ``undeclared-function`` warning."""
+    return Program.from_source(
+        QUICKSTART_OIL_SOURCE,
+        name="undeclared-quickstart",
+        function_wcets=quickstart_wcets(),
+        registry=_undeclared_registry,
+        signals=lambda: {"samples": PeriodicStimulus([1.0, 2.0])},
+    )
+
+
 # ---------------------------------------------------------------------------
 # Engine-level fast-forward (run_tasks)
 # ---------------------------------------------------------------------------
@@ -87,10 +117,10 @@ def assert_sink_values_identical(naive, ff):
 class TestEngineFastForward:
     def test_ring_long_horizon_exact(self):
         horizon = Fraction(100)
-        naive = run_tasks(ring_program(20, tokens=3, stagger=3), horizon=horizon)
-        ff = run_tasks(
-            ring_program(20, tokens=3, stagger=3), horizon=horizon, fast_forward=True
+        naive = run_tasks(
+            declared_ring(20, tokens=3, stagger=3), horizon=horizon, fast_forward=False
         )
+        ff = run_tasks(declared_ring(20, tokens=3, stagger=3), horizon=horizon)
         steady = ff.engine.steady_state
         assert ff.fast_forwarded and steady.jumps >= 1
         assert steady.skipped_events > 0
@@ -105,18 +135,19 @@ class TestEngineFastForward:
     def test_short_horizon_is_bit_identical_without_jumps(self):
         # A horizon inside the transient: the detector is armed but never
         # jumps, and the run is trivially bit-identical.
-        naive = run_tasks(ring_program(20, tokens=3), horizon=Fraction(1, 500))
-        ff = run_tasks(
-            ring_program(20, tokens=3), horizon=Fraction(1, 500), fast_forward=True
+        naive = run_tasks(
+            declared_ring(20, tokens=3), horizon=Fraction(1, 500), fast_forward=False
         )
+        ff = run_tasks(declared_ring(20, tokens=3), horizon=Fraction(1, 500))
+        assert ff.engine.steady_state is not None
         assert not ff.fast_forwarded
         assert_traces_identical(naive.trace, ff.trace)
 
     def test_stop_after_firings_halts_at_naive_instant(self):
-        naive = run_tasks(ring_program(20, tokens=3), stop_after_firings=5000)
-        ff = run_tasks(
-            ring_program(20, tokens=3), stop_after_firings=5000, fast_forward=True
+        naive = run_tasks(
+            declared_ring(20, tokens=3), stop_after_firings=5000, fast_forward=False
         )
+        ff = run_tasks(declared_ring(20, tokens=3), stop_after_firings=5000)
         assert ff.fast_forwarded
         assert ff.engine.completed_firings == naive.engine.completed_firings
         assert ff.makespan == naive.makespan
@@ -133,30 +164,29 @@ class TestEngineFastForward:
     def test_policies_fast_forward_exactly(self, policy_factory):
         horizon = Fraction(50)
         naive = run_tasks(
-            ring_program(10, tokens=2), policy=policy_factory(), horizon=horizon
-        )
-        ff = run_tasks(
-            ring_program(10, tokens=2),
+            declared_ring(10, tokens=2),
             policy=policy_factory(),
             horizon=horizon,
-            fast_forward=True,
+            fast_forward=False,
         )
+        ff = run_tasks(declared_ring(10, tokens=2), policy=policy_factory(), horizon=horizon)
         assert ff.fast_forwarded
         assert ff.engine.completed_firings == naive.engine.completed_firings
         assert ff.makespan == naive.makespan
         assert_traces_identical(naive.trace, ff.trace)
 
     def test_platform_policy_fast_forwards_with_busy_accounting(self):
-        platform = Platform.homogeneous(2)
         horizon = Fraction(50)
         naive = run_tasks(
-            fork_join_program(4), policy=ListScheduledPlatform(platform), horizon=horizon
-        )
-        ff = run_tasks(
-            fork_join_program(4),
+            declared_fork_join(4),
             policy=ListScheduledPlatform(Platform.homogeneous(2)),
             horizon=horizon,
-            fast_forward=True,
+            fast_forward=False,
+        )
+        ff = run_tasks(
+            declared_fork_join(4),
+            policy=ListScheduledPlatform(Platform.homogeneous(2)),
+            horizon=horizon,
         )
         assert ff.fast_forwarded
         assert ff.engine.completed_firings == naive.engine.completed_firings
@@ -165,11 +195,9 @@ class TestEngineFastForward:
 
     def test_trace_retention_keeps_streaming_counters_exact(self):
         horizon = Fraction(200)
-        naive = run_tasks(ring_program(12, tokens=2), horizon=horizon)
+        naive = run_tasks(declared_ring(12, tokens=2), horizon=horizon, fast_forward=False)
         capped = TraceRecorder(level="full", retention=50)
-        ff = run_tasks(
-            ring_program(12, tokens=2), horizon=horizon, fast_forward=True, trace=capped
-        )
+        ff = run_tasks(declared_ring(12, tokens=2), horizon=horizon, trace=capped)
         assert ff.fast_forwarded
         assert ff.engine.completed_firings == naive.engine.completed_firings
         # stored records are capped, the totals and per-task counters are not
@@ -181,12 +209,73 @@ class TestEngineFastForward:
             assert capped.task_throughput(key) == naive.trace.task_throughput(key)
 
     def test_multiple_jumps_across_repeated_horizon_extensions(self):
-        tasks = tasks_from_sdf(fig2_task_graph(), iterations=50)
-        naive = run_tasks(tasks_from_sdf(fig2_task_graph(), iterations=50), horizon=Fraction(400))
-        ff = run_tasks(tasks, horizon=Fraction(400), fast_forward=True)
+        graph = fig2_task_graph()
+        naive = run_tasks(
+            declared_sdf(graph, iterations=50), horizon=Fraction(400), fast_forward=False
+        )
+        ff = run_tasks(declared_sdf(graph, iterations=50), horizon=Fraction(400))
         assert ff.fast_forwarded
         assert ff.engine.completed_firings == naive.engine.completed_firings
         assert_traces_identical(naive.trace, ff.trace)
+
+
+@st.composite
+def generated_rings(draw):
+    """Ring shape plus a policy: 3-12 tasks, 1..n-1 tokens, a stagger, a
+    capacity, and one of the three policy families with 1-3 processors."""
+    task_count = draw(st.integers(3, 12))
+    shape = {
+        "tokens": draw(st.integers(1, task_count - 1)),
+        "stagger": draw(st.integers(1, 3)),
+        "capacity": draw(st.integers(2, 4)),
+    }
+    family = draw(st.sampled_from(["self-timed", "bounded", "list-scheduled"]))
+    processors = draw(st.integers(1, 3))
+    return task_count, shape, family, processors
+
+
+def _policy(family, processors):
+    if family == "self-timed":
+        return SelfTimedUnbounded()
+    if family == "bounded":
+        return BoundedProcessors(processors)
+    return ListScheduledPlatform(Platform.homogeneous(processors))
+
+
+def _held_tokens(tasks):
+    """The values each buffer holds at the end, oldest first, read through
+    the consumer windows (not the raw storage ring, whose slot alignment a
+    jump may rotate)."""
+    held = {}
+    for task in tasks:
+        for access in task.task.reads:
+            buffer = task.buffers[access.buffer]
+            held[buffer.name] = buffer.peek(task.producer_key(), buffer.tokens_available)
+    return held
+
+
+@given(generated_rings())
+@settings(max_examples=25, deadline=None)
+def test_auto_equals_naive_on_generated_rings(case):
+    task_count, shape, family, processors = case
+    # Long enough for every ring the strategy can draw to recur and jump:
+    # the slowest (11-12 tasks, nearly full of staggered tokens) first jump
+    # past half a second.
+    horizon = Fraction(1)
+    naive_tasks = declared_ring(task_count, **shape)
+    naive = run_tasks(
+        naive_tasks, policy=_policy(family, processors), horizon=horizon, fast_forward=False
+    )
+    auto_tasks = declared_ring(task_count, **shape)
+    auto = run_tasks(auto_tasks, policy=_policy(family, processors), horizon=horizon)
+    # the property must not pass vacuously: every generated ring jumps
+    assert auto.fast_forwarded
+    assert auto.warnings == []
+    assert auto.trace.firings == naive.trace.firings
+    assert auto.queue.processed == naive.queue.processed
+    assert auto.makespan == naive.makespan
+    assert auto.engine.processor_busy_time == naive.engine.processor_busy_time
+    assert _held_tokens(auto_tasks) == _held_tokens(naive_tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +297,8 @@ class TestCompiledKernel:
 
     def test_kernel_composes_with_fast_forward(self):
         horizon = Fraction(100)
-        reference = run_tasks(ring_program(16, tokens=3), horizon=horizon)
-        combined = run_tasks(ring_program(16, tokens=3), horizon=horizon, fast_forward=True)
+        reference = run_tasks(declared_ring(16, tokens=3), horizon=horizon, fast_forward=False)
+        combined = run_tasks(declared_ring(16, tokens=3), horizon=horizon)
         assert combined.fast_forwarded and combined.engine.kernel_active
         assert combined.engine.completed_firings == reference.engine.completed_firings
         assert_traces_identical(reference.trace, combined.trace)
@@ -220,27 +309,34 @@ class TestCompiledKernel:
 # ---------------------------------------------------------------------------
 
 class TestRefusals:
+    """Engine-level refusals, on fleets that qualify -- so the refusal, not
+    qualification, is what keeps the detector out.  They are silent: the
+    run steps naively and records no warning, while
+    :func:`fast_forward_refusal` still names the stable reason."""
+
     def test_speed_migrating_preemptive_policy_refuses(self):
         run = run_tasks(
-            ring_program(10, tokens=2),
+            declared_ring(10, tokens=2),
             policy=FixedPriorityPreemptive(Platform.heterogeneous([1, 2])),
             stop_after_firings=100,
-            fast_forward=True,
         )
         assert run.engine.steady_state is None
         assert not run.fast_forwarded
-        assert any("refused" in w and "speeds" in w for w in run.warnings)
+        assert run.warnings == []
+        refusal = fast_forward_refusal(run.engine.policy, run.queue.timebase)
+        assert warning_code(refusal) == "speed-migrating-policy"
         assert run.engine.completed_firings == 100
 
     def test_fraction_time_base_refuses(self):
         run = run_tasks(
-            ring_program(10, tokens=2),
+            declared_ring(10, tokens=2),
             time_base="fraction",
             stop_after_firings=100,
-            fast_forward=True,
         )
         assert run.engine.steady_state is None
-        assert any("integer-tick" in w for w in run.warnings)
+        assert run.warnings == []
+        refusal = fast_forward_refusal(run.engine.policy, run.queue.timebase)
+        assert warning_code(refusal) == "fraction-time-base"
 
     def test_policy_without_steady_state_key_refuses(self):
         class OpaquePolicy:
@@ -257,19 +353,21 @@ class TestRefusals:
                 pass
 
         run = run_tasks(
-            ring_program(10, tokens=2),
+            declared_ring(10, tokens=2),
             policy=OpaquePolicy(),
             stop_after_firings=100,
-            fast_forward=True,
         )
         assert run.engine.steady_state is None
-        assert any("steady_state_key" in w for w in run.warnings)
+        assert run.warnings == []
+        refusal = fast_forward_refusal(run.engine.policy, run.queue.timebase)
+        assert warning_code(refusal) == "no-steady-state-key"
 
     def test_refused_run_matches_naive(self):
-        naive = run_tasks(ring_program(10, tokens=2), time_base="fraction",
-                          stop_after_firings=200)
-        refused = run_tasks(ring_program(10, tokens=2), time_base="fraction",
-                            stop_after_firings=200, fast_forward=True)
+        naive = run_tasks(declared_ring(10, tokens=2), time_base="fraction",
+                          stop_after_firings=200, fast_forward=False)
+        refused = run_tasks(declared_ring(10, tokens=2), time_base="fraction",
+                            stop_after_firings=200)
+        assert refused.engine.steady_state is None
         assert_traces_identical(naive.trace, refused.trace)
 
 
@@ -279,70 +377,32 @@ class TestRefusals:
 
 class TestApiFastForward:
     @pytest.mark.parametrize("app", APPS)
-    def test_timing_and_metrics_exact_for_all_apps(self, app):
-        duration = Fraction(1, 2)
-        naive = Program.from_app(app).analyze().run(
-            duration, signals=_constant_signals(app), fast_forward=False
-        )
-        ff = Program.from_app(app).analyze().run(
-            duration, signals=_constant_signals(app), fast_forward=True
-        )
-        steady = ff.simulation.engine.steady_state
-        assert ff.fast_forwarded and steady.jumps >= 1
-        assert_timing_identical(naive.trace, ff.trace)
-        metrics_naive, metrics_ff = naive.metrics(), ff.metrics()
-        assert metrics_naive.pop("fast_forwarded") is False
-        assert metrics_ff.pop("fast_forwarded") is True
-        assert metrics_naive == metrics_ff
-        assert ff.warnings == []
-
-    @pytest.mark.parametrize("app", STATELESS_APPS)
-    def test_stateless_apps_reproduce_values_too(self, app):
-        duration = Fraction(1, 2)
-        naive = Program.from_app(app).analyze().run(
-            duration, signals=_constant_signals(app), fast_forward=False
-        )
-        ff = Program.from_app(app).analyze().run(
-            duration, signals=_constant_signals(app), fast_forward=True
-        )
-        assert ff.fast_forwarded
-        assert_traces_identical(naive.trace, ff.trace)
-        for sink in naive.simulation.sinks:
-            assert naive.sink(sink) == ff.sink(sink)
-
-    @pytest.mark.parametrize("app", APPS)
     def test_default_signal_metrics_exact(self, app):
-        # Counting stimuli make values periodic-stale after a jump, but every
-        # timing-derived metric must still be exactly the naive one.
+        # Whatever "auto" decides -- a value-exact jump, or naive stepping
+        # for apps whose default stimulus is aperiodic -- every metric is
+        # exactly the naive one.
         duration = Fraction(1, 2)
         naive = Program.from_app(app).analyze().run(duration, fast_forward=False)
-        ff = Program.from_app(app).analyze().run(duration, fast_forward=True)
+        ff = Program.from_app(app).analyze().run(duration)
         metrics_naive, metrics_ff = naive.metrics(), ff.metrics()
         metrics_naive.pop("fast_forwarded")
         metrics_ff.pop("fast_forwarded")
         assert metrics_naive == metrics_ff
 
     def test_short_horizon_traces_bit_identical_with_default_signals(self):
-        # Inside the transient no jump fires, so even counting stimuli give
-        # bit-identical traces with fast-forward enabled.
+        # Inside the transient no jump fires, so the traces are
+        # bit-identical whatever the stimulus.
         duration = Fraction(1, 400)
-        naive = Program.from_app("quickstart").analyze().run(duration)
-        ff = Program.from_app("quickstart").analyze().run(duration, fast_forward=True)
+        naive = Program.from_app("quickstart").analyze().run(duration, fast_forward=False)
+        ff = Program.from_app("quickstart").analyze().run(duration)
         assert not ff.fast_forwarded
         assert_traces_identical(naive.trace, ff.trace)
         for sink in naive.simulation.sinks:
             assert naive.sink(sink) == ff.sink(sink)
 
-    def test_horizon_keyword_implies_fast_forward(self):
-        run = Program.from_app("quickstart").run(horizon=Fraction(20))
-        assert run.fast_forwarded
-        assert run.duration == Fraction(20)
-        explicit = Program.from_app("quickstart").run(
-            horizon=Fraction(1, 10), fast_forward=False
-        )
-        assert explicit.simulation.engine.steady_state is None
-
     def test_duration_and_horizon_are_exclusive(self):
+        # duration is the one required positional argument; the removed
+        # horizon= spelling is rejected.
         analysis = Program.from_app("quickstart").analyze()
         with pytest.raises(TypeError):
             analysis.run(Fraction(1), horizon=Fraction(1))
@@ -350,43 +410,36 @@ class TestApiFastForward:
             analysis.run()
 
     def test_trace_retention_through_api(self):
+        signals = _constant_signals("quickstart")
         run = Program.from_app("quickstart").analyze().run(
-            Fraction(2), fast_forward=True, trace_retention=100
+            Fraction(2), signals=signals, trace_retention=100
         )
         assert run.fast_forwarded
         assert len(run.trace.firings) <= 100
-        naive = Program.from_app("quickstart").analyze().run(Fraction(2))
+        naive = Program.from_app("quickstart").analyze().run(
+            Fraction(2), signals=signals, fast_forward=False
+        )
         assert run.completed_firings == naive.completed_firings
         assert run.sink_counts == naive.sink_counts
         assert run.deadline_misses == naive.deadline_misses
 
     def test_run_until_sink_count_uses_streaming_counter(self):
         simulation = Program.from_app("quickstart").analyze().simulation(
-            fast_forward=True
+            signals=_constant_signals("quickstart")
         )
         simulation.run(Fraction(1, 10))  # arms (and uses) the detector
+        assert simulation.engine.steady_state is not None
         simulation.run_until_sink_count("averages", 150, max_time=Fraction(1))
         assert simulation.sinks["averages"].consumed_count >= 150
 
-    def test_refusal_surfaces_in_run_result_and_sweep(self):
-        run = Program.from_app("quickstart").analyze().run(
-            Fraction(1, 10), fast_forward=True, time_base="fraction"
-        )
-        assert not run.fast_forwarded
-        assert any("refused" in w for w in run.warnings)
-        report = (
-            Sweep("quickstart", duration=Fraction(1, 10))
-            .add_axis("fast_forward", [True])
-            .add_axis("time_base", ["fraction"])
-            .run()
-        )
-        assert report.ok
-        assert any("refused" in w for w in report.warnings)
-
     def test_sweep_fast_forward_axis_matches_naive_rows(self):
         report = (
-            Sweep("rate_converter", duration=Fraction(1, 2))
-            .add_axis("fast_forward", [False, True])
+            Sweep(
+                "quickstart",
+                duration=Fraction(1, 2),
+                base={"signal": ConstantStimulus(1.0)},
+            )
+            .add_axis("fast_forward", [False, "auto"])
             .run()
         )
         assert report.ok
@@ -398,16 +451,38 @@ class TestApiFastForward:
                 continue
             assert rows[1][key] == value, key
 
-    def test_sweep_horizon_axis(self):
+
+class TestFastForwardModes:
+    """``fast_forward`` accepts exactly ``"auto"`` and ``False``; anything
+    else -- the removed timing-exact ``True``, a stray ``"off"`` -- raises
+    instead of silently picking a detector."""
+
+    @pytest.mark.parametrize("mode", ["off", True])
+    def test_run_tasks_rejects(self, mode):
+        with pytest.raises(ValueError, match="fast_forward"):
+            run_tasks(declared_ring(5, tokens=2), stop_after_firings=10, fast_forward=mode)
+
+    @pytest.mark.parametrize("mode", ["off", True])
+    def test_analysis_run_rejects(self, mode):
+        analysis = Program.from_app("quickstart").analyze()
+        with pytest.raises(ValueError, match="fast_forward"):
+            analysis.run(Fraction(1, 100), fast_forward=mode)
+
+    def test_true_points_to_auto(self):
+        with pytest.raises(ValueError, match='"auto"'):
+            Program.from_app("quickstart").run(Fraction(1, 100), fast_forward=True)
+
+    @pytest.mark.parametrize("mode", ["off", True])
+    def test_sweep_point_fails_with_the_error(self, mode):
         report = (
             Sweep("quickstart", duration=Fraction(1, 100))
-            .add_axis("horizon", [Fraction(10)])
-            .add_axis("trace", ["endpoints"])
-            .add_axis("trace_retention", [50])
+            .add_axis("fast_forward", [mode, False])
             .run()
         )
-        assert report.ok
-        assert report.rows()[0]["fast_forwarded"] is True
+        failed, fine = report.results
+        assert not failed.ok and fine.ok
+        assert failed.error.startswith("ValueError: ")
+        assert "fast_forward" in failed.error
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +500,14 @@ class TestValueExactAuto:
             duration, signals=_constant_signals(app)  # "auto" is the default
         )
         steady = ff.simulation.engine.steady_state
-        assert ff.fast_forwarded and steady.value_exact and steady.jumps >= 1
+        assert ff.fast_forwarded and steady.jumps >= 1
         assert ff.warnings == []
         assert_traces_identical(naive.trace, ff.trace)
         assert_sink_values_identical(naive, ff)
+        metrics_naive, metrics_ff = naive.metrics(), ff.metrics()
+        assert metrics_naive.pop("fast_forwarded") is False
+        assert metrics_ff.pop("fast_forwarded") is True
+        assert metrics_naive == metrics_ff
 
     def test_pal_decoder_million_events_bit_identical(self):
         # Acceptance horizon: >= 1e6 queue events through a value-exact jump.
@@ -440,7 +519,7 @@ class TestValueExactAuto:
         analysis = Program.from_app("pal_decoder").analyze()
         ff = analysis.run(duration, trace="off")
         steady = ff.simulation.engine.steady_state
-        assert ff.fast_forwarded and steady.value_exact and steady.jumps >= 1
+        assert ff.fast_forwarded and steady.jumps >= 1
         assert ff.warnings == []
         assert ff.simulation.engine.queue.processed >= 1_000_000
         naive = analysis.run(duration, trace="off", fast_forward=False)
@@ -455,7 +534,7 @@ class TestValueExactAuto:
         analysis = Program.from_app("modal_two_mode").analyze()
         ff = analysis.run(duration, trace="off")
         steady = ff.simulation.engine.steady_state
-        assert ff.fast_forwarded and steady.value_exact and steady.jumps >= 1
+        assert ff.fast_forwarded and steady.jumps >= 1
         assert ff.warnings == []
         assert ff.simulation.engine.queue.processed >= 1_000_000
         naive = analysis.run(duration, trace="off", fast_forward=False)
@@ -488,7 +567,7 @@ class TestValueExactAuto:
             duration, signals=_constant_signals("rate_converter")
         )
         steady = auto.simulation.engine.steady_state
-        assert steady is not None and steady.value_exact
+        assert steady is not None
         assert not auto.fast_forwarded and auto.warnings == []
         assert_traces_identical(naive.trace, auto.trace)
         assert_sink_values_identical(naive, auto)
@@ -500,7 +579,7 @@ class TestRunUntilSinkCountValueExact:
         ff_sim = Program.from_app("modal_two_mode").analyze().simulation(trace="off")
         ff_sim.run_until_sink_count("dac", count, max_time=Fraction(60))
         steady = ff_sim.engine.steady_state
-        assert steady is not None and steady.value_exact and steady.jumps >= 1
+        assert steady is not None and steady.jumps >= 1
         naive_sim = Program.from_app("modal_two_mode").analyze().simulation(
             trace="off", fast_forward=False
         )
@@ -532,19 +611,7 @@ class TestAutoRefusalWarningCodes:
         assert "samples" in run.warnings[0]
 
     def test_undeclared_function_warns_with_stable_code(self):
-        def undeclared_registry():
-            registry = FunctionRegistry()
-            registry.register("average2", lambda pair: sum(pair) / len(pair))
-            return registry
-
-        program = Program.from_source(
-            QUICKSTART_OIL_SOURCE,
-            name="undeclared-quickstart",
-            function_wcets=quickstart_wcets(),
-            registry=undeclared_registry,
-            signals=lambda: {"samples": PeriodicStimulus([1.0, 2.0])},
-        )
-        run = program.analyze().run(Fraction(1, 100))
+        run = _undeclared_quickstart().analyze().run(Fraction(1, 100))
         assert not run.fast_forwarded
         codes = [warning_code(w) for w in run.warnings]
         assert codes == ["undeclared-function"]
@@ -554,14 +621,13 @@ class TestAutoRefusalWarningCodes:
 
     def test_sweep_hoists_warning_codes(self):
         report = (
-            Sweep("quickstart", duration=Fraction(1, 100))
-            .add_axis("fast_forward", [True])
-            .add_axis("time_base", ["fraction"])
+            Sweep(program=_undeclared_quickstart(), duration=Fraction(1, 100))
+            .add_axis("scheduler", [None, BoundedProcessors(1)])
             .run()
         )
         assert report.ok
-        assert report.warnings
-        assert all(warning_code(w) == "fraction-time-base" for w in report.warnings)
+        assert len(report.warnings) == 2
+        assert all(warning_code(w) == "undeclared-function" for w in report.warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +641,7 @@ class TestOfflineCrossCheck:
         offline = self_timed_statespace(graph)
         assert offline.iteration_period is not None and not offline.deadlocked
 
-        run = run_tasks(
-            tasks_from_sdf(graph, iterations=64), horizon=Fraction(500),
-            fast_forward=True,
-        )
+        run = run_tasks(declared_sdf(graph, iterations=64), horizon=Fraction(500))
         steady = run.engine.steady_state
         assert run.fast_forwarded and steady.period_ticks is not None
 
@@ -595,10 +658,7 @@ class TestOfflineCrossCheck:
 
     def test_online_transient_is_finite_and_period_positive(self):
         graph = fig2_task_graph()
-        run = run_tasks(
-            tasks_from_sdf(graph, iterations=64), horizon=Fraction(500),
-            fast_forward=True,
-        )
+        run = run_tasks(declared_sdf(graph, iterations=64), horizon=Fraction(500))
         steady = run.engine.steady_state
         assert steady.transient_ticks >= 0
         assert steady.period_ticks > 0

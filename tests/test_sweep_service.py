@@ -337,16 +337,6 @@ class TestServiceSweep:
         assert second.service_stats["store_hits"] == 3
         assert second.to_json() == clean
 
-    def test_thread_backend_checkpoints_safely(self, tmp_path):
-        clean = _quick_sweep().run(executor="serial").to_json()
-        report = _quick_sweep().run(
-            executor="thread", workers=3, checkpoint=tmp_path / "ckpt.jsonl"
-        )
-        assert report.to_json() == clean
-        resumed = _quick_sweep().run(checkpoint=tmp_path / "ckpt.jsonl")
-        assert resumed.service_stats["resumed"] == 3
-        assert resumed.to_json() == clean
-
     def test_process_backend_checkpoints_from_the_parent(self, tmp_path):
         sweep = Sweep.from_callable(_square_point).add_axis("n", [1, 2, 3, 4])
         clean = (
