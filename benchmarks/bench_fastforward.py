@@ -25,11 +25,13 @@ decoder application:
    sample values* are bit-identical to the naive run's (list equality, no
    tolerances).
 4. Sampling overhead -- until the first recurrence the detector samples
-   its incrementally maintained state key at every anchor completion.  A
-   horizon inside the transient (no jump) measures that pure sampling
-   phase; its wall clock must stay within a small multiple of naive (the
-   incremental key brought this from ~7x down to under 2x -- the floor
-   would catch a regression to from-scratch rebuilds).
+   its state key once per endpoint hyperperiod (1/32 s on the PAL
+   decoder), at the first anchor completion at or after each grid
+   instant.  A horizon inside the transient (no jump) measures that pure
+   sampling phase; its wall clock must stay within a small multiple of
+   naive, and the number of stored states must not exceed one per grid
+   step -- a deterministic count that catches a detector sampling every
+   anchor completion again (12,289 states over 2 s instead of 62).
 
 ``BENCH_SMOKE=1`` shrinks the naive reference horizon (the only part whose
 cost scales with events) and relaxes the wall-clock floors.
@@ -67,13 +69,15 @@ RETENTION = 4096
 VALUE_SECONDS = 4
 #: Sampling-overhead horizon: strictly inside the value-exact transient
 #: (the PAL decoder first recurs past ~3 simulated seconds), so the auto
-#: run pays detection sampling at every anchor completion and never jumps
-#: -- a pure measurement of the incremental key's per-sample cost.
+#: run samples once per grid step (1/32 s) and never jumps -- a pure
+#: measurement of the sampling phase.
 SAMPLING_SECONDS = 2
+#: Sampling grid steps per simulated second on the PAL decoder: the lcm of
+#: its endpoint periods is 1/32 s.
+GRID_PER_SECOND = 32
 #: The sampling-phase run must stay within this multiple of the naive
-#: run's wall clock (the rebuild-from-scratch key sat at ~7x; the
-#: incremental key measures ~1.6x).  Relaxed under smoke for noisy
-#: runners; the full floor is the ISSUE's acceptance target.
+#: run's wall clock (grid sampling measures ~1.05x).  Relaxed under smoke
+#: for noisy runners.
 MAX_SAMPLING_RATIO = 3.0 if SMOKE else 2.0
 
 
@@ -187,7 +191,7 @@ def test_fastforward_pal_decoder():
 
 def test_sampling_overhead_pal_decoder():
     # Pure sampling phase: a horizon inside the transient, so the auto run
-    # samples its state key at every anchor completion and never jumps.
+    # samples its state key once per grid step and never jumps.
     naive, naive_wall = _run(SAMPLING_SECONDS, fast_forward=False)
     auto, auto_wall = _run(SAMPLING_SECONDS, fast_forward="auto")
     steady = auto.simulation.engine.steady_state
@@ -211,8 +215,13 @@ def test_sampling_overhead_pal_decoder():
             ],
         ],
     )
+    # Deterministic tripwire: at most one stored state per grid step.
+    assert sampled <= SAMPLING_SECONDS * GRID_PER_SECOND + 1, (
+        f"{sampled:,} states sampled over {SAMPLING_SECONDS} s: the detector "
+        f"samples more often than once per 1/{GRID_PER_SECOND} s grid step"
+    )
     assert ratio <= MAX_SAMPLING_RATIO, (
         f"sampling phase cost {ratio:.2f}x naive "
-        f"(allowed {MAX_SAMPLING_RATIO}x): the incremental state key has "
-        f"regressed towards rebuild-from-scratch cost"
+        f"(allowed {MAX_SAMPLING_RATIO}x): the once-per-grid-step state key "
+        f"has regressed"
     )

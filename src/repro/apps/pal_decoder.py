@@ -232,7 +232,6 @@ class PalDecoderApp:
             description="mix the audio carrier down to baseband",
             get_state=mixer.get_state,
             set_state=mixer.set_state,
-            state_version=mixer.state_version,
         )
         registry.register(
             "LPF_V",
@@ -241,7 +240,6 @@ class PalDecoderApp:
             description="low-pass filter keeping the video band",
             get_state=video_filter.get_state,
             set_state=video_filter.set_state,
-            state_version=video_filter.state_version,
         )
         registry.register(
             "LPF",
@@ -250,7 +248,6 @@ class PalDecoderApp:
             description="anti-alias filter + decimation by 25 (SRC_A)",
             get_state=audio_decimator.get_state,
             set_state=audio_decimator.set_state,
-            state_version=audio_decimator.state_version,
         )
         registry.register(
             "resamp",
@@ -259,7 +256,6 @@ class PalDecoderApp:
             description="10/16 rational resampler (SRC_V)",
             get_state=video_resampler.get_state,
             set_state=video_resampler.set_state,
-            state_version=video_resampler.state_version,
         )
         registry.register(
             "Video",
@@ -284,7 +280,6 @@ class PalDecoderApp:
             description="black-box audio processing with mute mode (decimation by 8)",
             get_state=final_decimator.get_state,
             set_state=final_decimator.set_state,
-            state_version=final_decimator.state_version,
         )
         return registry
 

@@ -66,12 +66,10 @@ class StreamingFIR:
         if self.taps.ndim != 1 or self.taps.size == 0:
             raise ValueError("taps must be a non-empty 1-D sequence")
         self._history: List[float] = [0.0] * (self.taps.size - 1)
-        self._version = 0
 
     def reset(self) -> None:
         """Clear the delay line."""
         self._history = [0.0] * (self.taps.size - 1)
-        self._version += 1
 
     def get_state(self):
         """The delay line as a serialisable tuple (raw input copies, so a
@@ -80,13 +78,6 @@ class StreamingFIR:
 
     def set_state(self, state) -> None:
         self._history = list(state)
-        self._version += 1
-
-    def state_version(self) -> int:
-        """Monotone counter that moves whenever the delay line may have
-        changed (the ``FunctionSpec.state_version`` declaration: lets the
-        fast-forwarder cache the state digest between anchor samples)."""
-        return self._version
 
     def process(self, samples: Sequence[float]) -> List[float]:
         """Filter *samples* and return one output per input sample."""
@@ -105,7 +96,6 @@ class StreamingFIR:
             outputs.append(float(np.dot(window, taps)))
         keep = max(width - 1, 0)
         self._history = list(signal[-keep:]) if keep else []
-        self._version += 1
         return outputs
 
     def __call__(self, samples: Sequence[float]) -> List[float]:

@@ -52,12 +52,6 @@ class Mixer:
     def set_state(self, state: Any) -> None:
         self._sample_index = int(state) % self.period
 
-    def state_version(self) -> int:
-        """Monotone-enough change token for the fast-forwarder's digest
-        cache: the oscillator state *is* a bounded integer, so the position
-        itself serves (the digest it guards is equally cheap either way)."""
-        return self._sample_index
-
     def process(self, samples: Sequence[float]) -> List[float]:
         if np.isscalar(samples):
             samples = [float(samples)]  # type: ignore[list-item]

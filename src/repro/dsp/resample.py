@@ -42,13 +42,11 @@ class RationalResampler:
         self._filter = StreamingFIR(design_lowpass(cutoff, num_taps) * self.up)
         self._phase = 0  # position within the upsampled stream modulo `down`
         self._pending: List[float] = []
-        self._version = 0
 
     def reset(self) -> None:
         self._filter.reset()
         self._phase = 0
         self._pending = []
-        self._version += 1
 
     def get_state(self):
         """Filter delay line + decimation phase as a serialisable tuple."""
@@ -58,13 +56,6 @@ class RationalResampler:
         history, phase = state
         self._filter.set_state(history)
         self._phase = int(phase)
-        self._version += 1
-
-    def state_version(self) -> int:
-        """Monotone counter moving whenever the resampler state (delay line
-        or decimation phase) may have changed -- the
-        ``FunctionSpec.state_version`` declaration."""
-        return self._version
 
     def process(self, samples: Sequence[float]) -> List[float]:
         """Resample *samples*; returns the newly available output samples."""
@@ -90,7 +81,6 @@ class RationalResampler:
                 outputs.append(value)
             position = (position + 1) % self.down
         self._phase = position
-        self._version += 1
         return outputs
 
     def __call__(self, samples: Sequence[float]) -> List[float]:
@@ -118,9 +108,6 @@ class Decimator:
 
     def set_state(self, state) -> None:
         self._resampler.set_state(state)
-
-    def state_version(self) -> int:
-        return self._resampler.state_version()
 
     def process(self, samples: Sequence[float]) -> List[float]:
         return self._resampler.process(samples)

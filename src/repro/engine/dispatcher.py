@@ -268,12 +268,6 @@ class ExecutionEngine:
         ``get_state``) into the periodicity key, making jumps exact for data
         values too; callers must have qualified the configuration first
         (every stimulus declared periodic, every function ``jump_exact``).
-        Installing it arms incremental per-slot value digests on every
-        reachable buffer
-        (:meth:`~repro.graph.circular_buffer.CircularBuffer.enable_value_digests`),
-        so subsequent writes carry a small constant digest cost and the
-        per-anchor-completion sampling does O(changed-since-last-sample)
-        work instead of re-walking every buffer.
         """
         from repro.engine.steady_state import SteadyState, fast_forward_refusal
 

@@ -9,9 +9,9 @@ remaining horizon is covered in O(1) per period batch instead of O(events).
 
 How it works
 ------------
-Every time the *anchor* task (the first steady-state task of the fleet)
-completes a firing, the detector captures a canonical key of the entire
-execution state:
+At the first completion of the *anchor* task (the first steady-state task of
+the fleet) at or after each multiple of the *sampling grid* (see below), the
+detector captures a canonical key of the entire execution state:
 
 * per buffer: the window positions of every producer/consumer relative to
   the buffer's least-advanced window (absolute positions grow forever; the
@@ -53,9 +53,26 @@ per-``delta`` increments.  The detector then *jumps* ``K`` periods at once:
   of the canonical period are replayed ``K`` times with shifted timestamps,
   keeping even the stored trace bit-identical to a naive run.
 
-Afterwards the simulation resumes naively; further anchor completions hit
-the same (shift-invariant) keys and trigger further jumps until the horizon
-is within one period.
+Afterwards the simulation resumes naively; further samples hit the same
+(shift-invariant) keys and trigger further jumps until the horizon is within
+one period.
+
+Sampling grid
+-------------
+Every source and sink is time-triggered at its declared rate, and the key
+holds every driver's next tick relative to ``now``.  Two equal keys are
+therefore a whole number of every driver period apart: any recurrence spans
+a multiple of ``H``, the lcm of the endpoint periods in ticks (1/32 s on the
+PAL decoder, whose anchor completes 6,400 times per simulated second).  So
+the detector samples only at the first anchor completion at or after each
+multiple of ``H``.  That loses no recurrence and detects it less than one
+``H`` later; exactness does not depend on where the samples fall, because
+key equality still proves each jump.  A jump moves the next grid instant
+with the clock (a jump spans whole periods, so the grid stays aligned).
+Fleets without drivers (:func:`~repro.engine.dispatcher.run_tasks` rings)
+have no grid and sample at every anchor completion.  The key is recomputed
+from scratch at each sample, which on the grid is a small fraction of the
+naive stepping between two samples.
 
 Exactness contract
 ------------------
@@ -75,41 +92,11 @@ for declared-periodic stimuli -- a semantic no-op modulo their period,
 which the key repeat guarantees).  Declared function state needs no
 touching at all: the fold guarantees the live state *is* the canonical
 state on both sides of the jump.  The key is folded down to a single
-:func:`~repro.util.digests.value_digest` (buffer contents would make exact
-tuples large), and the state table holds up to :data:`MAX_STATES` entries
-because value periods are multiples of timing periods.  The callers only
-install the detector once the run qualifies (every stimulus
+:func:`value_digest` (buffer contents would make exact tuples large), and
+the state table holds up to :data:`MAX_STATES` sampled states.  The
+callers only install the detector once the run qualifies (every stimulus
 ``value_periodic``, every used function ``jump_exact``); a run that does
 not qualify steps naively, which is exact by definition.
-
-Incremental key maintenance
----------------------------
-Sampling happens at *every* anchor completion during the transient, so the
-key must not re-walk the world each time (the rebuild-from-scratch fold
-made the sampling phase ~7x slower than naive simulation on the PAL
-decoder).  Instead, mutation sites push deltas into per-component digests
-and :meth:`SteadyState.state_key` only combines what changed since the
-previous sample:
-
-* buffers maintain a per-slot :func:`~repro.util.digests.value_digest` on
-  write (:meth:`~repro.graph.circular_buffer.CircularBuffer.enable_value_digests`,
-  armed by the detector); the rotation anchoring that keeps the fold
-  shift-invariant is applied at sample time via the producer-floor offset,
-  and a per-buffer ``mutation_version`` lets untouched buffers reuse their
-  combined layout+value entry verbatim,
-* stimuli expose :meth:`~repro.runtime.sources.Stimulus.state_token` (for
-  closed-form stimuli the integer index *is* the token) and stateful
-  functions may declare ``FunctionSpec.state_version``, a monotone change
-  counter that gates a cached state digest -- unchanged state is never
-  re-serialised,
-* the pending-event fold first settles the queue's lazy cancelled-prune
-  debt (:meth:`~repro.runtime.events.EventQueue.prune_cancelled`) so only
-  live events are sorted.
-
-:meth:`SteadyState.state_key_slow` recomputes the identical key from
-scratch -- same digest functions, none of the incremental caches -- and is
-the oracle the tests cross-check after randomized operation sequences: the
-incremental key must be *equal*, not merely collision-safe.
 
 Refusals
 --------
@@ -128,11 +115,11 @@ fallback paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dataflow.statespace import canonical_state_key
-from repro.util.digests import value_digest
 from repro.util.runwarnings import RunWarning
 
 if TYPE_CHECKING:  # annotations only
@@ -150,8 +137,22 @@ if TYPE_CHECKING:  # annotations only
 GENERATOR_ADVANCE_THRESHOLD = 10_000
 
 #: The detector gives up (``state-table-overflow``) after storing this many
-#: distinct anchor states without a repeat.
+#: distinct sampled states without a repeat.
 MAX_STATES = 16_384
+
+
+def value_digest(value: Any) -> int:
+    """A cheap integer digest of one data value: the C-level ``hash`` for
+    hashable values (floats, ints, tuples -- everything the packaged apps
+    stream), ``hash(repr(value))`` for unhashable ones (lists, arrays).
+
+    Digests are compared only within one process (the state table is
+    in-memory), so ``PYTHONHASHSEED`` sensitivity of string hashes is
+    irrelevant here."""
+    try:
+        return hash(value)
+    except TypeError:
+        return hash(repr(value))
 
 
 def check_fast_forward(mode) -> None:
@@ -227,7 +228,8 @@ class SteadyState:
 
     Installed by :meth:`ExecutionEngine.enable_fast_forward`; the engine
     calls :meth:`on_anchor_completion` at the end of every completion of the
-    anchor task.
+    anchor task, and the detector samples the first of them at or after
+    each grid instant (module doc, "Sampling grid").
     """
 
     def __init__(
@@ -270,20 +272,12 @@ class SteadyState:
         self.done = self.anchor is None
         self._seen: Dict[tuple, _Snapshot] = {}
         self._buffers = self._collect_buffers()
-        # Incremental-key caches (see module doc).  Per buffer: the
-        # (mutation_version, key item) computed at the previous sample --
-        # valid until the buffer's windows or contents change.  Per stateful
-        # function: the (state_version, digest) of its last serialised
-        # state.  A steady-state jump deliberately bypasses both versions:
-        # it preserves the key by construction (shift-invariant layouts,
-        # ring rotation matching the anchor move), so the caches stay valid
-        # across it.
-        self._buffer_key_cache: List[Optional[Tuple[int, tuple]]] = [None] * len(
-            self._buffers
-        )
-        self._function_digest_cache: Dict[str, Tuple[int, int]] = {}
-        for buffer in self._buffers:
-            buffer.enable_value_digests()
+        #: sampling grid H in ticks: the lcm of every endpoint period (None
+        #: without drivers: sample every anchor completion)
+        periods = [self.queue.to_internal(d.period) for d in self.sources + self.sinks]
+        self.grid: Optional[int] = math.lcm(*periods) if periods else None
+        #: the next grid instant; anchor completions before it are not sampled
+        self._next_sample = 0
         #: producer keys of one-shot (initialisation) tasks: their windows,
         #: once retired (``active=False``), are frozen forever and must be
         #: ignored by the periodicity key and the jump -- a window pinned at
@@ -334,39 +328,13 @@ class SteadyState:
         return tuple(bases)
 
     def state_key(self) -> tuple:
-        """The canonical, shift-invariant execution state (see module doc).
-
-        Incrementally maintained: combines the digests pushed by mutation
-        sites since the previous sample (per-slot buffer digests, stimulus
-        tokens, version-gated function-state digests), so the per-sample
-        cost is O(changed-since-last-sample), not O(system-size)."""
-        return self._state_key(incremental=True)
-
-    def state_key_slow(self) -> tuple:
-        """From-scratch oracle for :meth:`state_key`.
-
-        Recomputes every component digest directly from the live structures
-        -- the same digest functions, none of the incrementally maintained
-        slot digests or version caches -- and never mutates anything (the
-        cancelled events are filtered, not pruned).  Tests cross-check
-        ``state_key() == state_key_slow()`` after randomized operation
-        sequences: equality, not mere collision-freedom, is the contract,
-        so any write path that bypasses the digest maintenance shows up as
-        a key mismatch."""
-        return self._state_key(incremental=False)
-
-    def _state_key(self, incremental: bool) -> tuple:
+        """The canonical, shift-invariant execution state (see module doc),
+        computed from the live structures; never mutates anything."""
         queue = self.queue
         engine = self.engine
         now = queue.now
         buffer_items = []
-        for index, buffer in enumerate(self._buffers):
-            version = buffer.mutation_version
-            if incremental:
-                cached = self._buffer_key_cache[index]
-                if cached is not None and cached[0] == version:
-                    buffer_items.append(cached[1])
-                    continue
+        for buffer in self._buffers:
             base = None
             windows = []
             for kind, table in ((0, buffer._producers), (1, buffer._consumers)):
@@ -387,37 +355,19 @@ class SteadyState:
             # fold is shift-invariant like the window layout: token index i
             # lives in slot i % capacity, and the floor advances with the
             # windows, so two period-equivalent states read the same
-            # sequence regardless of absolute position.  The values
-            # themselves were digested at write time; here only the integer
-            # digest ring is rotated and hashed.
-            capacity = buffer.capacity
+            # sequence regardless of absolute position.
+            storage = buffer._storage
             anchor = buffer._producer_floor() if buffer._producers else base
-            rotation = anchor % capacity
-            if incremental:
-                digests = buffer._slot_digests
-            else:
-                digests = [value_digest(value) for value in buffer._storage]
-            folded = hash(tuple(digests[rotation:] + digests[:rotation]))
-            item = (buffer.name, layout, folded)
-            if incremental:
-                self._buffer_key_cache[index] = (version, item)
-            buffer_items.append(item)
+            rotation = anchor % buffer.capacity
+            folded = value_digest(tuple(storage[rotation:] + storage[:rotation]))
+            buffer_items.append((buffer.name, layout, folded))
         # Pending events in execution order; the rank keeps same-instant ties
-        # in sequence order (their execution order) through the sort.  The
-        # incremental path settles the queue's lazy cancelled-prune debt
-        # once, so only live events are sorted -- preemptive policies would
-        # otherwise drag every dead entry through this sort forever.
-        if incremental:
-            queue.prune_cancelled()
-            live = sorted(
-                (event.time, event.sequence, event.label) for event in queue._heap
-            )
-        else:
-            live = sorted(
-                (event.time, event.sequence, event.label)
-                for event in queue._heap
-                if not event.cancelled
-            )
+        # in sequence order (their execution order) through the sort.
+        live = sorted(
+            (event.time, event.sequence, event.label)
+            for event in queue._heap
+            if not event.cancelled
+        )
         pendings = [
             (time - now, rank, label) for rank, (time, _, label) in enumerate(live)
         ]
@@ -460,33 +410,17 @@ class SteadyState:
         # Every mutable value state in the system joins the key; the fat
         # tuple is collapsed to a single digest so the state table stays
         # small even with large buffer contents and long value periods.
-        # Every component is already an integer digest or a small token, so
-        # the final fold is one C-level tuple hash (with value_digest's repr
-        # fallback if a stimulus token is unhashable) instead of repr +
-        # sha256 of the whole structure, which used to dominate the
-        # per-sample cost.
-        stimulus_states = tuple(
-            source.values.state_token() for source in self.sources
+        stimulus_states = tuple(source.values.state() for source in self.sources)
+        function_states = tuple(
+            (name, value_digest(spec.get_state()))
+            for name, spec in self._stateful_functions
         )
-        function_states = []
-        for name, spec in self._stateful_functions:
-            if incremental and spec.state_version is not None:
-                version = spec.state_version()
-                cached = self._function_digest_cache.get(name)
-                if cached is not None and cached[0] == version:
-                    function_states.append((name, cached[1]))
-                    continue
-                digest = value_digest(spec.get_state())
-                self._function_digest_cache[name] = (version, digest)
-            else:
-                digest = value_digest(spec.get_state())
-            function_states.append((name, digest))
         inflight = tuple(
             (index, value_digest(task.inflight_values))
             for index, task in enumerate(engine.tasks)
             if task.busy and task.inflight_values is not None
         )
-        fat = key + (ready, policy_key, extra, stimulus_states, tuple(function_states), inflight)
+        fat = key + (ready, policy_key, extra, stimulus_states, function_states, inflight)
         return (value_digest(fat),)
 
     def _snapshot(self) -> _Snapshot:
@@ -512,9 +446,16 @@ class SteadyState:
 
     # -------------------------------------------------------------- detection
     def on_anchor_completion(self) -> None:
-        """Sample the state after an anchor completion; jump when it repeats."""
+        """Sample the state at the first anchor completion at or after each
+        grid instant; jump when it repeats."""
         if self.done:
             return
+        now = self.queue.now
+        grid = self.grid
+        if grid is not None:
+            if now < self._next_sample:
+                return
+            self._next_sample = (now // grid + 1) * grid
         key = self.state_key()
         snapshot = self._seen.get(key)
         if snapshot is None:
@@ -523,14 +464,14 @@ class SteadyState:
                 self.warnings.append(
                     RunWarning(
                         f"fast-forward gave up: no state repetition within "
-                        f"{MAX_STATES} sampled anchor states; running naively",
+                        f"{MAX_STATES} sampled states; running naively",
                         "state-table-overflow",
                     )
                 )
                 return
             self._seen[key] = self._snapshot()
             return
-        delta = self.queue.now - snapshot.now
+        delta = now - snapshot.now
         if delta <= 0:
             # Same-instant repeat (several anchor completions at one time,
             # e.g. zero-wcet tasks): keep the earlier snapshot.
@@ -539,7 +480,7 @@ class SteadyState:
             self.period_ticks = delta
             self.transient_ticks = snapshot.now
             self.period_firings = self.engine.completed_firings - snapshot.completed
-        periods = (self.horizon - self.queue.now) // delta
+        periods = (self.horizon - now) // delta
         completed_delta = self.engine.completed_firings - snapshot.completed
         if self.firing_target is not None and completed_delta > 0:
             # Stop strictly short of the firing target: the final firings run
@@ -593,9 +534,11 @@ class SteadyState:
             for s, before in zip(self.sinks, snapshot.sink_stats)
         ]
 
-        # 1. Translate the event queue (pending events + clock) rigidly.
+        # 1. Translate the event queue (pending events + clock) and the
+        # sampling grid rigidly.
         queue.shift_pending(shift)
         queue.processed += periods * d_processed
+        self._next_sample += shift
 
         # 2. Engine counters and in-flight firing anchors.
         engine.started_firings += periods * d_started
@@ -634,11 +577,9 @@ class SteadyState:
                 # period guarantees value(i) == value(i - move), so rotating
                 # the whole ring forward by `move` realigns every live token
                 # (and touches only slots that are either rewritten before
-                # the next read or outside the readable window).  The slot
-                # digests rotate with the storage, which together with the
-                # equally moved producer floor keeps the rotation-anchored
-                # fold -- and therefore the detector's cached per-buffer
-                # entry -- invariant across the jump.
+                # the next read or outside the readable window).  Together
+                # with the equally moved producer floor this keeps the
+                # rotation-anchored fold invariant across the jump.
                 buffer.rotate_storage(move)
             for table in (buffer._producers, buffer._consumers):
                 for window in table.values():

@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.util.digests import value_digest
 from repro.util.validation import check_positive, require
 
 
@@ -93,15 +92,6 @@ class CircularBuffer:
         self._producer_floor_cache: Optional[int] = None
         self._consumer_floor_cache: Optional[int] = None
         self._producer_ceiling_cache: Optional[int] = None
-        #: monotone counter bumped whenever a window moves, changes
-        #: activation or the storage is written; the steady-state detector
-        #: keys its per-buffer layout/value caches on it, so an unchanged
-        #: buffer costs O(1) per periodicity sample
-        self.mutation_version = 0
-        #: per-slot value digests, maintained on write once
-        #: :meth:`enable_value_digests` armed them (None = disabled, the
-        #: naive hot path pays only the None check)
-        self._slot_digests: Optional[List[int]] = None
         # Reverse index of dependents: callbacks fired when the produced floor
         # (token availability) or the consumed floor (space availability)
         # actually moved.
@@ -174,7 +164,6 @@ class CircularBuffer:
         """Invalidate the producer-side caches after a producer window moved
         or changed activation; *old_floor* is the pre-mutation floor, so token
         watchers fire exactly when the floor actually changed."""
-        self.mutation_version += 1
         self._producer_floor_cache = None
         self._producer_ceiling_cache = None
         if self._token_watchers and self._producer_floor() != old_floor:
@@ -184,7 +173,6 @@ class CircularBuffer:
     def _consumers_moved(self, old_floor: Optional[int]) -> None:
         """Invalidate the consumer-side cache after a consumer window moved or
         changed activation; notify space watchers when the floor changed."""
-        self.mutation_version += 1
         self._consumer_floor_cache = None
         if self._space_watchers and self._consumer_floor() != old_floor:
             for callback in self._space_watchers:
@@ -357,15 +345,8 @@ class CircularBuffer:
         """
         if values is not None:
             storage, capacity, base = self._storage, self.capacity, window.acquired
-            digests = self._slot_digests
-            if digests is None:
-                for offset in range(count):
-                    storage[(base + offset) % capacity] = values[offset]
-            else:
-                for offset in range(count):
-                    slot = (base + offset) % capacity
-                    storage[slot] = values[offset]
-                    digests[slot] = value_digest(values[offset])
+            for offset in range(count):
+                storage[(base + offset) % capacity] = values[offset]
         old_floor = self._producer_floor()
         window.acquired += count
         window.released += count
@@ -398,42 +379,20 @@ class CircularBuffer:
         self._consumers_moved(old_floor)
         return values
 
-    # ------------------------------------------------------- value digests
-    def enable_value_digests(self) -> None:
-        """Arm incremental per-slot value digests.
-
-        Every subsequent write keeps ``_slot_digests[i] ==
-        value_digest(_storage[i])``, so the value-exact steady-state
-        detector reads pre-computed integers instead of re-digesting every
-        stored value per anchor sample.  The digests are (re)initialised
-        from the current storage, which also covers the initial values
-        written before the detector existed.  Idempotent.
-
-        The maintained invariant assumes stored values are not mutated in
-        place after the write -- the same immutability the side-effect-free
-        function contract already demands.
-        """
-        self._slot_digests = [value_digest(value) for value in self._storage]
-
     def rotate_storage(self, rotation: int) -> None:
-        """Rotate the backing array (and slot digests) forward by *rotation*
-        slots.
+        """Rotate the backing array forward by *rotation* slots.
 
         This is the steady-state jump's realignment primitive: after a jump
         of ``move`` tokens, token index ``i`` maps to slot ``(i + move) %
         capacity``, so rotating the ring forward by ``move % capacity``
-        re-homes every live value.  Window bookkeeping, caches and
-        ``mutation_version`` are deliberately untouched -- the caller
-        guarantees the rotation-anchored key is invariant under this move.
+        re-homes every live value.  Window bookkeeping and caches are
+        deliberately untouched -- the caller moves the windows itself.
         """
         rotation %= self.capacity
         if rotation == 0:
             return
         storage = self._storage
         storage[:] = storage[-rotation:] + storage[:-rotation]
-        digests = self._slot_digests
-        if digests is not None:
-            digests[:] = digests[-rotation:] + digests[:-rotation]
 
     def window_of_producer(self, name: str) -> WindowState:
         """The producer window object itself (bound once per runtime task)."""

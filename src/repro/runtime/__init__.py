@@ -7,7 +7,6 @@
   evaluator for guards and assignments,
 * :mod:`repro.runtime.sources` -- time-triggered sources and sinks with
   deadline-violation detection,
-* :mod:`repro.runtime.fifo` -- inter-module FIFO channels,
 * :mod:`repro.runtime.trace` -- execution traces and measurements with
   configurable recording levels,
 * :mod:`repro.runtime.simulator` -- instantiation of compiled programs on
@@ -18,7 +17,6 @@ from repro.runtime.functions import FunctionRegistry, FunctionSpec, default_regi
 from repro.runtime.events import Event, EventQueue
 from repro.runtime.tasks import OilRuntimeError, RuntimeTask, evaluate_expression
 from repro.runtime.sources import SinkDriver, SourceDriver
-from repro.runtime.fifo import Fifo, make_fifo
 from repro.runtime.trace import (
     TRACE_LEVELS,
     DeadlineViolation,
@@ -40,8 +38,6 @@ __all__ = [
     "evaluate_expression",
     "SinkDriver",
     "SourceDriver",
-    "Fifo",
-    "make_fifo",
     "DeadlineViolation",
     "EndpointEvent",
     "Firing",

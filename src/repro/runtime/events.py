@@ -159,23 +159,6 @@ class EventQueue:
             heapq.heappop(heap)
             self._cancelled_pending -= 1
 
-    def prune_cancelled(self) -> None:
-        """Drop *every* cancelled entry from the heap at once.
-
-        :meth:`_drop_cancelled_head` only pays down the lazy-prune debt at
-        the heap top; consumers that iterate the whole heap (the
-        steady-state detector folds the pending multiset into its
-        periodicity key at every anchor completion) would otherwise re-sort
-        dead entries forever.  O(1) when there is no debt
-        (``_cancelled_pending == 0``), one O(live) rebuild otherwise --
-        each cancelled event is removed exactly once either way.
-        """
-        if not self._cancelled_pending:
-            return
-        self._heap = [event for event in self._heap if not event.cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled_pending = 0
-
     def empty(self) -> bool:
         self._drop_cancelled_head()
         return not self._heap

@@ -51,11 +51,7 @@ class FunctionSpec:
     * ``get_state`` / ``set_state`` -- expose the state as a serialisable
       value; the fast-forwarder folds it into its periodicity key, so a
       jump is only taken when the state provably repeats -- making the jump
-      exact without touching the state.  ``state_version`` optionally pairs
-      with them: a zero-argument callable returning a cheap monotone
-      counter that moves whenever the state may have changed, letting the
-      detector reuse a cached state digest between anchor samples instead
-      of re-serialising an unchanged state,
+      exact without touching the state,
     * ``replay(k)`` -- re-derive the state of ``k`` skipped invocations for
       input-independent state evolutions (offered for completeness; replay
       alone does **not** qualify for value-exact jumps, because a state that
@@ -79,9 +75,6 @@ class FunctionSpec:
     get_state: Optional[Callable[[], Any]] = None
     set_state: Optional[Callable[[Any], None]] = None
     replay: Optional[Callable[[int], None]] = None
-    #: optional monotone change counter for ``get_state`` (see class
-    #: docstring); purely an optimisation, never affects qualification
-    state_version: Optional[Callable[[], int]] = None
 
     @property
     def jump_exact(self) -> bool:
@@ -115,7 +108,6 @@ class FunctionRegistry:
         get_state: Optional[Callable[[], Any]] = None,
         set_state: Optional[Callable[[Any], None]] = None,
         replay: Optional[Callable[[int], None]] = None,
-        state_version: Optional[Callable[[], int]] = None,
     ) -> FunctionSpec:
         """Register (or replace) a function implementation.
 
@@ -133,7 +125,6 @@ class FunctionRegistry:
             get_state=get_state,
             set_state=set_state,
             replay=replay,
-            state_version=state_version,
         )
         self._functions[name] = spec
         return spec

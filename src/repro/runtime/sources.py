@@ -102,18 +102,6 @@ class Stimulus:
         """Reset the stream to a position captured by :meth:`state`."""
         raise NotImplementedError
 
-    def state_token(self) -> Any:
-        """A cheap hashable token that changes whenever :meth:`state` does.
-
-        The steady-state detector folds this token into its periodicity key
-        directly -- no serialisation, no ``repr`` -- at every anchor
-        sample, so it must be O(1) to read.  For the closed-form stimuli
-        the integer position *is* the token (the default below); subclasses
-        whose ``state()`` is expensive should override this with a monotone
-        version counter instead.
-        """
-        return self.state()
-
     def fresh(self) -> "Stimulus":
         """An independent, rewound copy for a new run.  Stimuli that cannot
         rewind (bare-iterator adapters) return themselves -- the legacy

@@ -42,7 +42,7 @@ WARNING_CODES: Dict[str, str] = {
         "engine-level fast-forward refusal (not emitted as a run warning)"
     ),
     "state-table-overflow": (
-        "the detector sampled its full state table (16384 anchor states) "
+        "the detector sampled its full state table (16384 sampled states) "
         "without finding a repeat and gave up"
     ),
     "generator-advance": (

@@ -15,15 +15,18 @@ tests/test_engine.py.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.engine.steady_state as steady_state_module
 from repro.api import Program
 from repro.api.sweep import Sweep
 from repro.apps.producer_consumer import QUICKSTART_OIL_SOURCE, quickstart_wcets
 from repro.apps.rate_converter import fig2_task_graph
+from repro.baselines.comparison import decimation_pipeline_source
 from repro.dataflow import repetition_vector, self_timed_statespace
 from repro.engine.dispatcher import run_tasks
 from repro.engine.policies import BoundedProcessors, SelfTimedUnbounded, StaticOrder
@@ -32,9 +35,10 @@ from repro.engine.synthetic import fork_join_program, ring_program, tasks_from_s
 from repro.platform.model import Platform
 from repro.platform.policies import FixedPriorityPreemptive, ListScheduledPlatform
 from repro.runtime.functions import FunctionRegistry
-from repro.runtime.sources import ConstantStimulus, PeriodicStimulus
+from repro.runtime.sources import ConstantStimulus, GeneratorStimulus, PeriodicStimulus
 from repro.runtime.trace import TraceRecorder
 from repro.util.runwarnings import warning_code
+from sampling_oracle import every_completion
 
 
 def assert_traces_identical(a, b):
@@ -51,6 +55,9 @@ APPS = ["quickstart", "pal_decoder", "rate_converter", "modal_mute", "modal_two_
 #: ever-growing value stream -- no value period exists, so ``"auto"`` falls
 #: back to naive stepping (silently; see TestValueExactAuto).
 VALUE_EXACT_APPS = ["quickstart", "pal_decoder", "modal_mute", "modal_two_mode"]
+#: horizon past each app's first value-exact jump with constant signals
+#: (the PAL decoder detects at 0.4376 s and its period is 1/16 s)
+JUMP_SECONDS = {"pal_decoder": Fraction(1)}
 
 
 def _constant_signals(app):
@@ -61,6 +68,13 @@ def _constant_signals(app):
 def assert_sink_values_identical(naive, ff):
     for name in naive.simulation.sinks:
         assert naive.simulation.sinks[name].consumed == ff.simulation.sinks[name].consumed, name
+
+
+def assert_metrics_identical(naive, ff):
+    metrics_naive, metrics_ff = naive.metrics(), ff.metrics()
+    assert metrics_naive.pop("fast_forwarded") is False
+    assert metrics_ff.pop("fast_forwarded") is True
+    assert metrics_naive == metrics_ff
 
 
 def _identity(value):
@@ -171,6 +185,25 @@ class TestEngineFastForward:
         )
         ff = run_tasks(declared_ring(10, tokens=2), policy=policy_factory(), horizon=horizon)
         assert ff.fast_forwarded
+        assert ff.engine.completed_firings == naive.engine.completed_firings
+        assert ff.makespan == naive.makespan
+        assert_traces_identical(naive.trace, ff.trace)
+
+    def test_preemptive_policy_jumps_past_cancelled_completions(self):
+        # Every preemption cancels a completion event, which stays in the
+        # heap until it reaches the top, so samples see cancelled entries.
+        def run(**kwargs):
+            return run_tasks(
+                declared_ring(12, tokens=5, stagger=1),
+                policy=FixedPriorityPreemptive(Platform.homogeneous(2)),
+                horizon=Fraction(5),
+                **kwargs,
+            )
+
+        naive = run(fast_forward=False)
+        ff = run()
+        assert ff.fast_forwarded
+        assert ff.engine.preemptions == naive.engine.preemptions > 0
         assert ff.engine.completed_firings == naive.engine.completed_firings
         assert ff.makespan == naive.makespan
         assert_traces_identical(naive.trace, ff.trace)
@@ -492,7 +525,7 @@ class TestFastForwardModes:
 class TestValueExactAuto:
     @pytest.mark.parametrize("app", VALUE_EXACT_APPS)
     def test_auto_jump_is_value_exact_with_constant_stimuli(self, app):
-        duration = Fraction(1, 2)
+        duration = JUMP_SECONDS.get(app, Fraction(1, 2))
         naive = Program.from_app(app).analyze().run(
             duration, signals=_constant_signals(app), fast_forward=False
         )
@@ -504,10 +537,7 @@ class TestValueExactAuto:
         assert ff.warnings == []
         assert_traces_identical(naive.trace, ff.trace)
         assert_sink_values_identical(naive, ff)
-        metrics_naive, metrics_ff = naive.metrics(), ff.metrics()
-        assert metrics_naive.pop("fast_forwarded") is False
-        assert metrics_ff.pop("fast_forwarded") is True
-        assert metrics_naive == metrics_ff
+        assert_metrics_identical(naive, ff)
 
     def test_pal_decoder_million_events_bit_identical(self):
         # Acceptance horizon: >= 1e6 queue events through a value-exact jump.
@@ -628,6 +658,170 @@ class TestAutoRefusalWarningCodes:
         assert report.ok
         assert len(report.warnings) == 2
         assert all(warning_code(w) == "undeclared-function" for w in report.warnings)
+
+
+class _PeriodicGenerator(GeneratorStimulus):
+    """A generator-backed stream that *declares* an exact value period, so
+    the value-exact detector qualifies it -- but whose ``advance()`` still
+    replays draws one by one (``advance_linear`` stays True)."""
+
+    value_periodic = True
+
+    def __init__(self, values):
+        self._values = list(values)
+        super().__init__(lambda: itertools.cycle(self._values))
+        self.period = len(self._values)
+
+    def state(self):
+        return self.draws % self.period
+
+    def fresh(self):
+        return _PeriodicGenerator(self._values)
+
+
+class TestGeneratorAdvanceWarning:
+    def test_jump_through_generator_stimulus_warns_past_threshold(self, monkeypatch):
+        monkeypatch.setattr(steady_state_module, "GENERATOR_ADVANCE_THRESHOLD", 0)
+        result = Program.from_app("quickstart").analyze().run(
+            Fraction(1, 2), signals={"samples": _PeriodicGenerator([0.5, -0.25])}
+        )
+        steady = result.simulation.engine.steady_state
+        assert result.fast_forwarded and steady.jumps >= 1
+        codes = [warning_code(w) for w in result.warnings]
+        assert "generator-advance" in codes
+
+    def test_no_warning_below_threshold_or_for_closed_form(self):
+        generator = Program.from_app("quickstart").analyze().run(
+            Fraction(1, 2), signals={"samples": _PeriodicGenerator([0.5, -0.25])}
+        )
+        assert generator.fast_forwarded
+        constant = Program.from_app("quickstart").analyze().run(
+            Fraction(1, 2), signals={"samples": ConstantStimulus(1.0)}
+        )
+        assert constant.fast_forwarded
+        for result in (generator, constant):
+            assert "generator-advance" not in [
+                warning_code(w) for w in result.warnings
+            ]
+
+
+# ---------------------------------------------------------------------------
+# The sampling grid: one sample per endpoint hyperperiod
+# ---------------------------------------------------------------------------
+
+#: (app, horizon, constant signals): every value-exact app with constant
+#: signals, and the PAL decoder with its default signals
+GRID_CASES = [
+    pytest.param(app, Fraction(1), True, id=f"{app}-constant") for app in VALUE_EXACT_APPS
+] + [pytest.param("pal_decoder", Fraction(4), False, id="pal_decoder-default")]
+
+#: A 6-stage decimate-by-2 chain, 256 Hz in and 4 Hz out (grid 1/4 s), fed
+#: a 33,024-value stimulus: one value period is 129 s, in which the first
+#: stage completes 16,512 times -- more states than the table holds
+#: (MAX_STATES) when every anchor completion is sampled.
+CHAIN_STAGES, CHAIN_BASE_HZ, CHAIN_VALUES = 6, 256, 33_024
+
+
+def _mean(window):
+    return sum(window) / len(window)
+
+
+def _long_value_period_chain():
+    registry = FunctionRegistry()
+    wcets = {}
+    for stage in range(CHAIN_STAGES):
+        # utilisation 1/2: half the stage's firing period
+        wcets[f"dec{stage}"] = Fraction(2 ** (stage + 1), CHAIN_BASE_HZ) / 2
+        registry.register(f"dec{stage}", _mean, stateless=True)
+    rng = random.Random(0)
+    values = [rng.uniform(-1.0, 1.0) for _ in range(CHAIN_VALUES)]
+    return Program.from_source(
+        decimation_pipeline_source(CHAIN_STAGES, rate=2, base_hz=CHAIN_BASE_HZ),
+        name="long-value-period-chain",
+        function_wcets=wcets,
+        registry=registry,
+        signals={"input": PeriodicStimulus(values)},
+    )
+
+
+def _detected(steady):
+    """The instant (in ticks) the detector first saw a repeat."""
+    return steady.transient_ticks + steady.period_ticks
+
+
+class TestSamplingGrid:
+    @pytest.mark.parametrize("app, duration, constant", GRID_CASES)
+    def test_grid_finds_the_every_completion_period(self, app, duration, constant):
+        def run(**kwargs):
+            signals = _constant_signals(app) if constant else None
+            return Program.from_app(app).analyze().run(
+                duration, trace="off", signals=signals, **kwargs
+            )
+
+        naive = run(fast_forward=False)
+        gated = run()
+        with every_completion():
+            ungated = run()
+        for ff in (gated, ungated):
+            assert ff.fast_forwarded and ff.simulation.engine.steady_state.jumps >= 1
+            assert ff.warnings == []
+            assert ff.simulation.queue.processed == naive.simulation.queue.processed
+            assert_sink_values_identical(naive, ff)
+            assert_metrics_identical(naive, ff)
+        steady = gated.simulation.engine.steady_state
+        reference = ungated.simulation.engine.steady_state
+        grid = steady.grid
+        assert grid is not None and reference.grid is None
+        assert (steady.period_ticks, steady.period_firings) == (
+            reference.period_ticks,
+            reference.period_firings,
+        )
+        assert 0 <= _detected(steady) - _detected(reference) < grid
+        assert len(steady._seen) <= len(reference._seen)
+
+    def test_pal_decoder_samples_once_per_grid_step(self):
+        # The PAL decoder's endpoints run at 6400, 4000 and 32 Hz, so the
+        # grid is 1/32 s: over 4 s the detector stores at most one state per
+        # grid step (sampling every anchor completion stores 12,289).
+        result = Program.from_app("pal_decoder").analyze().run(Fraction(4), trace="off")
+        steady = result.simulation.engine.steady_state
+        assert result.fast_forwarded and steady.jumps >= 1
+        assert len(steady._seen) <= 4 * 32 + 1
+        assert steady.grid == result.simulation.queue.to_internal(Fraction(1, 32))
+
+    def test_long_value_period_jumps_instead_of_overflowing(self):
+        duration = Fraction(645, 2)  # 2.5 value periods, 247,675 events
+        naive = _long_value_period_chain().analyze().run(
+            duration, trace="off", fast_forward=False
+        )
+        auto = _long_value_period_chain().analyze().run(duration, trace="off")
+        steady = auto.simulation.engine.steady_state
+        assert auto.warnings == []
+        assert auto.fast_forwarded and steady.jumps >= 1
+        assert steady.grid == auto.simulation.queue.to_internal(Fraction(1, 4))
+        assert auto.simulation.queue.processed == naive.simulation.queue.processed
+        assert_sink_values_identical(naive, auto)
+        assert_metrics_identical(naive, auto)
+
+    def test_fleet_without_drivers_samples_every_completion(self, monkeypatch):
+        counts = {"completions": 0, "samples": 0}
+        detector = steady_state_module.SteadyState
+        on_anchor_completion, state_key = detector.on_anchor_completion, detector.state_key
+
+        def completion(self):
+            counts["completions"] += 1
+            on_anchor_completion(self)
+
+        def sample(self):
+            counts["samples"] += 1
+            return state_key(self)
+
+        monkeypatch.setattr(detector, "on_anchor_completion", completion)
+        monkeypatch.setattr(detector, "state_key", sample)
+        run = run_tasks(declared_ring(12, tokens=2), horizon=Fraction(1))
+        steady = run.engine.steady_state
+        assert steady.grid is None and steady.jumps >= 1
+        assert counts["samples"] == counts["completions"] > 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ the platform-aware rule family.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -31,6 +32,7 @@ from repro.rules import (
     unregister_rule,
 )
 from repro.rules.cli import main as check_main
+from repro.runtime.sources import ConstantStimulus, GeneratorStimulus
 
 #: The quickstart pipeline with the sink rate broken: 2 kHz in, 2:1
 #: downsampling, but a 3 kHz sink -- no consistent assignment of firing
@@ -271,6 +273,27 @@ class TestBuiltinRules:
         report = program.check(select=["runtime.undeclared-function"])
         codes = [v.extra.get("warning_code") for v in report.violations]
         assert codes == ["undeclared-function"]
+
+
+class TestGeneratorSourceRule:
+    def test_rule_flags_generator_backed_stimuli_only(self):
+        flagged = Program.from_app(
+            "quickstart", signal=GeneratorStimulus(lambda: itertools.count())
+        ).check(select=["runtime.generator-source"])
+        assert [v.rule_id for v in flagged.violations] == ["runtime.generator-source"]
+        violation = flagged.violations[0]
+        assert violation.severity == "info"
+        assert violation.extra.get("warning_code") == "generator-advance"
+
+        closed_form = Program.from_app(
+            "quickstart", signal=ConstantStimulus(1.0)
+        ).check(select=["runtime.generator-source"])
+        assert closed_form.violations == []
+
+        default = Program.from_app("quickstart").check(
+            select=["runtime.generator-source"]
+        )
+        assert default.violations == []  # the counting default is a ramp
 
 
 class TestPlatformRules:

@@ -138,6 +138,13 @@ class TestFreshAndPeriodicity:
         assert not RampStimulus().value_periodic
         assert not GeneratorStimulus(lambda: iter(range(3))).value_periodic
 
+    def test_closed_form_stimuli_declare_o1_advance(self):
+        assert ConstantStimulus(1.0).advance_linear is False
+        assert PeriodicStimulus([1, 2]).advance_linear is False
+        assert RampStimulus(0, 1).advance_linear is False
+        assert Stimulus.advance_linear is True
+        assert GeneratorStimulus(lambda: itertools.count()).advance_linear is True
+
     def test_finite_stream_raises_stop_iteration(self):
         stimulus = GeneratorStimulus(lambda: iter([1, 2]))
         assert drain(stimulus, 2) == [1, 2]
