@@ -12,11 +12,12 @@ from fractions import Fraction
 
 from _reporting import print_table
 
+from repro.api import Analysis
 from repro.apps.modal_audio import (
     compile_mute,
     compile_two_mode,
-    simulate_mute,
-    simulate_two_mode,
+    mute_program,
+    two_mode_program,
 )
 
 
@@ -34,7 +35,8 @@ def test_mute_modes_never_violate_deadlines(benchmark):
     def run_all():
         outcomes = []
         for name, signal in signals.items():
-            simulation, trace = simulate_mute(Fraction(1, 5), signal, result=result, sizing=sizing)
+            run = Analysis(mute_program(signal=signal), result, sizing=sizing).run(Fraction(1, 5))
+            simulation, trace = run.simulation, run.trace
             muted = sum(1 for v in simulation.sinks["speaker"].consumed if v == 0.0)
             outcomes.append(
                 (name, trace.deadline_miss_count(), float(trace.measured_rate("speaker") or 0), muted)
@@ -63,9 +65,10 @@ def test_two_mode_schedules_never_violate_capacities(benchmark):
     def run_all():
         outcomes = []
         for schedule in schedules:
-            simulation, trace = simulate_two_mode(
-                Fraction(1, 20), mode_schedule=schedule, result=result, sizing=sizing
-            )
+            run = Analysis(
+                two_mode_program(mode_schedule=schedule), result, sizing=sizing
+            ).run(Fraction(1, 20))
+            simulation, trace = run.simulation, run.trace
             max_util = max(
                 (
                     trace.buffer_high_water.get(name, 0) / buffer.capacity

@@ -1,20 +1,17 @@
 #!/usr/bin/env python3
-"""The sweep service: cached, resumable, shardable parameter grids.
+"""The sweep service: cached, resumable parameter grids.
 
 The paper's experiments are all parameter sweeps, and real use re-runs
 them constantly -- the same grid after a code tweak elsewhere, a widened
 axis, a run that a timeout killed at point 70k of 100k.  The sweep
-service (``repro.service``) makes each of those cheap:
+service (``repro.service``, engaged through ``Sweep.run(store=...,
+checkpoint=...)``) makes each of those cheap:
 
 1. **content-addressed store** -- every point's metric row is persisted
    under a stable content digest, so a repeated run executes nothing and
    an overlapping grid pays only for the new points;
 2. **checkpoint/resume** -- completed rows are journaled as they finish;
-   a killed run resumes bit-identically;
-3. **shard/merge** -- the grid splits into self-contained shard specs
-   that independent processes execute, merged back bit-identically;
-4. **job spool** -- submit/status/run/result over a directory, the same
-   flow as ``python -m repro sweep`` on the command line.
+   a killed run resumes bit-identically.
 
 Run with:  python examples/sweep_service.py
 """
@@ -25,7 +22,6 @@ from pathlib import Path
 
 from repro.api import Sweep
 from repro.engine import BoundedProcessors
-from repro.service import JobQueue, merge, run_shard, shard
 
 
 def build_sweep() -> Sweep:
@@ -59,56 +55,18 @@ def demo_store(root: Path) -> str:
 
 def demo_resume(root: Path, clean_json: str) -> None:
     print("=== Checkpoint/resume: a killed sweep picks up where it died ===")
-    from repro.service.runner import run_service_sweep
-
     checkpoint = root / "interrupted.jsonl"
-    # Simulate the interruption: journal only the first point, the way a
-    # killed run leaves the file (tests/test_sweep_service.py kills a real
-    # subprocess with SIGKILL to prove the same thing end-to-end).
-    partial = build_sweep()
-    run_service_sweep(partial, partial.points(), checkpoint=checkpoint, subset=[0])
+    # Simulate the interruption: cut a finished journal back to its header
+    # and first point, the file a run killed after one point leaves
+    # (tests/test_sweep_service.py kills a real subprocess with SIGKILL to
+    # prove the same thing end-to-end).
+    build_sweep().run(checkpoint=checkpoint)
+    header_and_first_point = checkpoint.read_text().splitlines(keepends=True)[:2]
+    checkpoint.write_text("".join(header_and_first_point))
     resumed = build_sweep().run(checkpoint=checkpoint)
     print(f"resumed  : {resumed.service_stats}")
     assert resumed.to_json() == clean_json, "resume must be bit-identical"
     print("resumed report is bit-identical to an uninterrupted run")
-    print()
-
-
-def demo_shard_merge(root: Path, clean_json: str) -> None:
-    print("=== Shard + merge: independent slices, one report ===")
-    checkpoints = []
-    for spec in shard(build_sweep(), 2):
-        path = root / f"shard-{spec.shard}.jsonl"
-        report = run_shard(spec, checkpoint=path)
-        print(
-            f"shard {spec.shard}/{spec.of}: points [{spec.start}, {spec.stop}) "
-            f"-> {len(report)} rows"
-        )
-        checkpoints.append(path)
-    merged = merge(build_sweep(), checkpoints)
-    assert merged.to_json() == clean_json, "merge must be bit-identical"
-    print("merged report is bit-identical to a single-shot serial run")
-    print(merged.table(["point", "scheduler", "completed_firings"]))
-    print()
-
-
-def demo_jobs(root: Path) -> None:
-    print("=== Job spool: the `python -m repro sweep` flow, in-process ===")
-    queue = JobQueue(root / "spool")
-    job = queue.submit(build_sweep())
-    print(f"submitted {job}: {queue.status(job)['state']}")
-    queue.run(job)
-    status = queue.status(job)
-    print(
-        f"finished  {job}: {status['state']}, "
-        f"{status['completed']}/{status['points']} points"
-    )
-    # a second identical job is served entirely from the shared store
-    second = queue.submit(build_sweep())
-    report = queue.run(second)
-    print(f"repeat    {second}: {report.service_stats}")
-    assert report.service_stats["executed"] == 0
-    assert queue.result(second).rows() == queue.result(job).rows()
     print()
 
 
@@ -117,8 +75,6 @@ def main() -> None:
         root = Path(tmp)
         clean_json = demo_store(root)
         demo_resume(root, clean_json)
-        demo_shard_merge(root, clean_json)
-        demo_jobs(root)
     print("sweep service demo OK")
 
 

@@ -1,17 +1,14 @@
 """``python -m repro`` -- command-line entry point.
 
-Command groups: ``sweep`` (the sweep service; see :mod:`repro.service.cli`)
-and ``check`` (pre-flight rule checks; see :mod:`repro.rules.cli`).  The
-group layer exists so later CLIs (``bench``, ...) attach beside them rather
-than on top of them.
+One command group: ``check`` (pre-flight rule checks; see
+:mod:`repro.rules.cli`).  The group layer exists so later CLIs attach
+beside it rather than on top of it.
 """
 
 import sys
 
 _USAGE = (
-    "usage: python -m repro sweep <submit|status|run|resume|shard|run-shard|merge> ...\n"
-    "       python -m repro check <app-or-oil-file> [--json] [--select ...] ...\n"
-    "       python -m repro sweep --help\n"
+    "usage: python -m repro check <app-or-oil-file> [--json] [--select ...] ...\n"
     "       python -m repro check --help"
 )
 
@@ -22,10 +19,6 @@ def main(argv=None):
         print(_USAGE)
         return 0 if argv else 2
     group, rest = argv[0], argv[1:]
-    if group == "sweep":
-        from repro.service.cli import main as sweep_main
-
-        return sweep_main(rest)
     if group == "check":
         from repro.rules.cli import main as check_main
 

@@ -298,8 +298,11 @@ class Analysis:
         registry: Optional[RegistryLike] = None,
         signals: Optional[SignalsLike] = None,
     ) -> "Analysis":
-        """Wrap pre-computed lower-level results in the facade (used by the
-        deprecated per-app helpers, which accept ``result``/``sizing``)."""
+        """Wrap pre-computed lower-level results in the facade.
+
+        Without *program*, a placeholder ``"precompiled"`` program carries
+        *registry* and *signals*; pass the real program to keep its
+        execution environment."""
         if program is None:
             program = Program("", name="precompiled", registry=registry, signals=signals)
             program._compilation = compilation

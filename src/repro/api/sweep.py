@@ -350,8 +350,7 @@ class SweepReport:
         serialised warnings already *include* the per-point run warnings the
         constructor hoists out of metric rows, so this path bypasses the
         constructor (re-hoisting would duplicate them) and restores the
-        warnings list verbatim.  The sweep service's ``merge`` step and the
-        job spool's ``result`` read rest on this inverse.
+        warnings list verbatim.
         """
         data = json.loads(text)
         report = cls.__new__(cls)

@@ -29,20 +29,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.compiler import CompilationResult
-from repro.cta.buffer_sizing import BufferSizingResult
 from repro.dsp.filters import StreamingFIR, design_lowpass
 from repro.dsp.mixer import Mixer
 from repro.dsp.pal import PALSignalConfig
 from repro.dsp.resample import Decimator, RationalResampler
 from repro.lang.semantics import BlackBoxModule, BlackBoxPort
 from repro.runtime.functions import FunctionRegistry
-from repro.runtime.simulator import Simulation
-from repro.runtime.trace import TraceRecorder
-from repro.util.deprecation import warn_deprecated
-from repro.util.rational import Rat
 
 #: Nominal rates of the paper's PAL decoder.
 RF_RATE_HZ = 6_400_000
@@ -282,45 +277,6 @@ class PalDecoderApp:
             set_state=final_decimator.set_state,
         )
         return registry
-
-    def analyze(self) -> Tuple[CompilationResult, BufferSizingResult]:
-        """Deprecated: use ``self.program().analyze()`` (facade)."""
-        warn_deprecated(
-            "PalDecoderApp.analyze()", 'repro.api.Program.from_app("pal_decoder").analyze()'
-        )
-        analysis = self.program().analyze()
-        return analysis.compilation, analysis.sizing
-
-    def simulate(
-        self,
-        duration: Rat,
-        *,
-        result: Optional[CompilationResult] = None,
-        sizing: Optional[BufferSizingResult] = None,
-        registry: Optional[FunctionRegistry] = None,
-        scheduler=None,
-        trace_level: str = "full",
-    ) -> Tuple[Simulation, TraceRecorder]:
-        """Deprecated: use ``self.program().analyze().run(...)`` (facade).
-
-        The synthetic RF signal is deterministic, so two simulations with the
-        same configuration produce identical traces.
-        """
-        from repro.api.program import Analysis
-
-        warn_deprecated(
-            "PalDecoderApp.simulate()",
-            'repro.api.Program.from_app("pal_decoder").analyze().run(...)',
-        )
-        program = self.program()
-        if result is not None:
-            analysis = Analysis(program, result, sizing=sizing)
-        else:
-            analysis = program.analyze()
-        run = analysis.run(
-            duration, scheduler=scheduler, trace=trace_level, registry=registry
-        )
-        return run.simulation, run.trace
 
 
 def pal_program(

@@ -6,24 +6,16 @@ meaningful multi-rate OIL program: one module, one loop, a 2:1 rate
 conversion, a source, a sink and a latency constraint.
 
 :func:`quickstart_program` packages the pipeline for the facade
-(``Program.from_app("quickstart")``); the ``compile_quickstart`` /
-``simulate_quickstart`` helpers predate :mod:`repro.api` and are kept as
-deprecated aliases.
+(``Program.from_app("quickstart")``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from repro.core.compiler import CompilationResult
-from repro.cta.buffer_sizing import BufferSizingResult
 from repro.runtime.functions import FunctionRegistry
-from repro.runtime.simulator import Simulation
 from repro.runtime.sources import RampStimulus, Stimulus
-from repro.runtime.trace import TraceRecorder
-from repro.util.deprecation import warn_deprecated
-from repro.util.rational import Rat
 
 QUICKSTART_OIL_SOURCE = """
 mod seq Downsample(int x, out int y){
@@ -97,36 +89,3 @@ def quickstart_program(
         params={"utilisation": utilisation},
     )
 
-
-# ---------------------------------------------------------------------------
-# Deprecated pre-facade helpers
-# ---------------------------------------------------------------------------
-
-def compile_quickstart() -> CompilationResult:
-    """Deprecated: use ``Program.from_app("quickstart").compile()``."""
-    warn_deprecated("compile_quickstart()", 'repro.api.Program.from_app("quickstart")')
-    return quickstart_program().compile()
-
-
-def simulate_quickstart(
-    duration: Rat,
-    *,
-    signal: Optional[Sequence[float]] = None,
-    result: Optional[CompilationResult] = None,
-    sizing: Optional[BufferSizingResult] = None,
-    scheduler=None,
-    trace_level: str = "full",
-) -> Tuple[Simulation, TraceRecorder]:
-    """Deprecated: use ``Program.from_app("quickstart").analyze().run(...)``."""
-    from repro.api.program import Analysis
-
-    warn_deprecated(
-        "simulate_quickstart()", 'repro.api.Program.from_app("quickstart").analyze().run(...)'
-    )
-    program = quickstart_program(signal=signal)
-    if result is not None:
-        analysis = Analysis(program, result, sizing=sizing)
-    else:
-        analysis = program.analyze()
-    run = analysis.run(duration, scheduler=scheduler, trace=trace_level)
-    return run.simulation, run.trace

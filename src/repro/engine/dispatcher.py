@@ -712,7 +712,7 @@ def run_tasks(
     :meth:`ExecutionEngine._dispatch_compiled` and platform policies
     :meth:`ExecutionEngine._dispatch_platform`, on either time base.
     """
-    from repro.engine.steady_state import check_fast_forward
+    from repro.engine.steady_state import check_fast_forward, function_qualification
     from repro.runtime.events import EventQueue
     from repro.runtime.trace import TraceRecorder
 
@@ -757,35 +757,9 @@ def run_tasks(
     engine.schedule_dispatch()
     warnings: List[str] = []
     if fast_forward == "auto":
-        from repro.util.runwarnings import RunWarning
-
-        specs = {}
-        qualified = True
-        undeclared: List[str] = []
-        for task in tasks:
-            for name in task.function_names():
-                if name in specs:
-                    continue
-                try:
-                    spec = task.registry.get(name)
-                except KeyError:
-                    # A synthetic fleet whose fallback name is unregistered:
-                    # nothing to declare on, fall back silently.
-                    qualified = False
-                    continue
-                specs[name] = spec
-                if not spec.jump_exact:
-                    qualified = False
-                    undeclared.append(name)
-        if undeclared:
-            warnings.append(
-                RunWarning(
-                    "fast-forward (auto) fell back to naive execution: "
-                    f"function(s) {', '.join(sorted(undeclared))} declare no "
-                    "jump behaviour (stateless, jump_invariant or get_state)",
-                    "undeclared-function",
-                )
-            )
+        qualified, specs, warning = function_qualification(tasks)
+        if warning is not None:
+            warnings.append(warning)
         if qualified:
             # Refusals are silent: "auto" never promised a jump.
             engine.enable_fast_forward(

@@ -108,9 +108,9 @@ falls back to fractions), fraction-mode queues, and policies that do not
 expose ``steady_state_key()``.  Refused runs fall back silently to naive
 simulation.  The *value-exact qualification* (every stimulus
 ``value_periodic``, every used function ``jump_exact``) is checked by the
-callers (:mod:`repro.engine.dispatcher`, :mod:`repro.runtime.simulator`),
-which emit ``undeclared-source`` / ``undeclared-function`` warnings on the
-fallback paths.
+callers (:mod:`repro.engine.dispatcher`, :mod:`repro.runtime.simulator`)
+through :func:`function_qualification`, whose ``undeclared-function``
+warning they record on the fallback path.
 """
 
 from __future__ import annotations
@@ -166,6 +166,44 @@ def check_fast_forward(mode) -> None:
             "(the default: value-exact jumps, bit-identical to a naive run) or False"
         )
     raise ValueError(f'fast_forward must be "auto" or False, got {mode!r}')
+
+
+def function_qualification(
+    tasks: Sequence["RuntimeTask"],
+) -> Tuple[bool, Dict[str, "FunctionSpec"], Optional[RunWarning]]:
+    """Qualify the functions a fleet can invoke for value-exact jumps.
+
+    Returns ``(qualified, specs, warning)``: the :class:`FunctionSpec` of
+    every registered function *tasks* can invoke, whether all of them
+    declare jump-exact behaviour, and the ``undeclared-function``
+    :class:`RunWarning` naming those that do not (None when none).  An
+    unregistered name disqualifies silently: there is nothing to declare
+    on (a synthetic fleet's fallback name)."""
+    specs: Dict[str, "FunctionSpec"] = {}
+    qualified = True
+    undeclared: List[str] = []
+    for task in tasks:
+        for name in task.function_names():
+            if name in specs:
+                continue
+            try:
+                spec = task.registry.get(name)
+            except KeyError:
+                qualified = False
+                continue
+            specs[name] = spec
+            if not spec.jump_exact:
+                qualified = False
+                undeclared.append(name)
+    warning = None
+    if undeclared:
+        warning = RunWarning(
+            "fast-forward (auto) fell back to naive execution: "
+            f"function(s) {', '.join(sorted(undeclared))} declare no "
+            "jump behaviour (stateless, jump_invariant or get_state)",
+            "undeclared-function",
+        )
+    return qualified, specs, warning
 
 
 def fast_forward_refusal(policy, timebase) -> Optional[str]:

@@ -3,8 +3,9 @@
 These rules surface, *before* a simulation executes, the conditions the
 runtime only reports mid-flight:
 
-* the structured ``warning_code`` fallbacks of value-exact fast-forward
-  (``undeclared-source`` / ``undeclared-function`` -- see
+* bare-iterator source signals, which a run refuses with a
+  :class:`TypeError` (the one error of this family),
+* the ``undeclared-function`` fallback of value-exact fast-forward (see
   :mod:`repro.util.runwarnings` and ``docs/fast-forward.md``),
 * generator-backed stimuli whose ``advance()`` replays draws one by one
   (the runtime's ``generator-advance`` warning: jumps work but cost O(k)
@@ -14,10 +15,10 @@ runtime only reports mid-flight:
 
 They inspect the program's configured signals and registry structurally --
 no iterator is drawn from, no function is called -- so a check pass never
-perturbs the run that follows it.  All these degradations are warnings or
-notes, not errors: the program still runs correctly (naively stepped, or --
-for a bare OIL file checked without a registry -- correctly once one is
-supplied).
+perturbs the run that follows it.  Apart from bare iterators, these
+degradations are warnings or notes, not errors: the program still runs
+correctly (naively stepped, or -- for a bare OIL file checked without a
+registry -- correctly once one is supplied).
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from repro.runtime.sources import Stimulus
 class BareIteratorSignal(Rule):
     rule_id = "runtime.undeclared-source"
     category = "runtime"
-    severity = "warning"
+    severity = "error"
     description = (
-        "bare-iterator source signals cannot be advanced through a "
-        "steady-state jump (runs fall back to naive stepping)"
+        "source signals must not be bare iterators (a run raises TypeError; "
+        "pass a Stimulus or a zero-argument factory)"
     )
 
     def check(self, model: CheckModel) -> List[Violation]:
@@ -52,9 +53,9 @@ class BareIteratorSignal(Rule):
                 out.append(
                     self.violation(
                         f"source {decl.name!r} is driven by a bare iterator "
-                        f"({type(signal).__name__}); it cannot be rewound or advanced "
-                        f"through a fast-forward jump -- wrap it in a Stimulus or pass "
-                        f"a zero-argument factory",
+                        f"({type(signal).__name__}); runs raise TypeError because it "
+                        f"can be neither rewound nor advanced through a fast-forward "
+                        f"jump -- pass a Stimulus or a zero-argument factory",
                         span=decl.location,
                         source=decl.name,
                         warning_code="undeclared-source",

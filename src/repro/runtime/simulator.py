@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List,
 from repro.core.compiler import CompilationResult
 from repro.engine.dispatcher import ExecutionEngine
 from repro.engine.policies import SchedulerPolicy
-from repro.engine.steady_state import check_fast_forward
+from repro.engine.steady_state import check_fast_forward, function_qualification
 from repro.graph.circular_buffer import CircularBuffer
 from repro.graph.taskgraph import Access, Task, TaskGraph
 from repro.lang import ast
@@ -40,7 +40,6 @@ from repro.runtime.sources import SinkDriver, SourceDriver, Stimulus
 from repro.runtime.tasks import OilRuntimeError, RuntimeTask
 from repro.runtime.trace import TraceRecorder
 from repro.util.rational import Rat, TimeBase, as_rational
-from repro.util.runwarnings import RunWarning
 
 if TYPE_CHECKING:  # annotation only -- repro.platform imports the engine
     from repro.platform.model import Platform
@@ -204,9 +203,8 @@ class Simulation:
           coordinated function declaring jump-exact behaviour
           (:class:`~repro.runtime.functions.FunctionSpec`).  Qualified
           runs are bit-identical to naive execution, data values
-          included.  Unqualified runs step naively; auto-wrapped bare
-          iterators and undeclared functions record ``undeclared-source``
-          / ``undeclared-function`` warnings, while declared-but-aperiodic
+          included.  Unqualified runs step naively; undeclared functions
+          record an ``undeclared-function`` warning, while aperiodic
           stimuli and engine-level refusals fall back silently.
         * ``False`` always steps naively.
 
@@ -490,8 +488,8 @@ class Simulation:
             buffer = CircularBuffer(f"{path}/{source.name}", capacity)
             self.buffers[buffer.name] = buffer
             local[source.name] = buffer
-            # SourceDriver normalises any legacy signal spelling (None,
-            # list, factory, bare iterator) into a Stimulus; see
+            # SourceDriver normalises a None, list or factory signal into a
+            # Stimulus and refuses a bare iterator; see
             # repro.runtime.sources.as_stimulus.
             driver = SourceDriver(
                 name=source.name,
@@ -688,59 +686,17 @@ class Simulation:
 
         Qualified means: every source stimulus is declared value-periodic
         and every function the fleet can invoke declares jump-exact
-        behaviour.  The two *undeclared* situations -- a deprecated bare
-        iterator that had to be auto-wrapped, and a function with no
-        declaration at all -- record structured warnings; declared-but-
-        aperiodic stimuli (ramps, generator factories, finite lists) and
-        unregistered fallback names disqualify silently (the user declared
-        exactly what the stream is; auto simply cannot jump it).
+        behaviour.  A function with no declaration records the
+        ``undeclared-function`` warning; aperiodic stimuli (ramps,
+        generator factories, finite lists) and unregistered fallback names
+        disqualify silently (the user declared exactly what the stream is;
+        auto simply cannot jump it).
         """
-        qualified = True
-        undeclared_sources: List[str] = []
-        for name, driver in sorted(self.sources.items()):
-            stimulus = driver.values
-            if getattr(stimulus, "auto_wrapped", False):
-                qualified = False
-                undeclared_sources.append(name)
-            elif not stimulus.value_periodic:
-                qualified = False
-        specs: Dict[str, FunctionSpec] = {}
-        undeclared_functions: List[str] = []
-        for task in self.engine.tasks:
-            for fname in task.function_names():
-                if fname in specs:
-                    continue
-                try:
-                    spec = self.registry.get(fname)
-                except KeyError:
-                    qualified = False
-                    continue
-                specs[fname] = spec
-                if not spec.jump_exact:
-                    qualified = False
-                    if fname not in undeclared_functions:
-                        undeclared_functions.append(fname)
-        if undeclared_sources:
-            self._warnings.append(
-                RunWarning(
-                    "fast-forward (auto) fell back to naive execution: "
-                    f"source(s) {', '.join(undeclared_sources)} wrap a bare "
-                    "iterator that cannot be advanced through a jump; pass a "
-                    "Stimulus (or a zero-argument factory) instead",
-                    "undeclared-source",
-                )
-            )
-        if undeclared_functions:
-            self._warnings.append(
-                RunWarning(
-                    "fast-forward (auto) fell back to naive execution: "
-                    f"function(s) {', '.join(sorted(undeclared_functions))} "
-                    "declare no jump behaviour (stateless, jump_invariant or "
-                    "get_state)",
-                    "undeclared-function",
-                )
-            )
-        return qualified, specs
+        qualified, specs, warning = function_qualification(self.engine.tasks)
+        if warning is not None:
+            self._warnings.append(warning)
+        periodic = all(driver.values.value_periodic for driver in self.sources.values())
+        return qualified and periodic, specs
 
     def _install_fast_forward(self, horizon: Rat) -> None:
         if self._auto_setup is None:

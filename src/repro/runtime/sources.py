@@ -32,9 +32,9 @@ the stream position through a serialisable value.  The declaration is what
 lets the steady-state fast-forwarder (:mod:`repro.engine.steady_state`)
 fold the stream position into its periodicity key and advance the stream
 exactly through a jump, so a jumped run's values equal a naive run's.
-:func:`as_stimulus` adapts the legacy signal spellings
-(``None``, lists, factories); bare iterators still work behind a
-deprecation shim.
+:func:`as_stimulus` adapts the other signal spellings (``None``, lists,
+factories); a bare iterator is refused with a :class:`TypeError`, because
+it can be neither rewound nor advanced through a jump.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, 
 from repro.graph.circular_buffer import CircularBuffer
 from repro.runtime.events import EventQueue
 from repro.runtime.trace import TraceRecorder
-from repro.util.deprecation import warn_deprecated
 from repro.util.rational import Rat, as_rational
 
 
@@ -215,14 +214,13 @@ class GeneratorStimulus(Stimulus):
     ``k`` draws and ``state()`` / ``restore()`` record and re-derive the
     draw count from a fresh iterator.  Construct it from a bare iterator
     and the stream still drains normally, but ``state()`` / ``restore()``
-    raise (the iterator cannot be rewound) -- this is the adapter
-    :func:`as_stimulus` auto-wraps deprecated bare-iterator signals in.
+    raise (the iterator cannot be rewound) -- :func:`as_stimulus` wraps
+    list signals this way.
     """
 
     value_periodic = False
 
-    def __init__(self, source: Union[Iterator[Any], Callable[[], Iterable[Any]]],
-                 *, auto_wrapped: bool = False) -> None:
+    def __init__(self, source: Union[Iterator[Any], Callable[[], Iterable[Any]]]) -> None:
         if callable(source) and not hasattr(source, "__next__") and not hasattr(source, "__iter__"):
             self._factory: Optional[Callable[[], Iterable[Any]]] = source
             self._iterator = iter(source())
@@ -231,9 +229,6 @@ class GeneratorStimulus(Stimulus):
             self._iterator = iter(source)  # type: ignore[arg-type]
         #: draws taken so far (the serialisable position of factory streams)
         self.draws = 0
-        #: True when :func:`as_stimulus` wrapped a deprecated bare iterator;
-        #: the auto fast-forward path reports these as ``undeclared-source``
-        self.auto_wrapped = auto_wrapped
 
     def next(self) -> Any:
         value = next(self._iterator)  # StopIteration propagates: finite stream
@@ -267,7 +262,7 @@ class GeneratorStimulus(Stimulus):
     def fresh(self) -> "GeneratorStimulus":
         if self._factory is None:
             return self  # cannot rewind: legacy shared-iterator semantics
-        return GeneratorStimulus(self._factory, auto_wrapped=self.auto_wrapped)
+        return GeneratorStimulus(self._factory)
 
 
 def as_stimulus(signal: Any) -> Stimulus:
@@ -282,9 +277,10 @@ def as_stimulus(signal: Any) -> Stimulus:
       the factory, enabling ``state()`` / ``restore()``; a factory
       returning a :class:`Stimulus` yields that stimulus directly,
     * an object with ``__next__`` (a bare iterator / generator) --
-      **deprecated**: auto-wrapped in a :class:`GeneratorStimulus` with a
-      :class:`DeprecationWarning`; declare a stimulus (or pass a factory)
-      instead,
+      refused with a :class:`TypeError`: pass a :class:`Stimulus` or a
+      zero-argument factory instead (an explicit
+      ``GeneratorStimulus(iterator)`` is a :class:`Stimulus` and is
+      accepted),
     * any other iterable (list, tuple, array) -- wrapped silently in a
       :class:`GeneratorStimulus` (finite ad-hoc data keeps its legacy
       run-to-exhaustion semantics).
@@ -299,10 +295,11 @@ def as_stimulus(signal: Any) -> Stimulus:
             return probe
         return GeneratorStimulus(signal)
     if hasattr(signal, "__next__"):
-        warn_deprecated(
-            "a bare-Iterator source signal", "repro.runtime.sources.GeneratorStimulus"
+        raise TypeError(
+            f"a bare iterator ({type(signal).__name__}) cannot drive a source: it "
+            f"can be neither rewound nor advanced through a steady-state jump; "
+            f"pass a Stimulus or a zero-argument factory returning the iterable"
         )
-        return GeneratorStimulus(signal, auto_wrapped=True)
     return GeneratorStimulus(iter(signal))
 
 
@@ -313,8 +310,8 @@ class SourceDriver:
     name: str
     buffer: CircularBuffer
     period: Rat
-    #: the value stream; any legacy spelling (iterator, list, factory,
-    #: ``None``) is normalised through :func:`as_stimulus` at construction
+    #: the value stream; a list, factory or ``None`` is normalised through
+    #: :func:`as_stimulus` at construction (a bare iterator raises)
     values: Any
     trace: TraceRecorder
     queue: EventQueue

@@ -1,7 +1,7 @@
-"""The sweep service: cached, resumable, shardable parameter-grid serving.
+"""The sweep service: cached, resumable parameter-grid serving.
 
-Layered on :class:`repro.api.Sweep` (which stays usable without it), this
-package turns sweep execution into a serving problem:
+Layered on :class:`repro.api.Sweep` (which stays usable without it) and
+engaged through ``Sweep.run(store=..., checkpoint=...)``:
 
 ``store``
     content-addressed result store -- a stable sha256 digest of
@@ -13,14 +13,6 @@ package turns sweep execution into a serving problem:
     from it, bit-identical to an uninterrupted run.
 ``runner``
     the orchestration behind ``Sweep.run(store=..., checkpoint=...)``.
-``shard``
-    split a grid into self-contained shard specs for independent
-    processes/hosts, and merge their checkpoints back bit-identically.
-``jobs``
-    a directory-spool job facade (submit / status / run / resume /
-    result) with one shared store across jobs.
-``cli``
-    ``python -m repro sweep`` over all of the above.
 """
 
 from repro.service.checkpoint import (
@@ -28,9 +20,7 @@ from repro.service.checkpoint import (
     SweepCheckpoint,
     read_checkpoint,
 )
-from repro.service.jobs import JobError, JobQueue
 from repro.service.runner import run_service_sweep
-from repro.service.shard import ShardSpec, merge, run_shard, shard
 from repro.service.store import (
     STORE_SCHEMA,
     ResultStore,
@@ -42,17 +32,11 @@ from repro.service.store import (
 __all__ = [
     "STORE_SCHEMA",
     "CheckpointMismatchError",
-    "JobError",
-    "JobQueue",
     "ResultStore",
-    "ShardSpec",
     "SweepCheckpoint",
     "grid_digest",
-    "merge",
     "point_key",
     "point_keys",
     "read_checkpoint",
     "run_service_sweep",
-    "run_shard",
-    "shard",
 ]

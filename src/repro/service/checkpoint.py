@@ -10,8 +10,7 @@ bit-identical to the one an uninterrupted run would have produced.
 File format (one JSON object per line)::
 
     {"kind": "repro-sweep-checkpoint", "schema": 1, "version": ...,
-     "name": ..., "grid": <grid digest>, "points": N,
-     "shard": null | {"shard": i, "of": n, "start": a, "stop": b}}
+     "name": ..., "grid": <grid digest>, "points": N}
     {"point": 3, "ok": true, "error": null, "params": {...}, "metrics": {...}}
     {"point": 0, "ok": true, ...}
     ...
@@ -20,7 +19,9 @@ The header pins the checkpoint to one exact grid via
 :func:`repro.service.store.grid_digest`; resuming against a sweep whose
 expanded grid (or code/schema version) differs raises
 :class:`CheckpointMismatchError` instead of silently mixing rows from two
-different experiments.  Point lines are
+different experiments.  Resuming reads only the header's kind, schema,
+grid and points, so a journal with extra header fields (older ones carry a
+``shard`` entry) still resumes.  Point lines are
 :meth:`~repro.api.sweep.SweepResult.payload` mappings, the same encoding
 ``SweepReport.to_json`` uses, in *completion* order -- which is why a
 torn final line (the writer was killed mid-append) can simply be
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro import __version__
 from repro.service.store import STORE_SCHEMA
@@ -90,15 +91,7 @@ class SweepCheckpoint:
     in append mode and :meth:`record` is durable per call.
     """
 
-    def __init__(
-        self,
-        path: Any,
-        *,
-        name: str,
-        grid: str,
-        points: int,
-        shard: Optional[Dict[str, int]] = None,
-    ) -> None:
+    def __init__(self, path: Any, *, name: str, grid: str, points: int) -> None:
         self.path = Path(path)
         self.grid = grid
         #: rows restored from a previous run, by grid index
@@ -124,7 +117,6 @@ class SweepCheckpoint:
                     "name": name,
                     "grid": grid,
                     "points": points,
-                    "shard": shard,
                 }
             )
 

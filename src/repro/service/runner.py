@@ -15,9 +15,8 @@ Only bucket 3 touches the compiler: the cache-missed subset is handed to
 points -- a fully cached re-run therefore compiles and executes nothing.
 
 Rows from every bucket cross-pollinate: executed and store-served rows are
-appended to the checkpoint (so the journal alone reconstructs the run,
-which is what ``merge`` reads), and executed and checkpoint-restored *ok*
-rows are written to the store (so the next overlapping grid hits).  Failed
+appended to the checkpoint (so the journal alone reconstructs the run),
+and executed and checkpoint-restored *ok* rows are written to the store (so the next overlapping grid hits).  Failed
 points are checkpointed (resuming skips them, keeping the report identical)
 but never stored (a failure may be environmental -- a re-run elsewhere
 should retry it).
@@ -36,7 +35,7 @@ deliberately unserialised -- which records the bucket counts.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.api.sweep import Sweep, SweepReport, SweepResult
 from repro.service.checkpoint import SweepCheckpoint
@@ -74,24 +73,8 @@ def run_service_sweep(
     workers: int = 1,
     keep_runs: bool = True,
     strict: bool = False,
-    subset: Optional[Iterable[int]] = None,
-    shard: Optional[Dict[str, int]] = None,
 ) -> SweepReport:
-    """Run *sweep* over *points* with store/checkpoint service (see module).
-
-    *subset* restricts this invocation to the given grid indices (sharding:
-    the report then contains only those rows, in index order); *shard*
-    metadata is stamped into the checkpoint header for ``merge`` to audit.
-    The grid digest is always computed over the *full* expanded grid, so a
-    shard checkpoint and a whole-grid checkpoint of the same sweep agree.
-    """
-    indices = sorted(subset) if subset is not None else list(range(len(points)))
-    for index in indices:
-        if not 0 <= index < len(points):
-            raise ValueError(
-                f"shard subset index {index} outside grid of {len(points)} points"
-            )
-
+    """Run *sweep* over *points* with store/checkpoint service (see module)."""
     owned_store = store is not None and not isinstance(store, ResultStore)
     result_store: Optional[ResultStore] = None
     if store is not None:
@@ -106,13 +89,12 @@ def run_service_sweep(
                 name=sweep.name,
                 grid=grid_digest(sweep, points),
                 points=len(points),
-                shard=shard,
             )
 
         outcomes: Dict[int, SweepResult] = {}
         resumed = store_hits = 0
         missing: List[int] = []
-        for index in indices:
+        for index in range(len(points)):
             if journal is not None and index in journal.completed:
                 payload = journal.completed[index]
                 outcomes[index] = _restore(index, payload)
@@ -153,12 +135,12 @@ def run_service_sweep(
                 outcomes[result.index] = result
 
         report = SweepReport(
-            [outcomes[index] for index in indices],
+            [outcomes[index] for index in range(len(points))],
             name=sweep.name,
             warnings=warnings,
         )
         report.service_stats = {
-            "points": len(indices),
+            "points": len(points),
             "executed": len(missing),
             "store_hits": store_hits,
             "resumed": resumed,

@@ -115,12 +115,12 @@ def point_key(sweep: Any, params: Dict[str, Any]) -> str:
 
 
 def grid_digest(sweep: Any, points: List[Dict[str, Any]]) -> str:
-    """The identity of a whole expanded grid, for checkpoint/shard matching.
+    """The identity of a whole expanded grid, for checkpoint matching.
 
     Two sweeps share a grid digest exactly when they execute the same
     program over the same points with the same defaults under the same
     code/schema version -- the precondition for resuming one's checkpoint
-    from the other, or for merging their shard checkpoints.
+    from the other.
     """
     return stable_digest(
         (
@@ -259,7 +259,7 @@ class ResultStore:
 
     def _fresh_segment_name(self) -> str:
         """A new segment for this writer: next sequence number + pid, so
-        concurrent writers (independent shard processes) never interleave
+        concurrent writers (sweeps sharing one store) never interleave
         within one file."""
         highest = 0
         for path in self.segments_dir.glob("segment-*.jsonl"):

@@ -1,6 +1,6 @@
 """Tests for the repro.api facade: Program -> Analysis -> RunResult, the app
-catalogue, the Sweep subsystem (serial and process backends, ProgramSpec
-shipping) and the deprecated pre-facade aliases."""
+catalogue and the Sweep subsystem (serial and process backends, ProgramSpec
+shipping)."""
 
 import os
 import pickle
@@ -27,7 +27,7 @@ from repro.apps.producer_consumer import (
 from repro.core.compiler import compile_program
 from repro.engine import BoundedProcessors, SelfTimedUnbounded
 from repro.runtime.functions import FunctionRegistry
-from repro.runtime.sources import PeriodicStimulus, as_stimulus
+from repro.runtime.sources import PeriodicStimulus
 from repro.util.runwarnings import warning_code
 
 
@@ -137,7 +137,8 @@ class TestProgramFacade:
 
 
 class TestAnalysisParity:
-    """The facade must reproduce the pre-facade helper numbers identically."""
+    """The facade must reproduce the lower-level pipeline's numbers
+    identically, and wrap results computed through it."""
 
     def test_quickstart_parity_with_direct_pipeline(self):
         direct = compile_program(QUICKSTART_OIL_SOURCE, function_wcets=quickstart_wcets())
@@ -192,6 +193,12 @@ class TestAnalysisParity:
         assert "source samples: 2000 Hz" in report
         assert "buffer sizing" in report
         assert "latency" in report
+
+    def test_analysis_from_parts_wraps_precompiled_results(self, quickstart_sized):
+        result, sizing = quickstart_sized
+        analysis = Analysis.from_parts(result, sizing)
+        assert analysis.capacities == sizing.capacities
+        assert analysis.program.name == "precompiled"
 
 
 class TestProgramSpec:
@@ -677,19 +684,21 @@ class TestWarningsPropagation:
     elsewhere; these pin the fallback paths)."""
 
     def test_serial_fallback_keeps_point_warnings(self):
-        # A bare-iterator signal is both unpicklable (forcing the serial
-        # fallback) and undeclared (an "undeclared-source" warning on every
-        # point -- a deterministic marker).
-        with pytest.warns(DeprecationWarning):
-            signal = as_stimulus(float(i) for i in range(100))
-        sweep = Sweep("quickstart", duration=Fraction(1, 100)).add_axis("signal", [signal])
+        # A closure runner is unpicklable (forcing the serial fallback); it
+        # runs the undeclared quickstart, whose "undeclared-function" run
+        # warning is a deterministic per-point marker.
+        def run_undeclared(n):
+            run = _undeclared_quickstart().analyze().run(Fraction(1, 100))
+            return {"n": n, "warnings": list(run.warnings)}
+
+        sweep = Sweep.from_callable(run_undeclared).add_axis("n", [1])
         report = sweep.run(executor="process", workers=2)
         assert report.ok, [failure.error for failure in report.failures]
         assert any("serially" in w for w in report.warnings)
-        assert any(warning_code(w) == "undeclared-source" for w in report.warnings)
+        assert any(warning_code(w) == "undeclared-function" for w in report.warnings)
         # the run warning also stays inside the point's metric row
         assert any(
-            warning_code(w) == "undeclared-source"
+            warning_code(w) == "undeclared-function"
             for w in report.results[0].metrics["warnings"]
         )
 
@@ -723,47 +732,3 @@ class TestWarningsPropagation:
         restored = SweepReport.from_json(report.to_json())
         assert any("re-running" in w for w in restored.warnings)
         assert restored.column("value") == [1, 2, 3, 4]
-
-
-class TestDeprecatedAliases:
-    def test_compile_quickstart_warns_and_works(self):
-        from repro.apps.producer_consumer import compile_quickstart
-
-        with pytest.warns(DeprecationWarning, match="compile_quickstart"):
-            result = compile_quickstart()
-        assert result.check_consistency(assume_infinite_unsized=True).consistent
-
-    def test_simulate_quickstart_matches_facade(self):
-        from repro.apps.producer_consumer import simulate_quickstart
-
-        with pytest.warns(DeprecationWarning, match="simulate_quickstart"):
-            simulation, trace = simulate_quickstart(Fraction(1, 10))
-        run = quickstart_facade().analyze().run(Fraction(1, 10))
-        assert simulation.sinks["averages"].consumed == run.sink("averages")
-        assert trace.deadline_miss_count() == run.deadline_misses
-
-    def test_simulate_mute_warns(self):
-        from repro.apps.modal_audio import simulate_mute
-
-        with pytest.warns(DeprecationWarning, match="simulate_mute"):
-            simulation, trace = simulate_mute(Fraction(1, 50), [1.0] * 2000)
-        assert trace.deadline_miss_count() == 0
-
-    def test_simulate_two_mode_warns_and_matches_facade(self):
-        from repro.apps.modal_audio import simulate_two_mode
-
-        schedule = (("loop0", 2), ("loop1", 3))
-        with pytest.warns(DeprecationWarning, match="simulate_two_mode"):
-            simulation, _ = simulate_two_mode(Fraction(1, 25), mode_schedule=schedule)
-        run = (
-            Program.from_app("modal_two_mode", mode_schedule=schedule)
-            .analyze()
-            .run(Fraction(1, 25))
-        )
-        assert simulation.sinks["dac"].consumed == run.sink("dac")
-
-    def test_analysis_from_parts_wraps_precompiled_results(self, quickstart_sized):
-        result, sizing = quickstart_sized
-        analysis = Analysis.from_parts(result, sizing)
-        assert analysis.capacities == sizing.capacities
-        assert analysis.program.name == "precompiled"

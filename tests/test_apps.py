@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from repro.apps.modal_audio import simulate_mute, simulate_two_mode
-from repro.apps.producer_consumer import simulate_quickstart
+from repro.api import Analysis
+from repro.apps.modal_audio import mute_program, two_mode_program
+from repro.apps.producer_consumer import quickstart_program
 from repro.apps.rate_converter import (
     FIG2_OIL_SOURCE,
     compare_specifications,
@@ -137,7 +138,8 @@ class TestQuickstartApp:
 
     def test_simulation_values_and_rate(self, quickstart_sized):
         result, sizing = quickstart_sized
-        simulation, trace = simulate_quickstart(Fraction(1, 5), result=result, sizing=sizing)
+        run = Analysis(quickstart_program(), result, sizing=sizing).run(Fraction(1, 5))
+        simulation, trace = run.simulation, run.trace
         assert trace.deadline_miss_count() == 0
         assert simulation.sinks["averages"].consumed[:4] == [0.5, 2.5, 4.5, 6.5]
         assert trace.measured_rate("averages") == 1000
@@ -148,7 +150,8 @@ class TestModalApps:
         result, sizing = mute_sized
         # 40 good samples then 40 bad samples, repeated.
         signal = ([1.0] * 40 + [-1.0] * 40) * 100
-        simulation, trace = simulate_mute(Fraction(1, 10), signal, result=result, sizing=sizing)
+        run = Analysis(mute_program(signal=signal), result, sizing=sizing).run(Fraction(1, 10))
+        simulation, trace = run.simulation, run.trace
         speaker = simulation.sinks["speaker"].consumed
         assert trace.deadline_miss_count() == 0
         assert 0.0 in speaker and 1.0 in speaker  # both modes observed
@@ -167,9 +170,10 @@ class TestModalApps:
     )
     def test_two_mode_conservative_under_any_schedule(self, two_mode_sized, schedule):
         result, sizing = two_mode_sized
-        simulation, trace = simulate_two_mode(
-            Fraction(1, 20), mode_schedule=schedule, result=result, sizing=sizing
-        )
+        run = Analysis(
+            two_mode_program(mode_schedule=schedule), result, sizing=sizing
+        ).run(Fraction(1, 20))
+        simulation, trace = run.simulation, run.trace
         assert trace.deadline_miss_count() == 0
         assert trace.measured_rate("dac") == 2000
         for name, mark in trace.buffer_high_water.items():
@@ -177,9 +181,10 @@ class TestModalApps:
 
     def test_two_mode_modes_visible_in_output(self, two_mode_sized):
         result, sizing = two_mode_sized
-        simulation, _ = simulate_two_mode(
-            Fraction(1, 25), mode_schedule=(("loop0", 2), ("loop1", 2)), result=result, sizing=sizing
-        )
+        run = Analysis(
+            two_mode_program(mode_schedule=(("loop0", 2), ("loop1", 2))), result, sizing=sizing
+        ).run(Fraction(1, 25))
+        simulation = run.simulation
         values = simulation.sinks["dac"].consumed
         assert any(v >= 50 for v in values)   # calibration mode marks its output
         assert any(v < 50 for v in values)    # processing mode

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Analysis
 from repro.baselines import (
     compare_scaling,
     decimation_pipeline_source,
@@ -83,18 +84,19 @@ class TestAnalysisVsExecutionConservativeness:
     periodic source/sink deadlines."""
 
     def test_quickstart(self, quickstart_sized):
-        from repro.apps.producer_consumer import simulate_quickstart
+        from repro.apps.producer_consumer import quickstart_program
 
         result, sizing = quickstart_sized
-        _, trace = simulate_quickstart(Fraction(1, 2), result=result, sizing=sizing)
-        assert trace.deadline_miss_count() == 0
+        run = Analysis(quickstart_program(), result, sizing=sizing).run(Fraction(1, 2))
+        assert run.trace.deadline_miss_count() == 0
 
     def test_mute(self, mute_sized):
-        from repro.apps.modal_audio import simulate_mute
+        from repro.apps.modal_audio import mute_program
 
         result, sizing = mute_sized
-        _, trace = simulate_mute(Fraction(1, 4), [float(i % 7 - 3) for i in range(8000)], result=result, sizing=sizing)
-        assert trace.deadline_miss_count() == 0
+        signal = [float(i % 7 - 3) for i in range(8000)]
+        run = Analysis(mute_program(signal=signal), result, sizing=sizing).run(Fraction(1, 4))
+        assert run.trace.deadline_miss_count() == 0
 
     @given(
         st.lists(
@@ -105,15 +107,15 @@ class TestAnalysisVsExecutionConservativeness:
     )
     @settings(max_examples=8, deadline=None)
     def test_two_mode_any_schedule(self, two_mode_sized, schedule):
-        from repro.apps.modal_audio import simulate_two_mode
+        from repro.apps.modal_audio import two_mode_program
 
         result, sizing = two_mode_sized
         # Ensure both loops appear so the schedule cycles sensibly.
         schedule = list(schedule) + [("loop1", 1), ("loop0", 1)]
-        _, trace = simulate_two_mode(
-            Fraction(1, 25), mode_schedule=schedule, result=result, sizing=sizing
-        )
-        assert trace.deadline_miss_count() == 0
+        run = Analysis(
+            two_mode_program(mode_schedule=schedule), result, sizing=sizing
+        ).run(Fraction(1, 25))
+        assert run.trace.deadline_miss_count() == 0
 
 
 class TestExactVsCTAThroughputRelation:

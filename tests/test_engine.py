@@ -13,8 +13,8 @@ from fractions import Fraction
 import pytest
 
 from dispatch_oracle import polling_dispatch
-from repro.api import Program
-from repro.apps.producer_consumer import quickstart_registry, simulate_quickstart
+from repro.api import Analysis, Program
+from repro.apps.producer_consumer import quickstart_program, quickstart_registry
 from repro.apps.rate_converter import fig2_task_graph
 from repro.baselines.sequential_schedule import (
     generate_sequential_program,
@@ -537,9 +537,10 @@ class TestDriverStartIdempotence:
 class TestTraceLevels:
     def test_off_records_nothing(self, quickstart_sized):
         result, sizing = quickstart_sized
-        simulation, trace = simulate_quickstart(
-            Fraction(1, 20), result=result, sizing=sizing, trace_level="off"
+        run = Analysis(quickstart_program(), result, sizing=sizing).run(
+            Fraction(1, 20), trace="off"
         )
+        simulation, trace = run.simulation, run.trace
         assert trace.firings == []
         assert trace.endpoint_events == []
         assert trace.violations == []
@@ -549,9 +550,9 @@ class TestTraceLevels:
 
     def test_endpoints_level_skips_firings_keeps_measurements(self, quickstart_sized):
         result, sizing = quickstart_sized
-        _, trace = simulate_quickstart(
-            Fraction(1, 20), result=result, sizing=sizing, trace_level="endpoints"
-        )
+        trace = Analysis(quickstart_program(), result, sizing=sizing).run(
+            Fraction(1, 20), trace="endpoints"
+        ).trace
         assert trace.firings == []
         assert trace.buffer_high_water == {}
         assert len(trace.endpoint_events) > 0
@@ -559,9 +560,9 @@ class TestTraceLevels:
 
     def test_full_level_unchanged(self, quickstart_sized):
         result, sizing = quickstart_sized
-        _, trace = simulate_quickstart(
-            Fraction(1, 20), result=result, sizing=sizing, trace_level="full"
-        )
+        trace = Analysis(quickstart_program(), result, sizing=sizing).run(
+            Fraction(1, 20), trace="full"
+        ).trace
         assert len(trace.firings) > 0
         assert len(trace.buffer_high_water) > 0
 
@@ -573,8 +574,8 @@ class TestTraceLevels:
         result, sizing = quickstart_sized
         consumed = {}
         for level in ("off", "endpoints", "full"):
-            simulation, _ = simulate_quickstart(
-                Fraction(1, 20), result=result, sizing=sizing, trace_level=level
-            )
+            simulation = Analysis(quickstart_program(), result, sizing=sizing).run(
+                Fraction(1, 20), trace=level
+            ).simulation
             consumed[level] = list(simulation.sinks["averages"].consumed)
         assert consumed["off"] == consumed["endpoints"] == consumed["full"]

@@ -629,17 +629,6 @@ class TestRunUntilSinkCountValueExact:
 
 
 class TestAutoRefusalWarningCodes:
-    def test_bare_iterator_source_warns_with_stable_code(self):
-        with pytest.warns(DeprecationWarning):
-            run = Program.from_app("quickstart").analyze().run(
-                Fraction(1, 100), signals={"samples": iter(itertools.count(0.0))}
-            )
-        assert not run.fast_forwarded
-        codes = [warning_code(w) for w in run.warnings]
-        assert codes == ["undeclared-source"]
-        assert "bare iterator" in run.warnings[0]
-        assert "samples" in run.warnings[0]
-
     def test_undeclared_function_warns_with_stable_code(self):
         run = _undeclared_quickstart().analyze().run(Fraction(1, 100))
         assert not run.fast_forwarded

@@ -12,11 +12,17 @@ from __future__ import annotations
 
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
 from repro.api import Program
 from repro.api.apps import available_apps
+from repro.apps.producer_consumer import (
+    QUICKSTART_OIL_SOURCE,
+    quickstart_registry,
+    quickstart_wcets,
+)
 from repro.platform import Platform
 from repro.rules import (
     INTERNAL_ERROR_RULE_ID,
@@ -273,6 +279,23 @@ class TestBuiltinRules:
         report = program.check(select=["runtime.undeclared-function"])
         codes = [v.extra.get("warning_code") for v in report.violations]
         assert codes == ["undeclared-function"]
+
+
+class TestUndeclaredSourceRule:
+    def test_bare_iterator_is_an_error_and_the_run_raises(self):
+        program = Program.from_source(
+            QUICKSTART_OIL_SOURCE,
+            name="bare-iterator",
+            function_wcets=quickstart_wcets(),
+            registry=quickstart_registry,
+            signals={"samples": iter(itertools.count(0.0))},
+        )
+        report = program.check(select=["runtime.undeclared-source"])
+        assert [v.severity for v in report.violations] == ["error"]
+        assert report.violations[0].extra.get("warning_code") == "undeclared-source"
+        assert report.ok is False
+        with pytest.raises(TypeError, match="zero-argument factory"):
+            program.run(Fraction(1, 100))
 
 
 class TestGeneratorSourceRule:

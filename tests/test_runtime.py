@@ -18,7 +18,7 @@ from repro.runtime import (
     default_registry,
     evaluate_expression,
 )
-from repro.apps.producer_consumer import compile_quickstart, quickstart_registry
+from repro.apps.producer_consumer import quickstart_registry
 
 
 class TestEventQueue:
@@ -200,7 +200,7 @@ class TestDrivers:
         buffer = CircularBuffer("b", 8)
         buffer.register_consumer("c")
         driver = SourceDriver(
-            name="src", buffer=buffer, period=Fraction(1, 10), values=iter(range(100)),
+            name="src", buffer=buffer, period=Fraction(1, 10), values=lambda: iter(range(100)),
             trace=trace, queue=queue,
         )
         driver.start()

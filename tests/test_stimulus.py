@@ -165,7 +165,6 @@ class TestAsStimulusResolution:
     def test_factory_keeps_state_protocol(self):
         stimulus = as_stimulus(lambda: iter(range(100)))
         assert isinstance(stimulus, GeneratorStimulus)
-        assert not stimulus.auto_wrapped
         drain(stimulus, 5)
         assert stimulus.state() == 5  # the factory was kept
 
@@ -178,13 +177,15 @@ class TestAsStimulusResolution:
             warnings.simplefilter("error")
             stimulus = as_stimulus([1.0, 2.0])
         assert isinstance(stimulus, GeneratorStimulus)
-        assert not stimulus.auto_wrapped
 
-    def test_bare_iterator_warns_and_marks_auto_wrapped(self):
-        with pytest.warns(DeprecationWarning):
-            stimulus = as_stimulus(iter([1.0, 2.0]))
-        assert isinstance(stimulus, GeneratorStimulus)
-        assert stimulus.auto_wrapped
+    def test_bare_iterator_raises_type_error(self):
+        with pytest.raises(TypeError, match="Stimulus or a zero-argument factory"):
+            as_stimulus(iter([1.0, 2.0]))
+        with pytest.raises(TypeError, match="generator"):
+            as_stimulus(float(i) for i in range(3))
+        # built explicitly, the adapter is a Stimulus and passes through
+        explicit = GeneratorStimulus(iter([1.0, 2.0]))
+        assert as_stimulus(explicit) is explicit
 
 
 class TestFixedSignalsRoundTrip:

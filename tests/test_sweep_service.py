@@ -1,16 +1,13 @@
 """Tests for the sweep service (repro.service): stable content digests, the
-content-addressed result store, incremental checkpoints and resume, grid
-sharding + merge, the job spool and the ``python -m repro sweep`` CLI.
+content-addressed result store, and incremental checkpoints and resume.
 
 The load-bearing invariant throughout: a report produced *any* service way
--- resumed after a kill, recombined from shards, served from the cache --
-renders bit-identically (``to_json``, ``rows``) to a plain single-shot
-serial run of the same sweep.
+-- resumed after a kill, served from the cache -- renders bit-identically
+(``to_json``, ``rows``) to a plain single-shot serial run of the same sweep.
 """
 
 import json
 import os
-import pickle
 import subprocess
 import sys
 import textwrap
@@ -21,21 +18,13 @@ import pytest
 
 from repro.api import Sweep, SweepConfigError
 from repro.api.spec import ProgramSpec, stable_digest
-from repro.api.sweep import SweepReport
 from repro.engine import BoundedProcessors, SelfTimedUnbounded
 from repro.service import (
     CheckpointMismatchError,
-    JobError,
-    JobQueue,
     ResultStore,
     SweepCheckpoint,
-    grid_digest,
-    merge,
     point_key,
     point_keys,
-    run_shard,
-    run_service_sweep,
-    shard,
 )
 
 
@@ -49,6 +38,13 @@ def _quick_sweep(**kwargs):
         Sweep("producer_consumer", duration=Fraction(2), **kwargs)
         .add_axis("scheduler", [BoundedProcessors(1), BoundedProcessors(2), None])
     )
+
+
+def _keep_journal_prefix(path, rows):
+    """Cut a serial run's checkpoint back to its header and first *rows*
+    point lines: the journal a run killed after those points leaves."""
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[: 1 + rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +223,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointMismatchError, match="different sweep"):
             SweepCheckpoint(path, name="s", grid="g1", points=4)
 
+    def test_header_with_extra_fields_resumes(self, tmp_path):
+        # journals written when the header still carried a "shard" field
+        path = tmp_path / "ckpt.jsonl"
+        with SweepCheckpoint(path, name="s", grid="g", points=3) as journal:
+            journal.record({"point": 1, "ok": True, "error": None,
+                            "params": {}, "metrics": {"v": 1}})
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(json.dumps({**json.loads(header), "shard": None}) + "\n"
+                        + "".join(rows))
+        with SweepCheckpoint(path, name="s", grid="g", points=3) as journal:
+            assert journal.completed[1]["metrics"] == {"v": 1}
+
     def test_torn_tail_tolerated(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         with SweepCheckpoint(path, name="s", grid="g", points=3) as journal:
@@ -292,8 +300,8 @@ class TestServiceSweep:
         clean = _quick_sweep().run(executor="serial").to_json()
         path = tmp_path / "ckpt.jsonl"
         # journal only a prefix of the grid, as an interrupted run would have
-        partial = _quick_sweep()
-        run_service_sweep(partial, partial.points(), checkpoint=path, subset=[0, 1])
+        _quick_sweep().run(checkpoint=path)
+        _keep_journal_prefix(path, 2)
         resumed = _quick_sweep().run(checkpoint=path)
         assert resumed.service_stats == {
             "points": 3, "executed": 1, "store_hits": 0, "resumed": 2,
@@ -416,81 +424,13 @@ class TestKillAndResume:
 
 
 # ---------------------------------------------------------------------------
-# sharding + merge
-# ---------------------------------------------------------------------------
-
-
-class TestShardMerge:
-    def test_slices_are_balanced_and_total(self):
-        sweep = Sweep.from_callable(_square_point).add_axis("n", list(range(10)))
-        specs = shard(sweep, 3)
-        assert [(s.start, s.stop) for s in specs] == [(0, 3), (3, 6), (6, 10)]
-        assert all(spec.grid == specs[0].grid for spec in specs)
-
-    def test_shard_specs_pickle_and_rebuild(self, tmp_path):
-        sweep = _quick_sweep()
-        spec = pickle.loads(pickle.dumps(shard(sweep, 2)[1]))
-        rebuilt = spec.sweep()
-        # policies compare by identity, so point equality is meaningless --
-        # content-equality of the rebuilt grid is exactly what the digest says
-        assert grid_digest(rebuilt, rebuilt.points()) == spec.grid
-        assert point_keys(rebuilt, rebuilt.points()) == point_keys(
-            sweep, sweep.points()
-        )
-
-    def test_shard_run_and_merge_bit_identical(self, tmp_path):
-        clean = _quick_sweep().run(executor="serial").to_json()
-        paths = []
-        for spec in shard(_quick_sweep(), 2):
-            path = tmp_path / f"shard-{spec.shard}.jsonl"
-            partial = run_shard(spec, checkpoint=path)
-            assert len(partial) == spec.stop - spec.start
-            paths.append(path)
-        merged = merge(_quick_sweep(), paths)
-        assert merged.to_json() == clean
-        # merge is order-insensitive: checkpoints index by grid position
-        assert merge(_quick_sweep(), list(reversed(paths))).to_json() == clean
-
-    def test_shards_share_a_store(self, tmp_path):
-        store = tmp_path / "store"
-        _quick_sweep().run(store=store)  # pre-warm with the full grid
-        for spec in shard(_quick_sweep(), 2):
-            report = run_shard(
-                spec, checkpoint=tmp_path / f"s{spec.shard}.jsonl", store=store
-            )
-            assert report.service_stats["executed"] == 0
-
-    def test_incomplete_merge_names_the_gap(self, tmp_path):
-        specs = shard(_quick_sweep(), 3)
-        path = tmp_path / "only-shard-0.jsonl"
-        run_shard(specs[0], checkpoint=path)
-        with pytest.raises(CheckpointMismatchError, match="incomplete"):
-            merge(_quick_sweep(), [path])
-
-    def test_foreign_checkpoint_refused(self, tmp_path):
-        other = Sweep("quickstart", duration=Fraction(1, 100))
-        path = tmp_path / "other.jsonl"
-        other.run(checkpoint=path)
-        with pytest.raises(CheckpointMismatchError, match="different sweep"):
-            merge(_quick_sweep(), [path])
-
-    def test_stale_shard_spec_refused(self):
-        spec = shard(_quick_sweep(), 2)[0]
-        stale = pickle.loads(pickle.dumps(spec))
-        object.__setattr__(stale, "grid", "0" * 64)
-        with pytest.raises(CheckpointMismatchError, match="digest"):
-            run_shard(stale, checkpoint="unused.jsonl")
-
-
-# ---------------------------------------------------------------------------
 # the PAL grid: the paper's experiment, end to end through every service path
 # ---------------------------------------------------------------------------
 
 
 class TestPalGridIdentity:
-    """Acceptance: resumed, sharded+merged and cache-served PAL reports are
-    bit-identical to a single-shot serial run, and full-cache re-runs
-    execute zero points."""
+    """Acceptance: resumed and cache-served PAL reports are bit-identical to
+    a single-shot serial run, and full-cache re-runs execute zero points."""
 
     @staticmethod
     def _pal():
@@ -511,129 +451,8 @@ class TestPalGridIdentity:
 
         # resumed (prefix journaled, rest executed on resume)
         checkpoint = tmp_path / "ckpt.jsonl"
-        prefix = self._pal()
-        run_service_sweep(prefix, prefix.points(), checkpoint=checkpoint, subset=[0])
+        self._pal().run(checkpoint=checkpoint, keep_runs=False)
+        _keep_journal_prefix(checkpoint, 1)
         resumed = self._pal().run(checkpoint=checkpoint, keep_runs=False)
         assert resumed.service_stats["resumed"] == 1
         assert resumed.to_json() == clean
-
-        # sharded + merged (shards also ride the warm store: zero execution)
-        paths = []
-        for spec in shard(self._pal(), 2):
-            path = tmp_path / f"pal-shard-{spec.shard}.jsonl"
-            report = run_shard(spec, checkpoint=path, store=store)
-            assert report.service_stats["executed"] == 0
-            paths.append(path)
-        assert merge(self._pal(), paths).to_json() == clean
-
-
-# ---------------------------------------------------------------------------
-# job spool + CLI
-# ---------------------------------------------------------------------------
-
-
-class TestJobQueue:
-    def test_submit_run_result_lifecycle(self, tmp_path):
-        queue = JobQueue(tmp_path / "spool")
-        job = queue.submit(_quick_sweep())
-        assert queue.status(job)["state"] == "queued"
-        report = queue.run(job)
-        status = queue.status(job)
-        assert status["state"] == "done"
-        assert status["completed"] == 3
-        assert queue.result(job).to_json() == report.to_json()
-
-    def test_jobs_share_the_store(self, tmp_path):
-        queue = JobQueue(tmp_path / "spool")
-        queue.run(queue.submit(_quick_sweep()))
-        second = queue.run(queue.submit(_quick_sweep()))
-        assert second.service_stats["executed"] == 0
-        assert second.service_stats["store_hits"] == 3
-
-    def test_done_job_refuses_rerun_but_unknown_and_early_result_raise(self, tmp_path):
-        queue = JobQueue(tmp_path / "spool")
-        job = queue.submit(_quick_sweep())
-        with pytest.raises(JobError, match="no report yet"):
-            queue.result(job)
-        queue.run(job)
-        with pytest.raises(JobError, match="accepts only"):
-            queue.run(job)
-        with pytest.raises(JobError, match="unknown job"):
-            queue.status("job-999999")
-
-    def test_failed_job_records_error_and_resumes(self, tmp_path):
-        queue = JobQueue(tmp_path / "spool")
-        # a sweep that cannot even start: scheduler and platform together
-        bad = (
-            Sweep("quickstart", duration=Fraction(1, 100))
-            .add_axis("scheduler", [None])
-            .add_axis("platform", [None])
-        )
-        job = queue.submit(bad)
-        with pytest.raises(SweepConfigError):
-            queue.run(job)
-        status = queue.status(job)
-        assert status["state"] == "failed"
-        assert "cannot combine" in status["error"]
-        with pytest.raises(JobError, match="accepts only"):
-            queue.run(job)  # plain run refuses failed jobs; resume accepts
-
-
-class TestCli:
-    SPEC = {
-        "app": "producer_consumer",
-        "duration": {"$fraction": [2, 1]},
-        "axes": {"scheduler": [{"$bounded": 1}, {"$bounded": 2}, "$selftimed"]},
-    }
-
-    @staticmethod
-    def _main(*argv):
-        from repro.service.cli import main
-
-        return main(list(map(str, argv)))
-
-    def test_submit_run_status_flow(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(self.SPEC))
-        root = tmp_path / "spool"
-        assert self._main("--root", root, "submit", spec) == 0
-        job = capsys.readouterr().out.strip()
-        assert self._main("--root", root, "run", job) == 0
-        assert "executed 3" in capsys.readouterr().out
-        assert self._main("--root", root, "status") == 0
-        assert "done" in capsys.readouterr().out
-
-    def test_shard_run_merge_flow_matches_api(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(self.SPEC))
-        out = tmp_path / "shards"
-        assert self._main("--root", tmp_path, "shard", spec, "-n", 2, "--out", out) == 0
-        capsys.readouterr()
-        checkpoints = []
-        for shard_file in sorted(out.glob("shard-*.pkl")):
-            ckpt = tmp_path / f"{shard_file.stem}.jsonl"
-            assert (
-                self._main(
-                    "--root", tmp_path, "run-shard", shard_file, "--checkpoint", ckpt
-                )
-                == 0
-            )
-            checkpoints.append(ckpt)
-        capsys.readouterr()
-        merged = tmp_path / "merged.json"
-        assert (
-            self._main("--root", tmp_path, "merge", spec, *checkpoints, "--out", merged)
-            == 0
-        )
-        # the CLI-built sweep matches the API-built one bit-for-bit
-        clean = (
-            Sweep("producer_consumer", duration=Fraction(2))
-            .add_axis(
-                "scheduler",
-                [BoundedProcessors(1), BoundedProcessors(2), SelfTimedUnbounded()],
-            )
-            .run(executor="serial")
-        )
-        restored = SweepReport.from_json(merged.read_text())
-        assert restored.rows() == clean.rows()
-        assert merged.read_text() == clean.to_json()
