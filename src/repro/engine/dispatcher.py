@@ -8,9 +8,9 @@ replaces it with dependency-indexed dispatch:
 
 * every :class:`~repro.graph.circular_buffer.CircularBuffer` carries a reverse
   index of the tasks reading and writing it (wired by :meth:`wire_buffers`);
-  when the buffer's produced floor moves its *readers* are pushed onto the
-  ready set, when its consumed floor moves its *writers* are -- nothing else
-  is ever re-examined,
+  when the buffer's produced floor moves, those of its *readers* that can
+  fire are pushed onto the ready set, when its consumed floor moves, those
+  of its *writers* -- nothing else is ever re-examined,
 * the ready set (:class:`ReadySet`) is *pass-structured*: it hands out tasks
   in static (registration) order and defers tasks woken at-or-before the
   cursor to the next pass, which reproduces the exact fixpoint iteration
@@ -41,6 +41,17 @@ and consuming can only enable other tasks -- a producer gains space, no
 consumer loses tokens (windows are private).  Eligibility is therefore
 monotone within a dispatch, which is what makes the ready-set fixpoint equal
 to the polling fixpoint.
+
+Wakes push only tasks that can fire (:meth:`ExecutionEngine.wake_task`).  A
+task's eligibility rises only through a floor move its buffer's waker
+watches or through an explicit wake -- the completion's self-wake (``busy``
+clears) or a mode activation (``active`` rises) -- and falls only through
+its own start or a deactivation.  A task that cannot fire when woken would
+only be popped and skipped; leaving it out keeps the pass order of every
+task that starts.  Every floor move outside a dispatch is followed by a
+:meth:`~ExecutionEngine.schedule_dispatch` from its caller (the completion,
+a driver's ``on_change``, the activation), so the dispatch events, and with
+them the event count, do not depend on which wakes pushed.
 """
 
 from __future__ import annotations
@@ -346,19 +357,18 @@ class ExecutionEngine:
     def _index_waker(self, dependents: Sequence[RuntimeTask]) -> Callable[[], None]:
         """A buffer's waker: dependent indices pre-resolved, ready-set pushes
         inlined.  Wake-for-wake identical to calling :meth:`wake_task` per
-        dependent -- the dispatch event is scheduled exactly when a non-busy
-        dependent was pushed (and :meth:`schedule_dispatch` is idempotent
-        anyway)."""
+        dependent -- only dependents that can fire are pushed, and the
+        dispatch event is scheduled exactly when one was (and
+        :meth:`schedule_dispatch` is idempotent anyway)."""
         pairs = [(task, self._index[task]) for task in dependents]
         ready = self._ready
 
         def wake() -> None:
             woke = False
             for task, index in pairs:
-                if task.busy or (task.one_shot and task.fired_once):
-                    continue
-                ready.push(index)
-                woke = True
+                if task.can_fire():
+                    ready.push(index)
+                    woke = True
             if woke and not self._in_dispatch:
                 self.schedule_dispatch()
 
@@ -366,19 +376,24 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------------ wakes
     def wake_task(self, task: RuntimeTask) -> None:
-        """Mark *task* for (re-)examination at the next dispatch."""
-        if task.busy or (task.one_shot and task.fired_once):
-            return
-        self._ready.push(self._index[task])
-        if not self._in_dispatch:
-            self.schedule_dispatch()
+        """Queue *task* for the next dispatch if it can fire now.
+
+        A task that cannot fire is not queued: its eligibility can only
+        rise through a moved floor its buffer's waker watches, or through
+        another explicit wake, and either re-examines it then (module
+        docstring)."""
+        if task.can_fire():
+            self._ready.push(self._index[task])
+            if not self._in_dispatch:
+                self.schedule_dispatch()
 
     def wake_tasks(self, tasks: Iterable[RuntimeTask]) -> None:
         for task in tasks:
             self.wake_task(task)
 
     def wake_all(self) -> None:
-        """Queue the whole fleet (start-up, or after an external change)."""
+        """Wake the whole fleet (start-up, or after an external change):
+        every task that can fire is queued."""
         self.wake_tasks(self.tasks)
 
     # -------------------------------------------------------------- dispatch
@@ -420,7 +435,7 @@ class ExecutionEngine:
                 break
             task = tasks[index]
             if not task.can_fire():
-                continue  # re-queued by the next relevant buffer change
+                continue  # fell since its wake; the wake restoring it re-queues it
             if not trivial and not policy.allow_start(task):
                 if stalled is None:
                     stalled = []
@@ -460,7 +475,7 @@ class ExecutionEngine:
                 self._resume_firing(task, decision.processor)
                 continue
             if not task.can_fire():
-                continue  # re-queued by the next relevant buffer change
+                continue  # fell since its wake; the wake restoring it re-queues it
             decision = policy.decide_start(task)
             if decision is None:
                 stalled.append(index)

@@ -46,7 +46,7 @@ per-``delta`` increments.  The detector then *jumps* ``K`` periods at once:
   time, driver production/consumption counters and the trace's streaming
   statistics advance by ``K`` times their per-period delta,
 * every buffer window advances by ``K`` times its buffer's per-period
-  advance and the storage ring rotates with it (caches translated, no
+  advance and the storage ring rotates with it (floors translated, no
   watcher fires: relative state is unchanged, so nothing new is enabled),
 * every source stimulus advances by the skipped draw count,
 * with unbounded trace retention, the stored trace records and sink values
@@ -395,15 +395,15 @@ class SteadyState:
             # windows, so two period-equivalent states read the same
             # sequence regardless of absolute position.
             storage = buffer._storage
-            anchor = buffer._producer_floor() if buffer._producers else base
+            anchor = buffer.produced_floor if buffer._producers else base
             rotation = anchor % buffer.capacity
             folded = value_digest(tuple(storage[rotation:] + storage[:rotation]))
             buffer_items.append((buffer.name, layout, folded))
         # Pending events in execution order; the rank keeps same-instant ties
         # in sequence order (their execution order) through the sort.
         live = sorted(
-            (event.time, event.sequence, event.label)
-            for event in queue._heap
+            (time, sequence, event.label)
+            for time, sequence, event in queue._heap
             if not event.cancelled
         )
         pendings = [
@@ -602,8 +602,8 @@ class SteadyState:
                 task.preemptions += periods * d_preempted
 
         # 4. Buffer windows: every window of a buffer advances by the same
-        # per-period amount; caches translate with them, and no watcher runs
-        # (the relative state is unchanged, nothing new is enabled).
+        # per-period amount; the floors translate with them, and no watcher
+        # runs (the relative state is unchanged, nothing new is enabled).
         for buffer, d in zip(self._buffers, buffer_deltas):
             if d == 0:
                 continue
@@ -625,12 +625,9 @@ class SteadyState:
                         continue
                     window.released += move
                     window.acquired += move
-            if buffer._producer_floor_cache is not None:
-                buffer._producer_floor_cache += move
-            if buffer._consumer_floor_cache is not None:
-                buffer._consumer_floor_cache += move
-            if buffer._producer_ceiling_cache is not None:
-                buffer._producer_ceiling_cache += move
+            buffer.produced_floor += move
+            if buffer._consumers:
+                buffer.freed += move
 
         # 5. Driver counters and (with unbounded retention) sink values.
         for source, (d_produced, d_dropped) in zip(self.sources, source_deltas):

@@ -26,21 +26,23 @@ simulator in :mod:`repro.runtime`, not by threads): ``can_acquire`` /
 operation is possible so the scheduler can decide whether a task may fire.
 
 Eligibility checks (``can_produce`` / ``can_consume``) greatly outnumber
-buffer mutations during a simulation, so the three window aggregates they
-depend on -- the released floor of the active producers, the released floor
-of the active consumers and the acquired ceiling of all producers -- are
-cached and only invalidated when a window actually moves or changes
-activation.  The buffer also keeps a reverse index of dependents: the
-execution engine subscribes per-buffer callbacks via :meth:`watch_tokens` /
-:meth:`watch_space` and is notified exactly when one of the two
-dispatch-relevant floors changed, which is what makes event-driven ready-set
-dispatch possible without re-polling every task.
+buffer mutations during a simulation, so the two window aggregates they
+depend on are plain attributes kept current at every window move:
+:attr:`CircularBuffer.produced_floor` (the released floor of the active
+producers) and :attr:`CircularBuffer.freed` (the released floor of the
+active consumers, 0 without consumers).  Each is the minimum over a cached
+tuple of member windows that changes only on register, activation change or
+retire, so a move of a side's only member window costs O(1).  The buffer
+also keeps a reverse index of dependents: the execution engine subscribes
+per-buffer callbacks via :meth:`watch_tokens` / :meth:`watch_space` and is
+notified exactly when one of the two floors changed, which is what makes
+event-driven ready-set dispatch possible without re-polling every task.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.util.validation import check_positive, require
 
@@ -88,10 +90,15 @@ class CircularBuffer:
         self._initial = len(initial_values)
         for index, value in enumerate(initial_values):
             self._storage[index % capacity] = value
-        # Cached window aggregates (None = dirty, recomputed lazily).
-        self._producer_floor_cache: Optional[int] = None
-        self._consumer_floor_cache: Optional[int] = None
-        self._producer_ceiling_cache: Optional[int] = None
+        #: released position every (active) producer has passed: tokens up to
+        #: this index are available to consumers
+        self.produced_floor: int = self._initial
+        #: released position every (active) consumer has passed (0 without
+        #: consumers): locations below it are free space
+        self.freed: int = 0
+        # The windows each floor is the minimum over (see _members).
+        self._floor_producers: Tuple[WindowState, ...] = ()
+        self._floor_consumers: Tuple[WindowState, ...] = ()
         # Reverse index of dependents: callbacks fired when the produced floor
         # (token availability) or the consumed floor (space availability)
         # actually moved.
@@ -101,15 +108,13 @@ class CircularBuffer:
     # ------------------------------------------------------------------ setup
     def register_producer(self, name: str) -> None:
         require(name not in self._producers, f"duplicate producer window {name!r}")
-        old_floor = self._producer_floor()
         self._producers[name] = WindowState(name, released=self._initial, acquired=self._initial)
-        self._producers_moved(old_floor)
+        self._producers_moved(regroup=True)
 
     def register_consumer(self, name: str) -> None:
         require(name not in self._consumers, f"duplicate consumer window {name!r}")
-        old_floor = self._consumer_floor()
         self._consumers[name] = WindowState(name)
-        self._consumers_moved(old_floor)
+        self._consumers_moved(regroup=True)
 
     # -------------------------------------------------------------- watchers
     def watch_tokens(self, callback: Callable[[], None]) -> None:
@@ -125,58 +130,42 @@ class CircularBuffer:
         self._space_watchers.append(callback)
 
     # ------------------------------------------------------ window aggregates
-    def _active_producers(self) -> List[WindowState]:
-        active = [w for w in self._producers.values() if w.active]
-        return active if active else list(self._producers.values())
+    @staticmethod
+    def _members(windows: Dict[str, WindowState]) -> Tuple[WindowState, ...]:
+        """The windows a side's floor is the minimum over: the active ones,
+        or all of them when none is active."""
+        active = tuple(w for w in windows.values() if w.active)
+        return active if active else tuple(windows.values())
 
-    def _active_consumers(self) -> List[WindowState]:
-        active = [w for w in self._consumers.values() if w.active]
-        return active if active else list(self._consumers.values())
-
-    def _producer_floor(self) -> int:
-        """Released position every (active) producer has passed; tokens up to
-        this index are available to consumers."""
-        if self._producer_floor_cache is None:
-            if not self._producers:
-                self._producer_floor_cache = self._initial
-            else:
-                self._producer_floor_cache = min(w.released for w in self._active_producers())
-        return self._producer_floor_cache
-
-    def _consumer_floor(self) -> Optional[int]:
-        """Released position every (active) consumer has passed (``None`` when
-        no consumer is registered); locations below it are free space."""
-        if not self._consumers:
-            return None
-        if self._consumer_floor_cache is None:
-            self._consumer_floor_cache = min(w.released for w in self._active_consumers())
-        return self._consumer_floor_cache
-
-    def _producer_ceiling(self) -> int:
-        """Highest acquired position of any producer (active or not)."""
-        if self._producer_ceiling_cache is None:
-            self._producer_ceiling_cache = max(
-                (w.acquired for w in self._producers.values()), default=self._initial
-            )
-        return self._producer_ceiling_cache
-
-    def _producers_moved(self, old_floor: int) -> None:
-        """Invalidate the producer-side caches after a producer window moved
-        or changed activation; *old_floor* is the pre-mutation floor, so token
-        watchers fire exactly when the floor actually changed."""
-        self._producer_floor_cache = None
-        self._producer_ceiling_cache = None
-        if self._token_watchers and self._producer_floor() != old_floor:
+    def _producers_moved(self, *, regroup: bool = False) -> None:
+        """Recompute :attr:`produced_floor` after a producer window moved
+        (with *regroup*: was registered, (de)activated or retired); token
+        watchers run exactly when the floor changed."""
+        if regroup:
+            self._floor_producers = self._members(self._producers)
+        members = self._floor_producers
+        floor = members[0].released if len(members) == 1 else min(w.released for w in members)
+        if floor != self.produced_floor:
+            self.produced_floor = floor
             for callback in self._token_watchers:
                 callback()
 
-    def _consumers_moved(self, old_floor: Optional[int]) -> None:
-        """Invalidate the consumer-side cache after a consumer window moved or
-        changed activation; notify space watchers when the floor changed."""
-        self._consumer_floor_cache = None
-        if self._space_watchers and self._consumer_floor() != old_floor:
+    def _consumers_moved(self, *, regroup: bool = False) -> None:
+        """Recompute :attr:`freed` after a consumer window moved (see
+        :meth:`_producers_moved`); space watchers run exactly when it
+        changed."""
+        if regroup:
+            self._floor_consumers = self._members(self._consumers)
+        members = self._floor_consumers
+        freed = members[0].released if len(members) == 1 else min(w.released for w in members)
+        if freed != self.freed:
+            self.freed = freed
             for callback in self._space_watchers:
                 callback()
+
+    def _producer_ceiling(self) -> int:
+        """Highest acquired position of any producer (active or not)."""
+        return max((w.acquired for w in self._producers.values()), default=self._initial)
 
     def set_producer_active(self, name: str, active: bool) -> None:
         """(De)activate a producer window.
@@ -187,17 +176,15 @@ class CircularBuffer:
         """
         window = self._producers[name]
         if window.active != active:
-            old_floor = self._producer_floor()
             window.active = active
-            self._producers_moved(old_floor)
+            self._producers_moved(regroup=True)
 
     def set_consumer_active(self, name: str, active: bool) -> None:
         """(De)activate a consumer window (see :meth:`set_producer_active`)."""
         window = self._consumers[name]
         if window.active != active:
-            old_floor = self._consumer_floor()
             window.active = active
-            self._consumers_moved(old_floor)
+            self._consumers_moved(regroup=True)
 
     def retire_producer(self, name: str, *, scope: Optional[str] = None) -> None:
         """Retire the window of a completed one-shot (initialisation) producer.
@@ -224,7 +211,6 @@ class CircularBuffer:
         unrelated producers of a shared buffer -- keep their own positions.
         """
         window = self._producers[name]
-        old_floor = self._producer_floor()
         window.active = False
         target = window.released
         for other in self._producers.values():
@@ -234,7 +220,7 @@ class CircularBuffer:
                 continue
             other.released = target
             other.acquired = target
-        self._producers_moved(old_floor)
+        self._producers_moved(regroup=True)
 
     def retire_consumer(self, name: str, *, scope: Optional[str] = None) -> None:
         """Retire the window of a completed one-shot consumer: the window is
@@ -245,7 +231,6 @@ class CircularBuffer:
         observe every token and are never advanced; see
         :meth:`retire_producer`."""
         window = self._consumers[name]
-        old_floor = self._consumer_floor()
         window.active = False
         target = window.released
         for other in self._consumers.values():
@@ -255,7 +240,7 @@ class CircularBuffer:
                 continue
             other.released = target
             other.acquired = target
-        self._consumers_moved(old_floor)
+        self._consumers_moved(regroup=True)
 
     def producer_position(self, name: str) -> int:
         return self._producers[name].released
@@ -270,10 +255,9 @@ class CircularBuffer:
         window = self._producers[name]
         require(window.held == 0, f"cannot reposition producer {name!r} mid-firing")
         if position > window.released:
-            old_floor = self._producer_floor()
             window.released = position
             window.acquired = position
-            self._producers_moved(old_floor)
+            self._producers_moved()
 
     def advance_consumer_to(self, name: str, position: int) -> None:
         """Move an idle consumer window forward to *position* (see
@@ -281,30 +265,25 @@ class CircularBuffer:
         window = self._consumers[name]
         require(window.held == 0, f"cannot reposition consumer {name!r} mid-firing")
         if position > window.released:
-            old_floor = self._consumer_floor()
             window.released = position
             window.acquired = position
-            self._consumers_moved(old_floor)
+            self._consumers_moved()
 
     # ------------------------------------------------------------- occupancy
     @property
     def tokens_available(self) -> int:
         """Number of tokens every (active) producer has released and no
         (active) consumer has consumed yet."""
-        consumer_floor = self._consumer_floor()
-        return self._producer_floor() - (consumer_floor if consumer_floor is not None else 0)
+        return self.produced_floor - self.freed
 
     @property
     def space_available(self) -> int:
         """Free locations from the point of view of the slowest producer."""
-        consumer_floor = self._consumer_floor()
-        occupied = self._producer_ceiling() - (consumer_floor if consumer_floor is not None else 0)
-        return self.capacity - occupied
+        return self.capacity - self.occupancy()
 
     def occupancy(self) -> int:
         """Tokens currently stored (acquired-but-unconsumed locations included)."""
-        consumer_floor = self._consumer_floor()
-        return self._producer_ceiling() - (consumer_floor if consumer_floor is not None else 0)
+        return self._producer_ceiling() - self.freed
 
     # ------------------------------------------------------------- producers
     def can_produce(self, producer: str, count: int) -> bool:
@@ -313,9 +292,7 @@ class CircularBuffer:
 
     def can_produce_window(self, window: WindowState, count: int) -> bool:
         """:meth:`can_produce` on a pre-resolved window."""
-        consumer_floor = self._consumer_floor()
-        freed = consumer_floor if consumer_floor is not None else 0
-        return window.acquired + count - freed <= self.capacity
+        return window.acquired + count - self.freed <= self.capacity
 
     def produce(self, producer: str, values: Optional[Sequence[Any]], count: int) -> None:
         """Acquire *count* locations, write *values* (or keep the previous
@@ -347,10 +324,9 @@ class CircularBuffer:
             storage, capacity, base = self._storage, self.capacity, window.acquired
             for offset in range(count):
                 storage[(base + offset) % capacity] = values[offset]
-        old_floor = self._producer_floor()
         window.acquired += count
         window.released += count
-        self._producers_moved(old_floor)
+        self._producers_moved()
 
     # ------------------------------------------------------------- consumers
     def can_consume(self, consumer: str, count: int) -> bool:
@@ -359,7 +335,7 @@ class CircularBuffer:
 
     def can_consume_window(self, window: WindowState, count: int) -> bool:
         """:meth:`can_consume` on a pre-resolved window."""
-        return window.acquired + count <= self._producer_floor()
+        return window.acquired + count <= self.produced_floor
 
     def consume(self, consumer: str, count: int) -> List[Any]:
         """Acquire, read and release *count* tokens; returns the values."""
@@ -373,10 +349,9 @@ class CircularBuffer:
         between)."""
         storage, capacity, base = self._storage, self.capacity, window.acquired
         values = [storage[(base + offset) % capacity] for offset in range(count)]
-        old_floor = self._consumer_floor()
         window.acquired += count
         window.released += count
-        self._consumers_moved(old_floor)
+        self._consumers_moved()
         return values
 
     def rotate_storage(self, rotation: int) -> None:
@@ -385,7 +360,7 @@ class CircularBuffer:
         This is the steady-state jump's realignment primitive: after a jump
         of ``move`` tokens, token index ``i`` maps to slot ``(i + move) %
         capacity``, so rotating the ring forward by ``move % capacity``
-        re-homes every live value.  Window bookkeeping and caches are
+        re-homes every live value.  Window bookkeeping and floors are
         deliberately untouched -- the caller moves the windows itself.
         """
         rotation %= self.capacity

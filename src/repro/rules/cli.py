@@ -98,7 +98,7 @@ def load_target(
         path = Path(target)
         try:
             source = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SystemExit(f"cannot read {target}: {exc}")
         program = Program.from_source(source, name=path.stem, top=top)
     else:

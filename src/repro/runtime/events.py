@@ -1,10 +1,12 @@
 """Discrete-event machinery of the runtime simulator.
 
 The simulator is a classical discrete-event engine: an event queue ordered by
-(time, sequence number) whose entries are callbacks.  Timestamps are exact so
-that periodic sources and sinks with incommensurable frequencies (6.4 MHz vs
-32 kHz) never suffer floating-point drift, and the queue supports two exact
-representations of time:
+(time, sequence number) whose entries are callbacks.  The heap holds
+``(time, sequence, event)`` tuples, so ordering is a C-level tuple comparison
+that never reaches the :class:`Event` (sequence numbers are unique).
+Timestamps are exact so that periodic sources and sinks with incommensurable
+frequencies (6.4 MHz vs 32 kHz) never suffer floating-point drift, and the
+queue supports two exact representations of time:
 
 * **fraction mode** (no time base): timestamps are
   :class:`~fractions.Fraction` seconds -- the original representation, always
@@ -28,9 +30,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.util.rational import Rat, TimeBase, as_rational
 
@@ -40,15 +41,26 @@ EventCallback = Callable[[], None]
 InternalTime = Union[int, Rat]
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.  ``time`` is in the queue's native units."""
+    """A scheduled callback.  ``time`` is in the queue's native units.
 
-    time: InternalTime
-    sequence: int
-    callback: EventCallback = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    Events carry no ordering: the queue orders their ``(time, sequence)``
+    heap keys."""
+
+    __slots__ = ("time", "sequence", "callback", "label", "cancelled")
+
+    def __init__(
+        self, time: InternalTime, sequence: int, callback: EventCallback, label: str = ""
+    ) -> None:
+        self.time = time
+        self.sequence = sequence
+        self.callback = callback
+        self.label = label
+        self.cancelled = False
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        state = ", cancelled" if self.cancelled else ""
+        return f"Event({self.time!r}, {self.sequence}, {self.label!r}{state})"
 
 
 class EventQueue:
@@ -56,7 +68,7 @@ class EventQueue:
     docstring)."""
 
     def __init__(self, timebase: Optional[TimeBase] = None) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[InternalTime, int, Event]] = []
         self._counter = itertools.count()
         self.timebase: Optional[TimeBase] = timebase
         self.now: InternalTime = 0 if timebase is not None else Fraction(0)
@@ -107,8 +119,9 @@ class EventQueue:
             time = as_rational(time)
         if time < self.now:
             raise ValueError(f"cannot schedule event at {time} before current time {self.now}")
-        event = Event(time=time, sequence=next(self._counter), callback=callback, label=label)
-        heapq.heappush(self._heap, event)
+        sequence = next(self._counter)
+        event = Event(time, sequence, callback, label)
+        heapq.heappush(self._heap, (time, sequence, event))
         return event
 
     def schedule_after(self, delay, callback: EventCallback, *, label: str = "") -> Event:
@@ -122,16 +135,20 @@ class EventQueue:
 
         This is the O(pending) primitive behind steady-state fast-forward: a
         uniform translation preserves the heap order (times move rigidly,
-        sequence numbers are untouched), so after the shift the queue behaves
-        exactly as if the skipped periods had been simulated.  Cancelled
+        sequence numbers are untouched), so the rebuilt entries still form a
+        valid heap and after the shift the queue behaves exactly as if the
+        skipped periods had been simulated.  Each :attr:`Event.time` moves
+        with its entry (preemption reads it), and the list is rebuilt in
+        place because :meth:`run_until` may be iterating it.  Cancelled
         entries are shifted too -- they only wait to be lazily dropped.
         """
         if shift < 0:
             raise ValueError(f"cannot shift the pending events backwards ({shift})")
         if shift == 0:
             return
-        for event in self._heap:
+        for _, _, event in self._heap:
             event.time += shift
+        self._heap[:] = [(event.time, sequence, event) for _, sequence, event in self._heap]
         self.now = self.now + shift
 
     def cancel(self, event: Event) -> None:
@@ -155,7 +172,7 @@ class EventQueue:
         :meth:`empty` and :meth:`peek_time` are O(1) amortised instead of
         scanning (or worse, sorting) the whole heap per call."""
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._cancelled_pending -= 1
 
@@ -169,7 +186,7 @@ class EventQueue:
         self._drop_cancelled_head()
         if not self._heap:
             return None
-        return self.to_time(self._heap[0].time)
+        return self.to_time(self._heap[0][0])
 
     # -------------------------------------------------------------- execution
     def run_until(
@@ -201,15 +218,17 @@ class EventQueue:
         else:
             end_time = as_rational(end_time)
         cut_short = False
-        while self._heap:
-            event = self._heap[0]
-            if event.time > end_time:
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            time, _, event = heap[0]
+            if time > end_time:
                 break
-            heapq.heappop(self._heap)
+            pop(heap)
             if event.cancelled:
                 self._cancelled_pending -= 1
                 continue
-            self.now = event.time
+            self.now = time
             event.callback()
             self.processed += 1
             if max_events is not None and self.processed >= max_events:

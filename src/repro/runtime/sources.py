@@ -17,9 +17,10 @@ FIFO semantics.  The runtime drivers implemented here:
   the pipeline-fill latency reported by the trace).
 
 Both drivers convert their period (and offsets) into the event queue's native
-time units once, at :meth:`start`: on a tick-based queue the per-period hot
-path then only adds integers.  Trace timestamps are recorded as exact
-rational seconds regardless of the queue's representation.
+time units and bind their buffer window once, at :meth:`start`: on a
+tick-based queue the per-period hot path then only adds integers and checks
+the window against the buffer's current floors.  Trace timestamps are
+recorded as exact rational seconds regardless of the queue's representation.
 
 The stimulus model
 ------------------
@@ -338,6 +339,7 @@ class SourceDriver:
             return
         self.launched = True
         self.buffer.register_producer(self.name)
+        self._window = self.buffer.window_of_producer(self.name)
         queue = self.queue
         self._period_i = queue.to_internal(self.period)
         self._label = f"source:{self.name}"
@@ -350,13 +352,14 @@ class SourceDriver:
         except StopIteration:
             return  # finite stimulus exhausted: stop producing
         trace = self.trace
-        if self.buffer.can_produce(self.name, 1):
-            self.buffer.produce(self.name, [value], 1)
+        buffer = self.buffer
+        if buffer.can_produce_window(self._window, 1):
+            buffer.produce_window(self._window, [value], 1)
             self.produced += 1
             if trace.endpoints_enabled:
                 trace.record_endpoint(self.name, "source", queue.now_time, value)
             if trace.occupancy_enabled:
-                trace.record_occupancy(self.buffer.name, self.buffer.occupancy())
+                trace.record_occupancy(buffer.name, buffer.occupancy())
             if self.on_change is not None:
                 self.on_change()
         else:
@@ -366,7 +369,7 @@ class SourceDriver:
                     self.name,
                     "source-overflow",
                     queue.now_time,
-                    detail=f"buffer {self.buffer.name!r} full ({self.buffer.occupancy()} tokens)",
+                    detail=f"buffer {buffer.name!r} full ({buffer.occupancy()} tokens)",
                 )
         queue.schedule(queue.now + self._period_i, self._tick, label=self._label)
 
@@ -400,6 +403,7 @@ class SinkDriver:
             return
         self.launched = True
         self.buffer.register_consumer(self.name)
+        self._window = self.buffer.window_of_consumer(self.name)
         queue = self.queue
         self._period_i = queue.to_internal(self.period)
         self._label = f"sink:{self.name}"
@@ -422,7 +426,7 @@ class SinkDriver:
         """
         if self.started:
             return
-        if self.buffer.can_consume(self.name, 1):
+        if self.buffer.can_consume_window(self._window, 1):
             self.started = True
             queue = self.queue
             queue.schedule(queue.now + self._half_period_i, self._tick, label=self._label)
@@ -430,8 +434,9 @@ class SinkDriver:
     def _tick(self) -> None:
         queue = self.queue
         trace = self.trace
-        if self.buffer.can_consume(self.name, 1):
-            value = self.buffer.consume(self.name, 1)[0]
+        buffer = self.buffer
+        if buffer.can_consume_window(self._window, 1):
+            value = buffer.consume_window(self._window, 1)[0]
             self.consumed.append(value)
             self.consumed_count += 1
             if trace.endpoints_enabled:
@@ -445,6 +450,6 @@ class SinkDriver:
                     self.name,
                     "sink-underflow",
                     queue.now_time,
-                    detail=f"buffer {self.buffer.name!r} empty",
+                    detail=f"buffer {buffer.name!r} empty",
                 )
         queue.schedule(queue.now + self._period_i, self._tick, label=self._label)

@@ -258,14 +258,18 @@ class RuntimeTask:
         """The eligibility rule every dispatch loop applies: loop active, no
         firing in flight (or a completed one-shot), enough tokens on every
         read window and enough space on every write window -- reads before
-        writes, first failure wins."""
+        writes, first failure wins.
+
+        The window checks are ``CircularBuffer.can_consume_window`` /
+        ``can_produce_window`` inlined: they compare integers on the
+        buffers' current floors, with no call per window."""
         if self.busy or not self.active or (self.one_shot and self.fired_once):
             return False
         for _, count, buffer, window in self._read_windows:
-            if not buffer.can_consume_window(window, count):
+            if window.acquired + count > buffer.produced_floor:
                 return False
         for _, count, buffer, window in self._write_windows:
-            if not buffer.can_produce_window(window, count):
+            if window.acquired + count - buffer.freed > buffer.capacity:
                 return False
         return True
 

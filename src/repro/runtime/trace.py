@@ -24,9 +24,9 @@ do not pay for bookkeeping they never read:
   records are skipped,
 * ``"off"`` -- record nothing.
 
-The ``*_enabled`` properties let hot paths skip computing a measurement (for
-example a buffer occupancy) before handing it to a recorder that would drop
-it anyway.
+The ``*_enabled`` flags, plain attributes set with the level, let hot paths
+skip computing a measurement (for example a buffer occupancy) before handing
+it to a recorder that would drop it anyway.
 
 Long horizons need bounded memory: ``retention`` caps how many of each stored
 record kind are kept (oldest dropped first) while *streaming* counters --
@@ -118,7 +118,6 @@ class TraceRecorder:
         level: str = "full",
         retention: Optional[int] = None,
     ):
-        check_in(level, TRACE_LEVELS, "trace level")
         if retention is not None and retention < 0:
             raise ValueError(f"trace retention must be >= 0, got {retention}")
         self.level = level
@@ -142,20 +141,15 @@ class TraceRecorder:
 
     # ----------------------------------------------------------------- levels
     @property
-    def firings_enabled(self) -> bool:
-        return self.level == "full"
+    def level(self) -> str:
+        return self._level
 
-    @property
-    def occupancy_enabled(self) -> bool:
-        return self.level == "full"
-
-    @property
-    def endpoints_enabled(self) -> bool:
-        return self.level != "off"
-
-    @property
-    def violations_enabled(self) -> bool:
-        return self.level != "off"
+    @level.setter
+    def level(self, level: str) -> None:
+        check_in(level, TRACE_LEVELS, "trace level")
+        self._level = level
+        self.firings_enabled = self.occupancy_enabled = level == "full"
+        self.endpoints_enabled = self.violations_enabled = level != "off"
 
     # -------------------------------------------------------------- retention
     def _trim(self, records: List) -> List:

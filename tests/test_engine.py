@@ -8,9 +8,11 @@ reshape timing in exactly the documented ways (bounded processors serialise,
 static order replays the sequential baseline's schedule).
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dispatch_oracle import polling_dispatch
 from repro.api import Analysis, Program
@@ -37,6 +39,7 @@ from repro.runtime.functions import FunctionRegistry
 from repro.runtime.simulator import Simulation
 from repro.runtime.tasks import RuntimeTask
 from repro.runtime.trace import TraceRecorder
+from test_fastforward import generated_rings
 
 
 def assert_traces_identical(a, b):
@@ -256,6 +259,82 @@ class TestDispatcherEquivalence:
         assert b.queue.timebase is None and b.engine.kernel_active
         assert a.engine.completed_firings == b.engine.completed_firings == 2000
         assert_traces_identical(a.trace, b.trace)
+
+
+@st.composite
+def generated_fleets(draw):
+    """A fleet builder and a boolean policy: a ring of the shapes
+    ``generated_rings`` draws, or a fork-join diamond of width 1-6, under
+    ``SelfTimedUnbounded`` (``processors`` None) or
+    ``BoundedProcessors(processors)``."""
+    if draw(st.booleans()):
+        task_count, shape, _, _ = draw(generated_rings())
+        build = functools.partial(ring_program, task_count, **shape)
+    else:
+        build = functools.partial(
+            fork_join_program,
+            draw(st.integers(1, 6)),
+            worker_wcet=Fraction(draw(st.integers(1, 5)), 1000),
+            overhead_wcet=Fraction(draw(st.integers(1, 3)), 1000),
+        )
+    processors = draw(st.none() | st.integers(1, 3))
+    return build, processors
+
+
+@given(generated_fleets())
+@settings(max_examples=40, deadline=None)
+def test_engine_equals_polling_oracle_on_generated_fleets(case):
+    build, processors = case
+
+    def run():
+        policy = SelfTimedUnbounded() if processors is None else BoundedProcessors(processors)
+        return run_tasks(build(), policy=policy, stop_after_firings=400, fast_forward=False)
+
+    reference, candidate = engine_and_oracle(run)
+    assert candidate.engine.completed_firings == reference.engine.completed_firings == 400
+    assert_traces_identical(reference.trace, candidate.trace)
+    assert candidate.queue.processed == reference.queue.processed
+
+
+# ---------------------------------------------------------------------------
+# The wake rule: only tasks that can fire are queued
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def pushes(monkeypatch):
+    """Every ``ReadySet.push`` call's index, recorded by a test-side wrapper
+    (the engine keeps no such counter)."""
+    calls = []
+    original = ReadySet.push
+
+    def push(self, index):
+        calls.append(index)
+        original(self, index)
+
+    monkeypatch.setattr(ReadySet, "push", push)
+    return calls
+
+
+class TestWakeRule:
+    @pytest.mark.parametrize(
+        "app, started, processed",
+        [
+            ("pal_decoder", 17_479, 48_670),
+            ("quickstart", 1_000, 8_000),
+            ("modal_two_mode", 2_000, 16_000),
+        ],
+    )
+    def test_every_push_starts_a_firing(self, pushes, app, started, processed):
+        # Self-timed, naive, 1 s: a task is queued only when it can fire, so
+        # no pushed task is popped and skipped, and no wake queues a task
+        # twice.  The event count does not depend on which wakes pushed.
+        result = Program.from_app(app).analyze().run(
+            Fraction(1), fast_forward=False, trace="off"
+        )
+        simulation = result.simulation
+        assert simulation.engine.started_firings == started
+        assert len(pushes) == started
+        assert simulation.queue.processed == processed
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,13 @@ class TestCheckCli:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    def test_non_utf8_file_is_unreadable_not_a_crash(self, tmp_path, capsys):
+        path = tmp_path / "latin.oil"
+        path.write_bytes(b"\xff\xfe module")
+        assert check_main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {path}:" in err
+
     def test_processors_engages_platform_rules(self, capsys):
         assert check_main(["quickstart", "--processors", "2"]) == 0
         capsys.readouterr()

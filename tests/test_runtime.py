@@ -19,6 +19,7 @@ from repro.runtime import (
     evaluate_expression,
 )
 from repro.apps.producer_consumer import quickstart_registry
+from repro.util.rational import TimeBase
 
 
 class TestEventQueue:
@@ -69,6 +70,50 @@ class TestEventQueue:
         assert queue.empty()
         assert queue._heap == []
         assert queue.peek_time() is None
+
+    @pytest.mark.parametrize("timebase", [None, TimeBase(Fraction(1, 10))])
+    def test_shift_pending_carries_cancelled_entries(self, timebase):
+        # A jump shifts cancelled entries with the live ones; each event's
+        # own time moves with its heap entry (preemption reads it), and
+        # the cancelled ones are still dropped lazily, exactly once.
+        queue = EventQueue(timebase)
+        seen = []
+        events = [
+            queue.schedule(queue.to_internal(Fraction(i, 10)), lambda i=i: seen.append(i))
+            for i in (1, 2, 3, 4)
+        ]
+        queue.cancel(events[0])
+        queue.cancel(events[2])
+        shift = queue.to_internal(Fraction(5))
+        queue.shift_pending(shift)
+        assert queue.now_time == 5
+        assert [queue.to_time(event.time) for event in events] == [
+            5 + Fraction(i, 10) for i in (1, 2, 3, 4)
+        ]
+        assert sorted(time for time, _, _ in queue._heap) == sorted(e.time for e in events)
+        assert queue.cancelled_pending == 2
+        assert queue.peek_time() == Fraction(52, 10)  # the cancelled head dropped
+        assert queue.cancelled_pending == 1
+        queue.cancel(events[3])  # cancelling after the shift still holds
+        queue.run_until(queue.to_internal(Fraction(10)))
+        assert seen == [2]
+        assert queue.cancelled_pending == 0
+        assert queue.empty() and queue.peek_time() is None
+        assert queue.processed == 1
+
+    def test_peek_time_and_empty_follow_the_earliest_live_entry(self):
+        queue = EventQueue(TimeBase(Fraction(1, 4)))
+        late = queue.schedule(8, lambda: None)
+        early = queue.schedule(2, lambda: None)
+        tie = queue.schedule(2, lambda: None)
+        assert queue.peek_time() == Fraction(1, 2)
+        queue.cancel(early)
+        assert queue.peek_time() == Fraction(1, 2)  # the same-instant tie
+        queue.cancel(tie)
+        assert queue.peek_time() == 2 and not queue.empty()
+        queue.cancel(late)
+        assert queue.empty() and queue.peek_time() is None
+        assert queue.cancelled_pending == 0
 
 
 class TestExpressionEvaluator:
