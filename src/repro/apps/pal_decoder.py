@@ -222,7 +222,7 @@ class PalDecoderApp:
 
         registry.register(
             "Mix_A",
-            lambda sample: mixer.process([sample])[0],
+            mixer.mix,
             wcet=self._wcet_for_rate(self.rf_rate),
             description="mix the audio carrier down to baseband",
             get_state=mixer.get_state,
@@ -230,7 +230,7 @@ class PalDecoderApp:
         )
         registry.register(
             "LPF_V",
-            lambda sample: video_filter.process([sample])[0],
+            lambda sample: video_filter.process(sample)[0],
             wcet=self._wcet_for_rate(self.rf_rate),
             description="low-pass filter keeping the video band",
             get_state=video_filter.get_state,
@@ -246,7 +246,7 @@ class PalDecoderApp:
         )
         registry.register(
             "resamp",
-            lambda samples: video_resampler.process(samples),
+            video_resampler.process,
             wcet=self.function_wcets()["resamp"],
             description="10/16 rational resampler (SRC_V)",
             get_state=video_resampler.get_state,

@@ -8,15 +8,15 @@ coordinates).  This module provides:
 * :class:`StreamingFIR` -- a stateful, side-effect-free-per-call filter that
   keeps its delay line between calls (state is allowed in OIL functions,
   side effects are not: the filter never touches anything outside its own
-  state and produces identical outputs for identical input histories),
+  state and produces identical outputs for identical input histories); it
+  computes only the outputs its caller keeps, one ``np.dot`` each,
 * :func:`block_convolve` -- helper used by tests to cross-check the streaming
   implementation against :func:`numpy.convolve`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,45 +57,66 @@ def design_lowpass(cutoff: float, num_taps: int = 63) -> np.ndarray:
 class StreamingFIR:
     """A stateful FIR filter processing samples one block at a time.
 
-    The delay line persists between calls so consecutive calls on consecutive
+    The delay line -- the last ``len(taps) - 1`` input samples, a float64
+    array -- persists between calls, so consecutive calls on consecutive
     blocks produce the same output as filtering the concatenated signal.
+
+    Every output is one ``np.dot`` of the full input window with the
+    reversed taps, and only the outputs a caller keeps are computed (a
+    decimating resampler asks for one position in ``down``).  The
+    arithmetic is fixed: a batched matrix-vector product or a Python-level
+    sum orders the additions differently and changes the low bits.
     """
 
     def __init__(self, taps: Sequence[float]) -> None:
         self.taps = np.asarray(list(taps), dtype=float)
         if self.taps.ndim != 1 or self.taps.size == 0:
             raise ValueError("taps must be a non-empty 1-D sequence")
-        self._history: List[float] = [0.0] * (self.taps.size - 1)
+        self._width = self.taps.size
+        # numpy copies a negative-stride operand (``taps[::-1]``) to a
+        # contiguous array before its BLAS dot, so one copy made here
+        # gives the same bits as reversing the taps on every call.
+        self._reversed = np.ascontiguousarray(self.taps[::-1])
+        self.reset()
 
     def reset(self) -> None:
         """Clear the delay line."""
-        self._history = [0.0] * (self.taps.size - 1)
+        self._history = np.zeros(self._width - 1)
 
-    def get_state(self):
-        """The delay line as a serialisable tuple (raw input copies, so a
+    def get_state(self) -> Tuple[float, ...]:
+        """The delay line as a tuple of floats (raw input copies, so a
         periodic input makes the state exactly periodic)."""
-        return tuple(self._history)
+        return tuple(self._history.tolist())
 
     def set_state(self, state) -> None:
-        self._history = list(state)
+        history = np.array(state, dtype=float)
+        if history.shape != self._history.shape:
+            raise ValueError(
+                f"the delay line of a {self._width}-tap filter holds "
+                f"{self._width - 1} samples, got shape {history.shape}"
+            )
+        self._history = history
 
     def process(self, samples: Sequence[float]) -> List[float]:
-        """Filter *samples* and return one output per input sample."""
-        if np.isscalar(samples):
-            samples = [float(samples)]  # type: ignore[list-item]
-        samples = [float(s) for s in samples]
-        if not samples:
+        """Filter *samples* (a sequence or one scalar) and return one output
+        per input sample."""
+        return self._outputs_at(np.asarray(samples, dtype=float).reshape(-1), 0, 1)
+
+    def _outputs_at(self, block: np.ndarray, start: int, step: int) -> List[float]:
+        """Advance the delay line by the whole *block*, but compute only the
+        outputs at block positions ``start, start + step, ...``."""
+        count = block.size
+        if not count:
             return []
-        signal = np.asarray(self._history + samples, dtype=float)
-        # Output y[n] = sum_k taps[k] * x[n - k]  for n over the new samples.
-        outputs: List[float] = []
-        taps = self.taps[::-1]
-        width = self.taps.size
-        for index in range(len(samples)):
-            window = signal[index : index + width]
-            outputs.append(float(np.dot(window, taps)))
-        keep = max(width - 1, 0)
-        self._history = list(signal[-keep:]) if keep else []
+        width = self._width
+        taps = self._reversed
+        # Output y[n] = sum_k taps[k] * x[n - k], the window ending at x[n].
+        signal = np.concatenate((self._history, block))
+        outputs = [
+            float(np.dot(signal[index : index + width], taps))
+            for index in range(start, count, step)
+        ]
+        self._history = signal[count:]
         return outputs
 
     def __call__(self, samples: Sequence[float]) -> List[float]:

@@ -52,16 +52,18 @@ class Mixer:
     def set_state(self, state: Any) -> None:
         self._sample_index = int(state) % self.period
 
+    def mix(self, sample: float) -> float:
+        """Mix one sample and advance the oscillator by one position."""
+        phase = 2.0 * math.pi * self.frequency * self._sample_index
+        value = self.amplitude * float(sample) * math.cos(phase)
+        self._sample_index = (self._sample_index + 1) % self.period
+        return value
+
     def process(self, samples: Sequence[float]) -> List[float]:
+        """Mix *samples* (a sequence or one scalar), one :meth:`mix` each."""
         if np.isscalar(samples):
-            samples = [float(samples)]  # type: ignore[list-item]
-        samples = [float(s) for s in samples]
-        outputs: List[float] = []
-        for sample in samples:
-            phase = 2.0 * math.pi * self.frequency * self._sample_index
-            outputs.append(self.amplitude * sample * math.cos(phase))
-            self._sample_index = (self._sample_index + 1) % self.period
-        return outputs
+            samples = [samples]  # type: ignore[list-item]
+        return [self.mix(sample) for sample in samples]
 
     def __call__(self, samples: Sequence[float]) -> List[float]:
         return self.process(samples)

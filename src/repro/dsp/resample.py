@@ -5,7 +5,8 @@ decimated by 25 and then by 8, the video path is resampled by 10/16
 (Sec. VI).  This module implements a streaming rational resampler based on
 zero-stuffing, low-pass filtering and decimation (the textbook L/M
 structure), with the anti-aliasing/anti-imaging filter shared between the
-interpolation and decimation stages.
+interpolation and decimation stages.  The filter computes only the samples
+decimation keeps.
 
 The streaming interface matches the OIL colon notation: each call consumes a
 fixed block of input samples and produces a fixed block of output samples
@@ -26,10 +27,15 @@ class RationalResampler:
     """A streaming resampler by the rational factor ``up / down``.
 
     Each call to :meth:`process` may pass any number of input samples; the
-    resampler buffers fractional phases internally so that concatenated calls
-    are equivalent to one large call.  For block-oriented use (the OIL
+    resampler keeps the decimation phase between calls so that concatenated
+    calls are equivalent to one large call.  For block-oriented use (the OIL
     decoder), pass ``down`` samples per call to obtain exactly ``up`` output
     samples per call (after the start-up transient of the filter).
+
+    The filter is asked only for the outputs decimation keeps (one in
+    ``down``), each over its full window of the zero-stuffed stream: the
+    stuffed zeros stay in every dot product, because dropping them (a
+    polyphase split) would reorder the sum.
     """
 
     def __init__(self, up: int, down: int, *, num_taps: int = 63) -> None:
@@ -41,12 +47,10 @@ class RationalResampler:
         cutoff = 0.45 / max(self.up, self.down)
         self._filter = StreamingFIR(design_lowpass(cutoff, num_taps) * self.up)
         self._phase = 0  # position within the upsampled stream modulo `down`
-        self._pending: List[float] = []
 
     def reset(self) -> None:
         self._filter.reset()
         self._phase = 0
-        self._pending = []
 
     def get_state(self):
         """Filter delay line + decimation phase as a serialisable tuple."""
@@ -54,33 +58,27 @@ class RationalResampler:
 
     def set_state(self, state) -> None:
         history, phase = state
+        phase = int(phase)
+        if not 0 <= phase < self.down:
+            raise ValueError(
+                f"the decimation phase must satisfy 0 <= phase < {self.down}, got {phase}"
+            )
         self._filter.set_state(history)
-        self._phase = int(phase)
+        self._phase = phase
 
     def process(self, samples: Sequence[float]) -> List[float]:
         """Resample *samples*; returns the newly available output samples."""
-        if np.isscalar(samples):
-            samples = [float(samples)]  # type: ignore[list-item]
-        samples = [float(s) for s in samples]
-        if not samples:
-            return []
-        # Zero-stuff by the interpolation factor.
-        stuffed: List[float] = []
-        for sample in samples:
-            stuffed.append(sample)
-            stuffed.extend([0.0] * (self.up - 1))
-        filtered = self._filter.process(stuffed)
-        # Decimate by the decimation factor, honouring the phase left over
-        # from the previous call.
-        outputs: List[float] = []
-        index = (self.down - self._phase) % self.down
-        start = index if self._phase else 0
-        position = self._phase
-        for offset, value in enumerate(filtered):
-            if position == 0:
-                outputs.append(value)
-            position = (position + 1) % self.down
-        self._phase = position
+        block = np.asarray(samples, dtype=float).reshape(-1)
+        up, down = self.up, self.down
+        if up > 1:
+            # Zero-stuff by the interpolation factor.
+            stuffed = np.zeros(block.size * up)
+            stuffed[::up] = block
+            block = stuffed
+        # Keep every down-th position of the upsampled stream, honouring the
+        # phase left over from the previous call.
+        outputs = self._filter._outputs_at(block, (down - self._phase) % down, down)
+        self._phase = (self._phase + block.size) % down
         return outputs
 
     def __call__(self, samples: Sequence[float]) -> List[float]:

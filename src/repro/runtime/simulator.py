@@ -270,6 +270,9 @@ class Simulation:
         self.buffers: Dict[str, CircularBuffer] = {}
         self.sources: Dict[str, SourceDriver] = {}
         self.sinks: Dict[str, SinkDriver] = {}
+        #: the delayed-start sinks that have not started yet, in registration
+        #: order (set when the drivers start; ``started`` never resets)
+        self._waiting_sinks: List[SinkDriver] = []
         self.instances: List[SequentialInstance] = []
         #: O(1) task -> owning instance lookup (replaces the seed's linear
         #: scan over all instances on every firing completion)
@@ -640,11 +643,16 @@ class Simulation:
         instance = self._instance_of.get(task)
         if instance is not None and instance.maybe_advance_phase():
             self.engine.wake_tasks(instance.tasks)
-        self._notify_sinks()
+        if self._waiting_sinks:
+            self._notify_sinks()
 
     def _notify_sinks(self) -> None:
-        for driver in self.sinks.values():
+        """Offer data to the sinks still waiting to start; a sink leaves the
+        list once it has started."""
+        waiting = self._waiting_sinks
+        for driver in waiting:
             driver.notify_data_available()
+        self._waiting_sinks = [driver for driver in waiting if not driver.started]
 
     # ---------------------------------------------------------- fast-forward
     @property
@@ -727,6 +735,7 @@ class Simulation:
             driver.start()
         for driver in self.sinks.values():
             driver.start()
+        self._waiting_sinks = [driver for driver in self.sinks.values() if not driver.started]
         if not self._wired:
             self._wired = True
             self.engine.wire_buffers()

@@ -269,6 +269,56 @@ class TestDrivers:
         assert any(v.kind == "sink-underflow" for v in trace.violations)
 
 
+@pytest.fixture
+def sink_notifications(monkeypatch):
+    """Every ``SinkDriver.notify_data_available`` call, as (sink name,
+    started before the call), recorded by a test-side wrapper."""
+    calls = []
+    original = SinkDriver.notify_data_available
+
+    def notify(self):
+        calls.append((self.name, self.started))
+        original(self)
+
+    monkeypatch.setattr(SinkDriver, "notify_data_available", notify)
+    return calls
+
+
+class TestSinkNotification:
+    """Firings offer data only to the delayed-start sinks that have not
+    started yet; a started sink never needs another notification."""
+
+    FIRST_OUTPUT = {"screen": Fraction(581, 160000), "speakers": Fraction(1947, 32000)}
+
+    def test_only_waiting_sinks_are_notified(self, sink_notifications):
+        from repro.api import Program
+
+        result = Program.from_app("pal_decoder").analyze().run(
+            Fraction(1), fast_forward=False, trace="endpoints"
+        )
+        # The seed notified every sink after every firing: 34,950 calls on
+        # PAL over 1 s, of which these 825 found their sink not started.
+        assert len(sink_notifications) == 825
+        assert not any(started for _, started in sink_notifications)
+        trace = result.simulation.trace
+        for name, first in self.FIRST_OUTPUT.items():
+            assert trace.first_output_time(name) == first
+        assert result.simulation.queue.processed == 48_670
+
+    def test_resumed_run_keeps_waiting_sinks(self, sink_notifications):
+        from repro.api import Program
+
+        simulation = Program.from_app("pal_decoder").analyze().simulation(
+            fast_forward=False, trace="endpoints"
+        )
+        simulation.run(Fraction(1, 1000))
+        assert not any(sink.started for sink in simulation.sinks.values())
+        simulation.run(Fraction(1, 10))
+        for name, first in self.FIRST_OUTPUT.items():
+            assert simulation.trace.first_output_time(name) == first
+        assert len(sink_notifications) == 825
+
+
 class TestSimulation:
     def test_quickstart_simulation_behaviour(self, quickstart_sized):
         result, sizing = quickstart_sized
