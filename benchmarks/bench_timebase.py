@@ -9,6 +9,9 @@ dispatch-bound 200-task ring as ``bench_engine_dispatch.py``, plus one
 app-level row (the quickstart pipeline through ``repro.api``) where firing
 bodies and buffer bookkeeping dilute the queue's share of the work.
 
+Every run derives its time base, so the tick rows run as any caller would
+and the fraction rows run inside the test suite's reference oracle
+(``tests/timebase_oracle.py``), the same one the equivalence tests use.
 Both modes run the same dispatch loop (the engine's boolean-policy loop
 serves both time bases) and execute the identical event sequence -- the
 equivalence tests (tests/test_timebase.py) assert bit-identical traces -- so
@@ -17,7 +20,9 @@ the ratio below is pure time-representation cost.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import sys
 import time
 from fractions import Fraction
 
@@ -26,6 +31,9 @@ from _reporting import print_table
 from repro.api import Program
 from repro.engine import ring_program, run_tasks
 from repro.runtime.trace import TraceRecorder
+
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from timebase_oracle import fraction_time_base  # noqa: E402  (the one fraction switch)
 
 #: BENCH_SMOKE=1 shrinks the workload and relaxes the floor so CI can run
 #: the benchmark as a fast regression tripwire on noisy shared runners.
@@ -45,20 +53,26 @@ APP_DURATION = Fraction(1, 10) if SMOKE else Fraction(1, 2)
 REQUIRED_TICK_SPEEDUP = 1.1 if SMOKE else 1.3
 
 
+def _representation(time_base: str):
+    """The derived tick base, or the fraction oracle."""
+    return fraction_time_base() if time_base == "fraction" else contextlib.nullcontext()
+
+
 def _ring_events_per_second(time_base: str) -> float:
     """Best-of-N completed firings per wall-clock second on the ring."""
     best = 0.0
     for _ in range(REPEATS):
         tasks = ring_program(TASK_COUNT, tokens=TOKENS, stagger=STAGGER)
         started = time.perf_counter()
-        run = run_tasks(
-            tasks,
-            stop_after_firings=FIRINGS,
-            trace=TraceRecorder(level="off"),
-            time_base=time_base,
-        )
+        with _representation(time_base):
+            run = run_tasks(
+                tasks,
+                stop_after_firings=FIRINGS,
+                trace=TraceRecorder(level="off"),
+            )
         elapsed = time.perf_counter() - started
         assert run.engine.completed_firings >= FIRINGS
+        assert (run.queue.timebase is None) == (time_base == "fraction")
         best = max(best, run.engine.completed_firings / elapsed)
     return best
 
@@ -69,7 +83,8 @@ def _app_events_per_second(time_base: str) -> float:
     for _ in range(REPEATS):
         analysis = Program.from_app("quickstart").analyze()
         started = time.perf_counter()
-        run = analysis.run(APP_DURATION, trace="off", time_base=time_base)
+        with _representation(time_base):
+            run = analysis.run(APP_DURATION, trace="off")
         elapsed = time.perf_counter() - started
         assert run.time_base == time_base
         best = max(best, run.completed_firings / elapsed)

@@ -14,8 +14,8 @@ classes here are that glue, written once:
   consistency / achievable rates, buffer capacities, latency checks, all
   computed lazily and exactly once.
 * :class:`RunResult` -- the structured result of ``analysis.run(duration)``:
-  the trace, deadline misses, sink samples, measured rates and the
-  occupancy-vs-capacity validation the paper's claims rest on.
+  the trace, deadline misses, sink samples, measured rates and the traced
+  occupancy high-water marks.
 
 The canonical three lines::
 
@@ -49,12 +49,7 @@ from repro.platform.model import Platform
 from repro.runtime.functions import FunctionRegistry
 from repro.runtime.simulator import ModeSchedule, Simulation
 from repro.runtime.trace import TraceRecorder
-from repro.util.rational import Rat, RationalLike, TimeBase, as_rational
-
-#: A time-base selector: ``"auto"`` / ``"ticks"`` / ``"fraction"`` or a ready
-#: :class:`~repro.util.rational.TimeBase` (see
-#: :class:`~repro.runtime.simulator.Simulation`).
-TimeBaseLike = Union[str, TimeBase]
+from repro.util.rational import Rat, RationalLike, as_rational
 
 #: A registry argument: a ready instance (shared) or a zero-argument factory.
 RegistryLike = Union[FunctionRegistry, Callable[[], FunctionRegistry]]
@@ -140,7 +135,6 @@ class Program:
         signals: Optional[SignalsLike] = None,
         mode_schedules: Optional[ModeSchedule] = None,
         params: Optional[Mapping[str, Any]] = None,
-        time_base: TimeBaseLike = "auto",
         platform: Optional[Platform] = None,
     ) -> None:
         self.name = name
@@ -152,10 +146,6 @@ class Program:
         self.make_registry = _registry_factory(registry)
         self.make_signals = _signals_factory(signals)
         self.mode_schedules: Optional[ModeSchedule] = mode_schedules
-        #: default time representation of this program's simulations
-        #: (overridable per run); the concrete tick resolution is derived
-        #: when a simulation is built from the compiled program
-        self.time_base: TimeBaseLike = time_base
         #: default execution platform of this program's simulations
         #: (overridable per run); None = the scheduler's own platform, or
         #: virtual unbounded hardware under the default self-timed policy
@@ -186,7 +176,6 @@ class Program:
         signals: Optional[SignalsLike] = None,
         mode_schedules: Optional[ModeSchedule] = None,
         params: Optional[Mapping[str, Any]] = None,
-        time_base: TimeBaseLike = "auto",
         platform: Optional[Platform] = None,
     ) -> "Program":
         """A program from OIL source text plus its execution environment."""
@@ -201,7 +190,6 @@ class Program:
             signals=signals,
             mode_schedules=mode_schedules,
             params=params,
-            time_base=time_base,
             platform=platform,
         )
 
@@ -419,7 +407,6 @@ class Analysis:
         signals: Optional[SignalsLike] = None,
         sink_start_times: Optional[Mapping[str, RationalLike]] = None,
         capacities: Optional[Mapping[str, Optional[int]]] = None,
-        time_base: Optional[TimeBaseLike] = None,
         fast_forward: Union[bool, str] = "auto",
         trace_retention: Optional[int] = None,
     ) -> Simulation:
@@ -446,7 +433,6 @@ class Analysis:
             scheduler=scheduler,
             platform=platform,
             trace_level=trace,
-            time_base=time_base if time_base is not None else program.time_base,
             fast_forward=fast_forward,
             trace_retention=trace_retention,
         )
@@ -463,7 +449,6 @@ class Analysis:
         signals: Optional[SignalsLike] = None,
         sink_start_times: Optional[Mapping[str, RationalLike]] = None,
         capacities: Optional[Mapping[str, Optional[int]]] = None,
-        time_base: Optional[TimeBaseLike] = None,
         fast_forward: Union[bool, str] = "auto",
         trace_retention: Optional[int] = None,
     ) -> "RunResult":
@@ -479,10 +464,12 @@ class Analysis:
         greedy list scheduling otherwise) and is mutually exclusive with
         ``scheduler``.  The policy also picks the engine's dispatch loop
         (boolean or platform).  ``trace`` selects the recording granularity
-        (``"full"``, ``"endpoints"``, ``"off"``); ``time_base`` the
-        event-queue time representation (``"auto"`` by default: integer
-        ticks when the program's -- speed-scaled -- durations fit one, exact
-        fractions otherwise, observationally identical either way).
+        (``"full"``, ``"endpoints"``, ``"off"``).  The event queue's time
+        representation is derived, not chosen: integer ticks when the
+        program's -- speed-scaled -- durations fit a grid, exact fractions
+        otherwise, observationally identical either way
+        (:attr:`RunResult.time_base` reports which ran).  A negative
+        *duration* raises :class:`ValueError`; 0 runs nothing.
 
         ``fast_forward`` is ``"auto"`` (the default) or ``False``: under
         ``"auto"`` programs whose stimuli and functions declare their jump
@@ -501,7 +488,6 @@ class Analysis:
             signals=signals,
             sink_start_times=sink_start_times,
             capacities=capacities,
-            time_base=time_base,
             fast_forward=fast_forward,
             trace_retention=trace_retention,
         )
@@ -637,12 +623,17 @@ class RunResult:
 
     # ------------------------------------------------------------- validation
     def occupancy_violations(self) -> List[str]:
-        """Buffers whose observed occupancy exceeded the analysed capacity.
+        """Buffers whose traced high-water mark exceeded the runtime
+        buffer's own capacity.
 
-        The central validation of the reproduction: with the capacities the
-        CTA buffer-sizing computed, the list must be empty.  Occupancy is
-        recorded only at ``trace="full"``; at coarser levels the check is
-        vacuously empty.
+        This is a consistency check of the trace, not a check of the
+        analysed capacities: :meth:`CircularBuffer.can_produce_window
+        <repro.graph.circular_buffer.CircularBuffer.can_produce_window>`
+        enforces that same capacity on every acquire, so the list stays
+        empty even when the analysed capacities are too small (those show
+        up as back pressure instead: deadline misses, lower measured
+        rates).  Occupancy is recorded only at
+        ``trace="full"``; at coarser levels the list is vacuously empty.
         """
         violations = []
         for name, mark in sorted(self.trace.buffer_high_water.items()):
@@ -694,10 +685,10 @@ class RunResult:
         ]
         violations = self.occupancy_violations()
         if violations:
-            lines.append("occupancy EXCEEDED analysed capacities:")
+            lines.append("occupancy EXCEEDED buffer capacities:")
             lines.extend(f"  {entry}" for entry in violations)
         elif self.trace.buffer_high_water:
-            lines.append("occupancy within analysed capacities for all traced buffers")
+            lines.append("occupancy within buffer capacities for all traced buffers")
         if self.simulation.engine.platform_mode:
             lines.append(f"preemptions: {self.preemptions}")
             # per-processor lines only for concrete platforms (the virtual

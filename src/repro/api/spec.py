@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.api.program import Program, TimeBaseLike
+from repro.api.program import Program
 
 
 # --------------------------------------------------------------------------
@@ -80,8 +80,8 @@ def _canonical(value: Any) -> Any:
     bytes unstable across processes -- never reaches the digest.
 
     Objects encode as class qualname + canonical instance state: dataclass
-    fields, or ``vars()`` for plain classes (covers scheduler policies,
-    platforms, time bases).  Functions and classes encode by module+qualname,
+    fields, or ``vars()`` for plain classes (covers scheduler policies and
+    platforms).  Functions and classes encode by module+qualname,
     mirroring how pickle ships them by reference.  Anything else falls back
     to ``repr`` -- a default repr embeds the instance id, which digests
     differently every run and therefore only ever causes cache *misses*,
@@ -155,8 +155,6 @@ class ProgramSpec:
     source: Optional[str] = None
     #: parameter bindings: app builder kwargs, or ``Program.params`` echoes
     params: Tuple[Tuple[str, Any], ...] = ()
-    #: the run's default time representation; None means "builder's choice"
-    time_base: Optional[TimeBaseLike] = None
     #: the program's default execution platform (plain picklable data);
     #: None means "builder's choice" (virtual unbounded hardware)
     platform: Any = None
@@ -182,7 +180,6 @@ class ProgramSpec:
         cls,
         app: str,
         *,
-        time_base: Optional[TimeBaseLike] = None,
         platform: Any = None,
         **params: Any,
     ) -> "ProgramSpec":
@@ -200,7 +197,6 @@ class ProgramSpec:
             app=resolved.name,
             name=resolved.name,
             params=tuple(sorted(params.items())),
-            time_base=time_base,
             platform=platform,
         )
 
@@ -212,7 +208,6 @@ class ProgramSpec:
                 app=program.app,
                 name=program.name,
                 params=tuple(sorted(program.app_params.items())),
-                time_base=program.time_base,
                 platform=program.platform,
             )
         if not program.source:
@@ -225,7 +220,6 @@ class ProgramSpec:
             source=program.source,
             name=program.name,
             params=tuple(sorted(program.params.items())),
-            time_base=program.time_base,
             platform=program.platform,
             function_wcets=tuple(sorted(program.function_wcets.items())),
             black_boxes=tuple(program.black_boxes),
@@ -256,8 +250,6 @@ class ProgramSpec:
                 mode_schedules=self.mode_schedules,
                 params=dict(self.params),
             )
-        if self.time_base is not None:
-            program.time_base = self.time_base
         if self.platform is not None:
             program.platform = self.platform
         return program
@@ -265,8 +257,8 @@ class ProgramSpec:
     def digest(self) -> str:
         """The spec's stable content digest (see :func:`stable_digest`).
 
-        Equal recipes -- same app/source, same parameter bindings, same time
-        base and platform -- digest equal in every process and across runs,
+        Equal recipes -- same app/source, same parameter bindings, same
+        platform -- digest equal in every process and across runs,
         which is what lets the sweep service's content-addressed store
         answer repeated grids without rebuilding anything.  Unlike
         :meth:`ensure_picklable` this never touches pickle, so it works (and

@@ -7,10 +7,12 @@ reporting.  The three pieces:
 
 * :class:`Sweep` -- declares the grid.  Axes are split automatically:
   *run axes* (``scheduler``, ``platform``, ``duration``, ``trace``,
-  ``mode_schedules``, ``sink_start_times``, ``time_base``,
-  ``fast_forward``, ``trace_retention``; see :data:`RUN_AXES`) only affect
-  execution, every other axis is a *program axis* that is forwarded
-  to :meth:`~repro.api.program.Program.from_app`.  Each **distinct** program
+  ``mode_schedules``, ``sink_start_times``, ``fast_forward``,
+  ``trace_retention``; see :data:`RUN_AXES`) only affect execution, every
+  other axis is a *program axis* that is forwarded to
+  :meth:`~repro.api.program.Program.from_app` (whose builder rejects a
+  parameter it does not know).  The time representation is no axis: every
+  run derives it.  Each **distinct** program
   parameter combination is compiled and analysed exactly once, no matter how
   many run-axis points fan out from it.  A ``platform`` axis sweeps
   :class:`~repro.platform.model.Platform` values (heterogeneous speedup
@@ -96,7 +98,6 @@ RUN_AXES = (
     "trace",
     "mode_schedules",
     "sink_start_times",
-    "time_base",
     "fast_forward",
     "trace_retention",
 )

@@ -63,7 +63,8 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequ
 
 from repro.engine.policies import SchedulerPolicy, SelfTimedUnbounded
 from repro.graph.circular_buffer import CircularBuffer
-from repro.util.rational import Rat, TimeBase, TimeBaseError, as_rational
+from repro.util.rational import Rat, TimeBase, as_rational
+from repro.util.validation import check_non_negative
 
 if TYPE_CHECKING:  # imports only for annotations: runtime.simulator imports us
     from repro.engine.steady_state import SteadyState
@@ -236,13 +237,16 @@ class ExecutionEngine:
         continues at the resume, and a still-running firing counts its
         executed segment up to the current instant -- so the sum over
         processors equals the sum of actually executed segments even when a
-        run horizon cuts firings mid-flight."""
-        busy = dict(self._busy_internal)
-        now = self.queue.now
+        run horizon cuts firings mid-flight (up to the exact end instant,
+        :attr:`~repro.runtime.events.EventQueue.now_time`, also between two
+        ticks)."""
+        queue = self.queue
+        busy = {name: queue.to_time(value) for name, value in self._busy_internal.items()}
+        now = queue.now_time
         for firing in self._active.values():
             name = firing.processor.name
-            busy[name] = busy.get(name, 0) + now - firing.segment_start
-        return {name: self.queue.to_time(value) for name, value in sorted(busy.items())}
+            busy[name] = busy.get(name, 0) + now - queue.to_time(firing.segment_start)
+        return dict(sorted(busy.items()))
 
     @property
     def suspended_tasks(self) -> List["RuntimeTask"]:
@@ -304,6 +308,31 @@ class ExecutionEngine:
         return None
 
     # ------------------------------------------------------------------ build
+    def derive_time_base(self, durations: Iterable[Rat] = ()) -> Optional[TimeBase]:
+        """Attach the run's integer-tick base to the pristine queue and
+        return it; ``None`` leaves the queue on exact fractions.
+
+        The one derivation every run gets its time base from.  The grid is
+        the gcd (:meth:`TimeBase.for_durations`) of *durations* (the
+        callers' driver periods and offsets), every registered task's wcet
+        and, under a platform policy, every ``wcet / speed`` a firing can
+        take: event times are sums of these, so all of them lie on the grid.
+        A policy that resumes preempted firings across processor speeds
+        keeps fractions, because a rescaled remainder is closed under no
+        finite grid.  Call after the fleet is registered and before any
+        event is scheduled.
+        """
+        timebase: Optional[TimeBase] = None
+        if not getattr(self.policy, "migrates_across_speeds", False):
+            wcets = [task.wcet for task in self.tasks]
+            durations = [*durations, *wcets]
+            platform = getattr(self.policy, "platform", None)
+            if platform is not None:
+                durations.extend(platform.scaled_durations(wcets))
+            timebase = TimeBase.for_durations(durations)
+        self.queue.set_timebase(timebase)
+        return timebase
+
     def register_task(self, task: RuntimeTask) -> None:
         """Add *task* to the fleet; registration order is the static priority
         order (it matches the extraction order the seed dispatcher scanned)."""
@@ -682,7 +711,6 @@ def run_tasks(
     stop_after_firings: Optional[int] = None,
     horizon=Fraction(10**9),
     trace: Optional[TraceRecorder] = None,
-    time_base: Union[str, TimeBase, None] = "auto",
     fast_forward: Union[bool, str] = "auto",
 ) -> EngineRun:
     """Execute *tasks* data-driven on a fresh event queue.
@@ -698,14 +726,12 @@ def run_tasks(
     platform policy via ``policy=`` directly for preemptive / partitioned
     variants.  Mutually exclusive with ``policy``.
 
-    ``time_base`` selects the queue's time representation: ``"auto"`` (the
-    default) derives an integer-tick base from the tasks' response times --
-    including their speed-scaled variants on every platform processor -- and
-    falls back to exact fractions when none exists, ``"ticks"`` requires one
-    (raising :class:`~repro.util.rational.TimeBaseError` otherwise),
-    ``"fraction"`` (or ``None``) keeps the legacy fraction-based queue, and a
-    ready :class:`~repro.util.rational.TimeBase` is used as given.  Traces
-    are bit-identical across all choices.
+    The queue's time base is derived, as for every simulation, by
+    :meth:`ExecutionEngine.derive_time_base`: integer ticks on the gcd of
+    the tasks' response times (and their speed-scaled variants on every
+    platform processor), exact fractions when no grid exists or the policy
+    migrates firings across speeds.  *horizon* is in seconds; a negative one
+    raises :class:`ValueError`.
 
     ``fast_forward`` selects the steady-state detector
     (:mod:`repro.engine.steady_state`):
@@ -732,41 +758,17 @@ def run_tasks(
     from repro.runtime.trace import TraceRecorder
 
     check_fast_forward(fast_forward)
+    horizon = check_non_negative(as_rational(horizon), "horizon")
     if platform is not None:
         if policy is not None:
             raise ValueError("pass either policy= or platform=, not both")
         policy = platform.policy()
-
-    timebase: Optional[TimeBase]
-    if time_base is None or time_base == "fraction":
-        timebase = None
-    elif isinstance(time_base, TimeBase):
-        timebase = time_base
-    elif time_base in ("auto", "ticks"):
-        if time_base == "auto" and getattr(policy, "migrates_across_speeds", False):
-            # A firing preempted at one speed and resumed at another owes a
-            # rescaled remainder that no finite tick grid is closed under;
-            # "auto" keeps the always-exact fractions (an explicit "ticks"
-            # request is honoured below and may raise at the migration).
-            timebase = None
-        else:
-            durations = [task.wcet for task in tasks]
-            # A platform policy schedules wcet / speed; the tick grid must
-            # cover those scaled durations too, or exact ticks are
-            # impossible.
-            policy_platform = getattr(policy, "platform", None)
-            if policy_platform is not None:
-                durations.extend(policy_platform.scaled_durations(durations))
-            timebase = TimeBase.for_durations(durations)
-        if timebase is None and time_base == "ticks":
-            raise TimeBaseError("no positive response time to derive a tick resolution from")
-    else:
-        raise ValueError(f"unknown time base {time_base!r}")
-    queue = EventQueue(timebase)
+    queue = EventQueue()
     trace = trace if trace is not None else TraceRecorder()
     engine = ExecutionEngine(queue, trace, policy=policy)
     for task in tasks:
         engine.register_task(task)
+    engine.derive_time_base()
     engine.wire_buffers()
     engine.wake_all()
     engine.schedule_dispatch()

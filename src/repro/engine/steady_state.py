@@ -103,9 +103,9 @@ Refusals
 :func:`fast_forward_refusal` reports (as a :class:`RunWarning` with a
 stable ``warning_code``) why a configuration cannot fast-forward:
 speed-migrating preemptive platform policies (rescaled remainders are not
-closed under a tick grid -- the same reason their ``time_base="auto"``
-falls back to fractions), fraction-mode queues, and policies that do not
-expose ``steady_state_key()``.  Refused runs fall back silently to naive
+closed under a tick grid -- the same reason their runs derive no tick
+base), fraction-mode queues (durations that admit no tick grid), and
+policies that do not expose ``steady_state_key()``.  Refused runs fall back silently to naive
 simulation.  The *value-exact qualification* (every stimulus
 ``value_periodic``, every used function ``jump_exact``) is checked by the
 callers (:mod:`repro.engine.dispatcher`, :mod:`repro.runtime.simulator`)
@@ -219,9 +219,9 @@ def fast_forward_refusal(policy, timebase) -> Optional[str]:
         )
     if timebase is None:
         return RunWarning(
-            "fast-forward refused: the event queue runs on exact fractions; "
-            "steady-state detection requires an integer-tick time base; "
-            "running naively",
+            "fast-forward refused: the run's durations admit no integer tick "
+            "grid, so the event queue runs on exact fractions; steady-state "
+            "detection requires ticks; running naively",
             "fraction-time-base",
         )
     if not callable(getattr(policy, "steady_state_key", None)):
@@ -296,9 +296,6 @@ class SteadyState:
                 key=lambda item: item[0],
             )
         )
-        #: (sink index, count): cap jumps strictly short of a
-        #: run_until_sink_count target, mirroring ``firing_target``
-        self.sink_target: Optional[Tuple[int, int]] = None
         #: replay stored trace records / sink values through skipped periods
         #: only while retention is unbounded -- a capped trace would drop
         #: them again anyway, and the streaming counters stay exact either way
@@ -526,16 +523,6 @@ class SteadyState:
             # (and instant) a naive run would.
             remaining = self.firing_target - 1 - self.engine.completed_firings
             periods = min(periods, remaining // completed_delta)
-        if self.sink_target is not None:
-            # Same stop-short rule for run_until_sink_count: leave at least
-            # the final consumption to naive stepping so the run halts at
-            # the exact instant a naive run would.
-            sink_index, count = self.sink_target
-            sink = self.sinks[sink_index]
-            d_consumed = sink.consumed_count - snapshot.sink_stats[sink_index][0]
-            if d_consumed > 0:
-                remaining = count - 1 - sink.consumed_count
-                periods = min(periods, remaining // d_consumed)
         if periods < 1:
             return
         self._jump(snapshot, periods, delta)

@@ -123,8 +123,9 @@ class PlatformPolicyBase:
     def migrates_across_speeds(self) -> bool:
         """True when a suspended firing may resume on a different-speed
         processor.  Rescaled remainders (``remaining * s1 / s2``) are not
-        closed under any finite tick grid, so the automatic time-base
-        selection must fall back to exact fractions for such policies."""
+        closed under any finite tick grid, so the time-base derivation
+        (``ExecutionEngine.derive_time_base``) keeps exact fractions for
+        such policies."""
         return False
 
     def bind(self, tasks: Sequence["RuntimeTask"]) -> None:
@@ -316,11 +317,8 @@ class FixedPriorityPreemptive(PlatformPolicyBase):
     On heterogeneous platforms a migrated resume rescales the remaining
     work by the speed ratio.  Rescaled remainders are not representable on
     any finite tick grid in general, so on multi-speed platforms this
-    policy reports :attr:`migrates_across_speeds` and ``time_base="auto"``
-    falls back to exact fractions (observationally identical); an
-    *explicitly* requested tick base is honoured and raises
-    :class:`~repro.util.rational.TimeBaseError` if a migrated remainder
-    falls off the grid.
+    policy reports :attr:`migrates_across_speeds` and its runs derive no
+    tick base: they run on exact fractions (observationally identical).
     """
 
     def __init__(

@@ -23,7 +23,10 @@ queue's *native units*: integer ticks in tick mode, rational seconds in
 fraction mode.  Rational inputs are accepted in tick mode too and converted
 exactly (:class:`~repro.util.rational.TimeBaseError` if off the grid); run
 horizons are converted by flooring, which is lossless for event processing
-because every event lies on the grid.
+because every event lies on the grid.  ``now`` stays on the grid too (event
+order needs it), so a run that ends between two ticks keeps its exact end
+instant aside: :attr:`EventQueue.now_time` reports it, as a fraction-mode
+queue would.
 """
 
 from __future__ import annotations
@@ -74,6 +77,11 @@ class EventQueue:
         self.now: InternalTime = 0 if timebase is not None else Fraction(0)
         self.processed = 0
         self._cancelled_pending = 0
+        #: tick mode: the grid point an exhausted :meth:`run_until` left
+        #: ``now`` on, and the exact instant that run reached past it;
+        #: :attr:`now_time` reports the instant while ``now`` is that tick
+        self._end_tick: InternalTime = -1
+        self._end_time: Rat = Fraction(0)
 
     # -------------------------------------------------------------- time base
     def set_timebase(self, timebase: Optional[TimeBase]) -> None:
@@ -101,9 +109,15 @@ class EventQueue:
 
     @property
     def now_time(self) -> Rat:
-        """The current time as exact rational seconds (both modes)."""
+        """The current time as exact rational seconds (both modes).  After a
+        run that ended between two ticks this is the requested end, not the
+        grid point ``now`` was floored to."""
         tb = self.timebase
-        return tb.to_time(self.now) if tb is not None else self.now
+        if tb is None:
+            return self.now
+        if self.now == self._end_tick:
+            return self._end_time
+        return tb.to_time(self.now)
 
     # ------------------------------------------------------------- scheduling
     def schedule(self, time, callback: EventCallback, *, label: str = "") -> Event:
@@ -209,12 +223,16 @@ class EventQueue:
 
         In tick mode a rational *end_time* is floored to the tick grid, which
         processes exactly the same events (they all lie on the grid); ``now``
-        then fast-forwards to that last grid point instead of the requested
-        instant.
+        then fast-forwards to that last grid point, and :attr:`now_time`
+        reports the requested instant.
         """
-        if self.timebase is not None:
-            if not isinstance(end_time, int):
-                end_time = self.timebase.ticks_floor(as_rational(end_time))
+        tb = self.timebase
+        if tb is not None:
+            if isinstance(end_time, int):
+                exact_end = tb.to_time(end_time)
+            else:
+                exact_end = as_rational(end_time)
+                end_time = tb.ticks_floor(exact_end)
         else:
             end_time = as_rational(end_time)
         cut_short = False
@@ -237,6 +255,9 @@ class EventQueue:
             if stop is not None and stop():
                 cut_short = True
                 break
-        if not cut_short and self.now < end_time:
-            self.now = end_time
+        if not cut_short:
+            if self.now < end_time:
+                self.now = end_time
+            if tb is not None and exact_end > self.now_time:
+                self._end_tick, self._end_time = self.now, exact_end
         return self.now

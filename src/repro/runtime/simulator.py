@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.compiler import CompilationResult
 from repro.engine.dispatcher import ExecutionEngine
@@ -40,6 +40,7 @@ from repro.runtime.sources import SinkDriver, SourceDriver, Stimulus
 from repro.runtime.tasks import OilRuntimeError, RuntimeTask
 from repro.runtime.trace import TraceRecorder
 from repro.util.rational import Rat, TimeBase, as_rational
+from repro.util.validation import check_non_negative
 
 if TYPE_CHECKING:  # annotation only -- repro.platform imports the engine
     from repro.platform.model import Platform
@@ -179,20 +180,15 @@ class Simulation:
         carries an affinity mapping, greedy list scheduling otherwise.
         Mutually exclusive with ``scheduler``.  The platform's speed-scaled
         firing durations join the tick-base derivation, so heterogeneous
-        runs stay exact under ``time_base="auto"``/``"ticks"``.
+        runs stay on exact integer ticks.
     trace_level:
         Granularity of the :class:`~repro.runtime.trace.TraceRecorder`
         (``"full"``, ``"endpoints"`` or ``"off"``).
-    time_base:
-        Time representation of the event queue.  ``"auto"`` (default)
-        derives an exact integer-tick base from every period, response time
-        and offset of the instantiated program and falls back transparently
-        to exact :class:`~fractions.Fraction` timestamps when the durations
-        do not fit one; ``"ticks"`` requires the tick base (raising
-        otherwise); ``"fraction"`` forces the legacy representation; a ready
-        :class:`~repro.util.rational.TimeBase` is validated against the
-        program's durations and used as given.  Traces are bit-identical
-        across all choices.
+    mode_schedules:
+        Per sequential instance path or module name, the cyclic list of
+        ``(top-level loop, iteration quota)`` phases of a multi-loop module.
+        A key that names no sequential instance or module, or a loop that is
+        not a top-level loop of that module, raises :class:`ValueError`.
     fast_forward:
         Online steady-state detection and O(1) period skipping
         (:mod:`repro.engine.steady_state`):
@@ -215,6 +211,14 @@ class Simulation:
         stores everything.  Streaming counters and rates remain exact either
         way; long fast-forwarded horizons need a cap (or a coarser
         ``trace_level``) to avoid materialising billions of records.
+
+    The time base is derived, never chosen: once the program is
+    instantiated, :meth:`ExecutionEngine.derive_time_base
+    <repro.engine.dispatcher.ExecutionEngine.derive_time_base>` puts the
+    queue on integer ticks covering every driver period and offset and every
+    (speed-scaled) response time, or on exact :class:`~fractions.Fraction`
+    timestamps when no such grid exists.  :attr:`time_base` reports which.
+    Both representations give bit-identical traces.
     """
 
     def __init__(
@@ -231,7 +235,6 @@ class Simulation:
         scheduler: Optional[SchedulerPolicy] = None,
         platform: Optional["Platform"] = None,
         trace_level: str = "full",
-        time_base: Union[str, TimeBase] = "auto",
         fast_forward: Union[bool, str] = "auto",
         trace_retention: Optional[int] = None,
     ) -> None:
@@ -243,8 +246,7 @@ class Simulation:
                 raise OilRuntimeError("pass either scheduler= or platform=, not both")
             scheduler = platform.policy()
         #: the platform the run executes on (direct, or carried by a platform
-        #: policy), or None under legacy boolean policies; its speed factors
-        #: extend the tick-base duration set
+        #: policy), or None under legacy boolean policies
         self.platform = platform if platform is not None else getattr(scheduler, "platform", None)
         self.queue = EventQueue()
         self.trace = TraceRecorder(level=trace_level, retention=trace_retention)
@@ -285,22 +287,32 @@ class Simulation:
             raise OilRuntimeError(
                 "the simulation entry point must be a parallel module with sources and sinks"
             )
+        #: the keys a mode schedule may use: every sequential instance's path
+        #: and module name
+        self._schedulable: set = set()
         self._instantiate_parallel(top_module, bindings={}, path=top_name)
+        unknown = sorted(self.mode_schedules.keys() - self._schedulable)
+        if unknown:
+            raise ValueError(
+                f"mode schedules for {unknown} name no sequential module "
+                f"instance; valid keys: {sorted(self._schedulable)}"
+            )
 
         for instance in self.instances:
             instance.apply_activation()
 
         #: the integer-tick base the queue runs on, or ``None`` in fraction
-        #: mode; chosen once the full duration set of the instantiated
-        #: program is known and before any event is scheduled
-        self.time_base: Optional[TimeBase] = self._select_time_base(time_base)
+        #: mode; derived once the instantiated program's durations are known
+        #: and before any event is scheduled
+        self.time_base: Optional[TimeBase] = self.engine.derive_time_base(
+            self._driver_durations()
+        )
 
     # -------------------------------------------------------------- time base
-    def _duration_set(self) -> List[Rat]:
-        """Every duration the simulation can ever schedule with: driver
-        periods (and the half periods delayed-start sinks phase in with),
-        start offsets and task response times.  Event times are sums of these
-        values, so a tick base covering this set covers all timestamps."""
+    def _driver_durations(self) -> List[Rat]:
+        """Every duration the drivers schedule with: periods, start offsets
+        and the instants delayed-start sinks phase in at (by default half a
+        period).  The engine adds the response times."""
         durations: List[Rat] = []
         for source in self.sources.values():
             durations.append(source.period)
@@ -311,50 +323,7 @@ class Simulation:
                 durations.append(sink.start_time)
             else:
                 durations.append(sink.period / 2)
-        wcets = [task.wcet for task in self.engine.tasks]
-        durations.extend(wcets)
-        if self.platform is not None:
-            # A platform policy schedules wcet / speed (and re-posts exact
-            # remainders of those); the grid must cover the scaled set too.
-            durations.extend(self.platform.scaled_durations(wcets))
         return durations
-
-    def _select_time_base(self, requested: Union[str, TimeBase]) -> Optional[TimeBase]:
-        """Resolve the ``time_base`` parameter against the instantiated
-        program (see the class docstring for the selection/fallback rule)."""
-        if requested == "fraction":
-            return None
-        if requested == "auto" and getattr(
-            self.engine.policy, "migrates_across_speeds", False
-        ):
-            # Cross-speed resume remainders (remaining * s1 / s2) are not
-            # closed under any finite tick grid; "auto" must stay with the
-            # always-exact fraction representation for such policies.  An
-            # explicit "ticks"/TimeBase request is honoured below and may
-            # raise at the migrating resume.
-            return None
-        durations = self._duration_set()
-        if isinstance(requested, TimeBase):
-            timebase: Optional[TimeBase] = requested
-        elif requested in ("auto", "ticks"):
-            timebase = TimeBase.for_durations(durations)
-        else:
-            raise OilRuntimeError(
-                f"unknown time base {requested!r}: expected 'auto', 'ticks', "
-                f"'fraction' or a TimeBase instance"
-            )
-        if timebase is not None and any(timebase.try_ticks(d) is None for d in durations):
-            # a duration does not divide the resolution: the tick grid would
-            # be inexact, so this program keeps exact fractions
-            timebase = None
-        if timebase is None and (requested == "ticks" or isinstance(requested, TimeBase)):
-            raise OilRuntimeError(
-                "the program's periods/response times/offsets do not fit an "
-                "integer tick base; use time_base='auto' or 'fraction'"
-            )
-        if timebase is not None:
-            self.queue.set_timebase(timebase)
-        return timebase
 
     # ------------------------------------------------------------------ build
     def _default_top(self) -> str:
@@ -582,8 +551,16 @@ class Simulation:
 
         # Mode schedule (multiple top-level loops).
         top_loops = graph.top_level_loops()
+        self._schedulable.update((path, module.name))
         schedule = self.mode_schedules.get(path) or self.mode_schedules.get(module.name)
         if schedule:
+            loops = [loop.identifier for loop in top_loops]
+            unknown = sorted({loop for loop, _ in schedule} - set(loops))
+            if unknown:
+                raise ValueError(
+                    f"the mode schedule of {path!r} names {unknown}, which are "
+                    f"not top-level loops of module {module.name!r}: {loops}"
+                )
             instance.phases = [(loop, int(quota)) for loop, quota in schedule]
         elif len(top_loops) > 1:
             # Default: round-robin with one iteration per loop.
@@ -749,56 +726,11 @@ class Simulation:
         not an increment: a repeated call resumes where the previous one
         stopped and runs up to the new end time, so ``run(1); run(2)``
         simulates two seconds in total and a second ``run(1)`` is a no-op.
+        A negative *duration* raises :class:`ValueError`.
         """
-        duration = as_rational(duration)
+        duration = check_non_negative(as_rational(duration), "run duration")
         self._start_drivers()
         if self.fast_forward:
             self._install_fast_forward(duration)
         self.queue.run_until(duration)
-        return self.trace
-
-    def run_until_sink_count(
-        self, sink: str, count: int, *, max_time: Rat = Fraction(10)
-    ) -> TraceRecorder:
-        """Run until *sink* consumed *count* values (or *max_time* elapsed).
-
-        Qualified programs fast-forward here too: jumps are capped strictly
-        short of the requested count (the final consumptions run naively),
-        so the run halts at the exact instant -- with the exact sink values
-        -- a naive run would.
-        """
-        max_time = as_rational(max_time)
-        self._start_drivers()
-        if self.fast_forward:
-            self._install_fast_forward(max_time)
-        steady = self.engine.steady_state
-        if steady is not None:
-            steady.sink_target = (list(self.sinks).index(sink), count)
-        target = self.sinks[sink]
-        queue = self.queue
-        # Step in the queue's native units: on a tick base the step is at
-        # least one tick, so the loop always makes progress even when the
-        # fractional step would floor to the current instant.
-        end: Any
-        if queue.timebase is not None:
-            end = queue.timebase.ticks_floor(max_time)
-            step = max(1, end // 64)
-        else:
-            end = max_time
-            step = max_time / 64
-        try:
-            while queue.now < end and target.consumed_count < count:
-                # Chunk boundaries are absolute multiples of the step, not
-                # ``now + step``: a fast-forward jump lands between grid
-                # points, and anchoring at ``now`` would shift every later
-                # boundary -- the run would halt at a different instant (and
-                # with a different overshoot) than a naive run.  On the
-                # absolute grid both runs stop at the same boundary.
-                boundary = (queue.now // step + 1) * step
-                queue.run_until(min(boundary, end))
-                if queue.empty():
-                    break
-        finally:
-            if steady is not None:
-                steady.sink_target = None
         return self.trace

@@ -109,35 +109,21 @@ class TraceRecorder:
     to cover the full run.
     """
 
-    def __init__(
-        self,
-        firings: Optional[List[Firing]] = None,
-        endpoint_events: Optional[List[EndpointEvent]] = None,
-        violations: Optional[List[DeadlineViolation]] = None,
-        buffer_high_water: Optional[Dict[str, int]] = None,
-        level: str = "full",
-        retention: Optional[int] = None,
-    ):
+    def __init__(self, level: str = "full", retention: Optional[int] = None):
         if retention is not None and retention < 0:
             raise ValueError(f"trace retention must be >= 0, got {retention}")
         self.level = level
         self.retention = retention
-        self._firings: List[Firing] = list(firings) if firings else []
-        self._endpoint_events: List[EndpointEvent] = (
-            list(endpoint_events) if endpoint_events else []
-        )
-        self._violations: List[DeadlineViolation] = list(violations) if violations else []
-        self.buffer_high_water: Dict[str, int] = dict(buffer_high_water) if buffer_high_water else {}
+        self._firings: List[Firing] = []
+        self._endpoint_events: List[EndpointEvent] = []
+        self._violations: List[DeadlineViolation] = []
+        self.buffer_high_water: Dict[str, int] = {}
         #: streaming per-endpoint / per-task statistics covering the full run
         self._endpoint_stats: Dict[str, _Stat] = {}
         self._task_stats: Dict[str, _Stat] = {}
-        self._firing_total = len(self._firings)
-        self._endpoint_total = len(self._endpoint_events)
-        self._violation_total = len(self._violations)
-        for firing in self._firings:
-            self._task_stats.setdefault(firing.task, _Stat()).add(firing.start)
-        for event in self._endpoint_events:
-            self._endpoint_stats.setdefault(event.name, _Stat()).add(event.time)
+        self._firing_total = 0
+        self._endpoint_total = 0
+        self._violation_total = 0
 
     # ----------------------------------------------------------------- levels
     @property

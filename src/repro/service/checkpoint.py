@@ -9,7 +9,7 @@ bit-identical to the one an uninterrupted run would have produced.
 
 File format (one JSON object per line)::
 
-    {"kind": "repro-sweep-checkpoint", "schema": 1, "version": ...,
+    {"kind": "repro-sweep-checkpoint", "schema": 2, "version": ...,
      "name": ..., "grid": <grid digest>, "points": N}
     {"point": 3, "ok": true, "error": null, "params": {...}, "metrics": {...}}
     {"point": 0, "ok": true, ...}

@@ -55,8 +55,10 @@ from repro import __version__
 from repro.api.spec import SweepConfigError, stable_digest
 
 #: Bump when the stored payload shape or the key recipe changes; every
-#: existing row then stops matching and the store refills itself.
-STORE_SCHEMA = 1
+#: existing row then stops matching and the store refills itself.  2: the
+#: canonical encoding of :class:`~repro.api.spec.ProgramSpec` lost its
+#: ``time_base`` field.
+STORE_SCHEMA = 2
 
 
 def program_identity(sweep: Any) -> Tuple[Any, ...]:

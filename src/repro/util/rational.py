@@ -151,7 +151,7 @@ def rational_str(value: RationalLike) -> str:
 #: A resolution whose denominator exceeds this bound would turn every
 #: timestamp into a multi-limb big integer; such programs keep the exact
 #: fraction representation instead.
-DEFAULT_MAX_TICK_DENOMINATOR = 10**18
+MAX_TICK_DENOMINATOR = 10**18
 
 
 class TimeBaseError(ValueError):
@@ -184,26 +184,21 @@ class TimeBase:
         self._den = res.denominator
 
     @classmethod
-    def for_durations(
-        cls,
-        durations: Iterable[RationalLike],
-        *,
-        max_denominator: Optional[int] = DEFAULT_MAX_TICK_DENOMINATOR,
-    ) -> Optional["TimeBase"]:
+    def for_durations(cls, durations: Iterable[RationalLike]) -> Optional["TimeBase"]:
         """The coarsest time base on whose grid all *durations* lie.
 
         The resolution is the rational gcd of the positive durations (zeros
         are grid points of every base and are skipped).  Returns ``None`` --
         the caller falls back to exact fractions -- when there is no positive
         duration to derive a resolution from, or when the resolution's
-        denominator exceeds *max_denominator* (tick counts would become
-        arbitrarily large big integers, defeating the point).
+        denominator exceeds :data:`MAX_TICK_DENOMINATOR` (tick counts would
+        become arbitrarily large big integers, defeating the point).
         """
         positive = [f for f in (as_rational(d) for d in durations) if f > 0]
         if not positive:
             return None
         resolution = rational_gcd(positive)
-        if max_denominator is not None and resolution.denominator > max_denominator:
+        if resolution.denominator > MAX_TICK_DENOMINATOR:
             return None
         return cls(resolution)
 
@@ -218,12 +213,6 @@ class TimeBase:
                 f"{rational_str(self.resolution)} s"
             )
         return ticks
-
-    def try_ticks(self, time: RationalLike) -> Optional[int]:
-        """Exact tick count of *time*, or ``None`` when off the grid."""
-        f = as_rational(time)
-        ticks, remainder = divmod(f.numerator * self._den, f.denominator * self._num)
-        return None if remainder else ticks
 
     def ticks_floor(self, time: RationalLike) -> int:
         """The last tick at or before *time* (for run horizons, which bound

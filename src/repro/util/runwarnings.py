@@ -34,9 +34,10 @@ WARNING_CODES: Dict[str, str] = {
         "engine-level fast-forward refusal (not emitted as a run warning)"
     ),
     "fraction-time-base": (
-        "the run executes on the fraction time base, which the steady-state "
-        "detector does not support; engine-level fast-forward refusal (not "
-        "emitted as a run warning)"
+        "the run's durations admit no tick grid (no positive duration, or a "
+        "resolution past the denominator cap), so it executes on fractions, "
+        "which the steady-state detector does not support; engine-level "
+        "fast-forward refusal (not emitted as a run warning)"
     ),
     "no-steady-state-key": (
         "the configuration exposes no periodicity key (e.g. no anchor task); "

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispatch_oracle import polling_dispatch
+from timebase_oracle import fraction_time_base
 from repro.api import Analysis, Program
 from repro.apps.producer_consumer import quickstart_program, quickstart_registry
 from repro.apps.rate_converter import fig2_task_graph
@@ -252,10 +253,11 @@ class TestDispatcherEquivalence:
     def test_fraction_time_base_traces_identical(self):
         # The boolean loop runs on both time bases; Fraction timestamps must
         # not change what it dispatches.
-        a, b = engine_and_oracle(
-            lambda: run_tasks(ring_program(30, tokens=4, stagger=2), time_base="fraction",
-                              stop_after_firings=2000)
-        )
+        with fraction_time_base():
+            a, b = engine_and_oracle(
+                lambda: run_tasks(ring_program(30, tokens=4, stagger=2),
+                                  stop_after_firings=2000)
+            )
         assert b.queue.timebase is None and b.engine.kernel_active
         assert a.engine.completed_firings == b.engine.completed_firings == 2000
         assert_traces_identical(a.trace, b.trace)
@@ -575,19 +577,6 @@ class TestDriverStartIdempotence:
         # tick chain would produce roughly twice that.
         assert source.produced <= 41
         assert trace.deadline_miss_count() == 0
-
-    def test_run_then_run_until_sink_count(self, quickstart_sized):
-        result, sizing = quickstart_sized
-        simulation = Simulation(
-            result,
-            quickstart_registry(),
-            source_signals={"samples": [float(i) for i in range(10000)]},
-            capacities=sizing.capacities,
-        )
-        simulation.run(Fraction(1, 100))
-        simulation.run_until_sink_count("averages", 30, max_time=Fraction(1))
-        assert len(simulation.sinks["averages"].consumed) >= 30
-        assert simulation.trace.deadline_miss_count() == 0
 
     def test_double_start_matches_single_run_trace(self, quickstart_sized):
         result, sizing = quickstart_sized

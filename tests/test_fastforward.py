@@ -39,6 +39,7 @@ from repro.runtime.sources import ConstantStimulus, GeneratorStimulus, PeriodicS
 from repro.runtime.trace import TraceRecorder
 from repro.util.runwarnings import warning_code
 from sampling_oracle import every_completion
+from timebase_oracle import fraction_time_base
 
 
 def assert_traces_identical(a, b):
@@ -323,9 +324,8 @@ class TestCompiledKernel:
             stop_after_firings=50,
         )
         assert not platform_run.engine.kernel_active
-        fraction_run = run_tasks(
-            ring_program(10, tokens=2), time_base="fraction", stop_after_firings=50
-        )
+        with fraction_time_base():
+            fraction_run = run_tasks(ring_program(10, tokens=2), stop_after_firings=50)
         assert fraction_run.engine.kernel_active
 
     def test_kernel_composes_with_fast_forward(self):
@@ -361,11 +361,8 @@ class TestRefusals:
         assert run.engine.completed_firings == 100
 
     def test_fraction_time_base_refuses(self):
-        run = run_tasks(
-            declared_ring(10, tokens=2),
-            time_base="fraction",
-            stop_after_firings=100,
-        )
+        with fraction_time_base():
+            run = run_tasks(declared_ring(10, tokens=2), stop_after_firings=100)
         assert run.engine.steady_state is None
         assert run.warnings == []
         refusal = fast_forward_refusal(run.engine.policy, run.queue.timebase)
@@ -396,10 +393,10 @@ class TestRefusals:
         assert warning_code(refusal) == "no-steady-state-key"
 
     def test_refused_run_matches_naive(self):
-        naive = run_tasks(declared_ring(10, tokens=2), time_base="fraction",
-                          stop_after_firings=200, fast_forward=False)
-        refused = run_tasks(declared_ring(10, tokens=2), time_base="fraction",
-                            stop_after_firings=200)
+        with fraction_time_base():
+            naive = run_tasks(declared_ring(10, tokens=2),
+                              stop_after_firings=200, fast_forward=False)
+            refused = run_tasks(declared_ring(10, tokens=2), stop_after_firings=200)
         assert refused.engine.steady_state is None
         assert_traces_identical(naive.trace, refused.trace)
 
@@ -455,15 +452,6 @@ class TestApiFastForward:
         assert run.completed_firings == naive.completed_firings
         assert run.sink_counts == naive.sink_counts
         assert run.deadline_misses == naive.deadline_misses
-
-    def test_run_until_sink_count_uses_streaming_counter(self):
-        simulation = Program.from_app("quickstart").analyze().simulation(
-            signals=_constant_signals("quickstart")
-        )
-        simulation.run(Fraction(1, 10))  # arms (and uses) the detector
-        assert simulation.engine.steady_state is not None
-        simulation.run_until_sink_count("averages", 150, max_time=Fraction(1))
-        assert simulation.sinks["averages"].consumed_count >= 150
 
     def test_sweep_fast_forward_axis_matches_naive_rows(self):
         report = (
@@ -601,31 +589,6 @@ class TestValueExactAuto:
         assert not auto.fast_forwarded and auto.warnings == []
         assert_traces_identical(naive.trace, auto.trace)
         assert_sink_values_identical(naive, auto)
-
-
-class TestRunUntilSinkCountValueExact:
-    def test_sink_values_and_halt_instant_match_naive(self):
-        count = 30_000
-        ff_sim = Program.from_app("modal_two_mode").analyze().simulation(trace="off")
-        ff_sim.run_until_sink_count("dac", count, max_time=Fraction(60))
-        steady = ff_sim.engine.steady_state
-        assert steady is not None and steady.jumps >= 1
-        naive_sim = Program.from_app("modal_two_mode").analyze().simulation(
-            trace="off", fast_forward=False
-        )
-        naive_sim.run_until_sink_count("dac", count, max_time=Fraction(60))
-        # chunked stepping may overshoot the count -- but by the same amount
-        # in both runs, because the chunk grid is jump-invariant
-        assert ff_sim.sinks["dac"].consumed_count >= count
-        # bit-identical values AND the exact naive halt instant
-        assert ff_sim.sinks["dac"].consumed == naive_sim.sinks["dac"].consumed
-        assert ff_sim.queue.now == naive_sim.queue.now
-        assert ff_sim.queue.processed == naive_sim.queue.processed
-
-    def test_sink_target_cleared_after_call(self):
-        simulation = Program.from_app("modal_two_mode").analyze().simulation(trace="off")
-        simulation.run_until_sink_count("dac", 5_000, max_time=Fraction(30))
-        assert simulation.engine.steady_state.sink_target is None
 
 
 class TestAutoRefusalWarningCodes:

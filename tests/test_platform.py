@@ -376,16 +376,15 @@ class TestFixedPriorityPreemption:
 
     def test_auto_time_base_falls_back_to_fractions_for_migrating_policies(self):
         """A remainder accrued at speed s1 and resumed at s2 is not closed
-        under any tick grid, so "auto" must keep exact fractions for a
-        preemptive policy on a multi-speed platform instead of crashing
-        mid-simulation with a TimeBaseError."""
+        under any tick grid, so the derived time base must keep exact
+        fractions for a preemptive policy on a multi-speed platform instead
+        of crashing mid-simulation with a TimeBaseError."""
         policy = FixedPriorityPreemptive(Platform.heterogeneous([2, 3]))
         assert policy.migrates_across_speeds
         run = run_tasks(
             ring_program(10, tokens=5, wcet=Fraction(1), stagger=3),
             policy=policy,
             stop_after_firings=60,
-            time_base="auto",
         )
         assert run.queue.timebase is None  # fraction mode chosen
         assert run.engine.completed_firings >= 60
@@ -401,7 +400,8 @@ class TestFixedPriorityPreemption:
 
     def test_busy_time_includes_segment_cut_by_the_horizon(self):
         """A firing still running when the horizon ends the run must count
-        its executed segment, or saturated processors under-report."""
+        its executed segment, or saturated processors under-report -- up to
+        the exact horizon, although the derived 10 s tick floors it to 0."""
         registry = FunctionRegistry()
         registry.register("l", lambda value: value)
         loop = CircularBuffer("fp/l_loop", 2, initial_values=[0.0])
@@ -410,8 +410,9 @@ class TestFixedPriorityPreemption:
             [task],
             policy=ListScheduledPlatform(Platform.homogeneous(1)),
             horizon=Fraction(4),
-            time_base="fraction",  # a 10 s tick would floor the horizon to 0
         )
+        assert run.queue.timebase.resolution == Fraction(10)
+        assert run.queue.now == 0 and run.queue.now_time == Fraction(4)
         assert run.engine.completed_firings == 0  # cut mid-firing
         assert run.engine.processor_busy_time == {"p0": Fraction(4)}
 

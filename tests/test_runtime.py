@@ -338,17 +338,6 @@ class TestSimulation:
         for name, mark in trace.buffer_high_water.items():
             assert mark <= simulation.buffers[name].capacity
 
-    def test_run_until_sink_count(self, quickstart_sized):
-        result, sizing = quickstart_sized
-        simulation = Simulation(
-            result,
-            quickstart_registry(),
-            source_signals={"samples": [float(i) for i in range(10000)]},
-            capacities=sizing.capacities,
-        )
-        simulation.run_until_sink_count("averages", 5, max_time=Fraction(1))
-        assert len(simulation.sinks["averages"].consumed) >= 5
-
     def test_default_capacity_used_without_analysis(self, quickstart_compiled):
         simulation = Simulation(
             quickstart_compiled,
@@ -372,3 +361,61 @@ class TestSimulation:
         text = trace.summary()
         assert "endpoint events" in text
         assert "samples" in text
+
+
+class TestRunParameterErrors:
+    """Bad run parameters raise a ValueError naming what is wrong, instead
+    of running something else silently."""
+
+    def test_negative_duration_raises(self):
+        from repro.api import Program, Sweep
+        from repro.engine import ring_program, run_tasks
+
+        program = Program.from_app("quickstart")
+        with pytest.raises(ValueError, match="-1"):
+            program.run(-1)
+        with pytest.raises(ValueError, match="-1/100"):
+            program.analyze().simulation().run(Fraction(-1, 100))
+        with pytest.raises(ValueError, match="-3"):
+            run_tasks(ring_program(4, tokens=1), horizon=-3)
+        report = Sweep("quickstart").add_axis("duration", [Fraction(-1, 2)]).run()
+        assert not report.ok and "-1/2" in report.results[0].error
+        # zero is a valid (empty) horizon
+        assert program.run(0).deadline_misses == 0
+        assert run_tasks(ring_program(4, tokens=1), horizon=0).engine.completed_firings == 0
+
+    def test_run_tasks_horizon_is_in_seconds(self):
+        # An integer horizon means seconds on every time base (a tick count
+        # would make the end depend on the derived resolution).
+        from repro.engine import ring_program, run_tasks
+
+        run = run_tasks(ring_program(3, tokens=1, wcet=Fraction(1, 2)), horizon=2)
+        assert run.queue.timebase.resolution == Fraction(1, 2)
+        assert run.queue.now_time == 2
+        assert run.engine.completed_firings == 4
+
+    def test_mode_schedule_with_unknown_loop_raises(self):
+        from repro.api import Program
+
+        analysis = Program.from_app("modal_two_mode").analyze()
+        with pytest.raises(ValueError, match=r"\['nope'\].*\['loop0', 'loop1'\]"):
+            analysis.run(Fraction(1, 2), mode_schedules={"TwoMode": [("nope", 1)]})
+
+    def test_mode_schedule_for_unknown_instance_raises(self):
+        from repro.api import Program
+
+        analysis = Program.from_app("modal_two_mode").analyze()
+        with pytest.raises(ValueError, match=r"NoSuchInstance.*TwoMode"):
+            analysis.run(Fraction(1, 2), mode_schedules={"NoSuchInstance": [("x", 1)]})
+        # a single-loop module accepts a schedule over its one top-level loop
+        Program.from_app("quickstart").run(
+            Fraction(1, 100), mode_schedules={"Downsample": [("loop0", 1)]}
+        )
+
+    def test_packaged_mode_schedules_stay_valid(self):
+        from repro.api import Program
+
+        analysis = Program.from_app("modal_two_mode").analyze()
+        for schedule in ([("loop0", 1), ("loop1", 1)], [("loop0", 7), ("loop1", 2)]):
+            run = analysis.run(Fraction(1, 10), mode_schedules={"TwoMode": schedule})
+            assert run.completed_firings > 0

@@ -2,21 +2,29 @@
 
 The load-bearing guarantee: a tick-based run is *observationally identical*
 to a fraction-based run -- every timestamp that leaves the runtime (traces,
-makespans, violation instants) round-trips through the tick count to the
-exact :class:`~fractions.Fraction` the legacy queue would have computed.
-Tick mode may only change how fast the queue compares timestamps, never what
-they are.
+makespans, violation instants, the end instant, busy times) round-trips
+through the tick count to the exact :class:`~fractions.Fraction` the
+fraction queue would have computed.  Tick mode may only change how fast the
+queue compares timestamps, never what they are.  Every run derives its time
+base; the fraction reference runs inside ``timebase_oracle.fraction_time_base``.
 """
 
+import inspect
+import pathlib
 from fractions import Fraction
 
 import pytest
+from timebase_oracle import fraction_time_base
 
-from repro.api import Program
+from repro.api import Analysis, Program, ProgramSpec, Sweep
+from repro.api.sweep import RUN_AXES
 from repro.engine import ring_program, run_tasks
+from repro.engine.steady_state import SteadyState
+from repro.platform import Platform
+from repro.platform.policies import ListScheduledPlatform
 from repro.runtime.events import EventQueue
-from repro.runtime.tasks import OilRuntimeError
-from repro.util.rational import TimeBase, TimeBaseError
+from repro.runtime.simulator import Simulation
+from repro.util.rational import MAX_TICK_DENOMINATOR, TimeBase, TimeBaseError
 
 
 def assert_traces_identical(a, b):
@@ -24,6 +32,28 @@ def assert_traces_identical(a, b):
     assert a.endpoint_events == b.endpoint_events
     assert a.violations == b.violations
     assert a.buffer_high_water == b.buffer_high_water
+
+
+def assert_runs_identical(tick_run, fraction_run):
+    """Everything a run reports, except which representation ran."""
+    assert tick_run.time_base == "ticks"
+    assert fraction_run.time_base == "fraction"
+    assert_traces_identical(tick_run.trace, fraction_run.trace)
+    assert tick_run.makespan == fraction_run.makespan
+    assert tick_run.sink_counts == fraction_run.sink_counts
+    for name in tick_run.sink_counts:
+        assert tick_run.sink(name) == fraction_run.sink(name)
+    assert tick_run.simulation.queue.now_time == fraction_run.simulation.queue.now_time
+    assert tick_run.processor_busy == fraction_run.processor_busy
+    tick_metrics, fraction_metrics = tick_run.metrics(), fraction_run.metrics()
+    del tick_metrics["time_base"], fraction_metrics["time_base"]
+    if tick_run.fast_forwarded:
+        # The detector keys on ticks and refuses the fraction queue
+        # ("fraction-time-base"); the jump itself is exact, so only the
+        # flag that reports it differs.
+        assert not fraction_run.fast_forwarded
+        del tick_metrics["fast_forwarded"], fraction_metrics["fast_forwarded"]
+    assert tick_metrics == fraction_metrics
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +80,7 @@ class TestTimeBase:
         tb = TimeBase(Fraction(1, 1000))
         with pytest.raises(TimeBaseError):
             tb.to_ticks(Fraction(1, 3000))
-        assert tb.try_ticks(Fraction(1, 3000)) is None
-        assert tb.try_ticks(Fraction(2, 1000)) == 2
+        assert tb.to_ticks(Fraction(2, 1000)) == 2
 
     def test_ticks_floor(self):
         tb = TimeBase(Fraction(1, 1000))
@@ -69,7 +98,9 @@ class TestTimeBase:
     def test_denominator_cap_falls_back(self):
         huge = Fraction(1, 10**19)
         assert TimeBase.for_durations([huge]) is None
-        assert TimeBase.for_durations([huge], max_denominator=None) is not None
+        at_cap = TimeBase.for_durations([Fraction(1, MAX_TICK_DENOMINATOR)])
+        assert at_cap is not None
+        assert at_cap.resolution == Fraction(1, MAX_TICK_DENOMINATOR)
 
     def test_invalid_resolution_rejected(self):
         with pytest.raises(ValueError):
@@ -114,8 +145,32 @@ class TestTickEventQueue:
     def test_run_until_floors_off_grid_horizons(self):
         queue = EventQueue(TimeBase(Fraction(1, 1000)))
         queue.run_until(Fraction(1, 3))
-        assert queue.now == 333
-        assert queue.now_time == Fraction(333, 1000)
+        assert queue.now == 333  # event order stays on the grid
+        assert queue.now_time == Fraction(1, 3)  # the end instant is exact
+
+    def test_exact_end_instant_moves_like_the_fraction_clock(self):
+        tb = TimeBase(Fraction(1, 1000))
+        for ends in (
+            [Fraction(1, 3), Fraction(1, 7)],  # an earlier end moves nothing
+            [Fraction(1, 3), Fraction(333, 1000)],  # nor does its grid floor
+            [Fraction(1, 3), Fraction(1, 2)],  # a later on-grid end
+            [Fraction(1, 3), Fraction(2, 3)],  # a later off-grid end
+        ):
+            clocks = []
+            for queue in (EventQueue(), EventQueue(tb)):
+                seen = []
+                queue.schedule(Fraction(334, 1000), lambda q=queue: seen.append(q.now_time))
+                for end in ends:
+                    queue.run_until(end)
+                clocks.append((queue.now_time, seen))
+            assert clocks[0] == clocks[1]
+
+    def test_cut_short_run_reports_the_last_event(self):
+        queue = EventQueue(TimeBase(Fraction(1, 1000)))
+        queue.schedule(Fraction(5, 1000), lambda: None)
+        queue.schedule(Fraction(9, 1000), lambda: None)
+        queue.run_until(Fraction(1, 3), stop=lambda: True)
+        assert queue.now_time == Fraction(5, 1000)
 
     def test_timebase_fixed_once_history_exists(self):
         queue = EventQueue()
@@ -177,52 +232,70 @@ class TestPeriodicRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# Simulation-level equivalence: every app, tick vs fraction
+# Simulation-level equivalence: every app, derived ticks vs the fraction oracle
 # ---------------------------------------------------------------------------
 
 APP_CASES = [
     ("quickstart", {}, Fraction(1, 20)),
     ("rate_converter", {}, Fraction(1, 10)),
     ("pal_decoder", {"scale": 1000}, Fraction(1, 20)),
+    ("modal_mute", {}, Fraction(1, 20)),
     ("modal_two_mode", {}, Fraction(1, 20)),
 ]
+
+
+def tick_and_fraction_runs(analysis, duration, **kwargs):
+    tick_run = analysis.run(duration, **kwargs)
+    with fraction_time_base():
+        fraction_run = analysis.run(duration, **kwargs)
+    return tick_run, fraction_run
 
 
 class TestSimulationEquivalence:
     @pytest.mark.parametrize("app,params,duration", APP_CASES, ids=[c[0] for c in APP_CASES])
     def test_traces_bit_identical_across_time_bases(self, app, params, duration):
         analysis = Program.from_app(app, **params).analyze()
-        fraction_run = analysis.run(duration, time_base="fraction")
-        tick_run = analysis.run(duration, time_base="ticks")
-        assert fraction_run.time_base == "fraction"
-        assert tick_run.time_base == "ticks"
+        tick_run, fraction_run = tick_and_fraction_runs(analysis, duration)
         assert len(tick_run.trace.firings) > 0
-        assert_traces_identical(tick_run.trace, fraction_run.trace)
-        assert tick_run.makespan == fraction_run.makespan
-        assert tick_run.sink_counts == fraction_run.sink_counts
-        for name in tick_run.sink_counts:
-            assert tick_run.sink(name) == fraction_run.sink(name)
+        assert_runs_identical(tick_run, fraction_run)
+
+    @pytest.mark.parametrize(
+        "duration", [Fraction(1, 3), Fraction(1, 7), Fraction(1, 8)], ids=str
+    )
+    def test_platform_run_ending_between_ticks(self, duration):
+        # PAL's grid is 1/160,000 s, so 1/3 and 1/7 s end between two ticks
+        # and 1/8 s on one.  Firings still in flight at the end count their
+        # busy time up to the exact end instant, not to the floored tick.
+        analysis = Program.from_app("pal_decoder").analyze()
+        tick_run, fraction_run = tick_and_fraction_runs(
+            analysis, duration, scheduler=ListScheduledPlatform(Platform.homogeneous(2))
+        )
+        assert tick_run.simulation.time_base.resolution == Fraction(1, 160_000)
+        assert tick_run.simulation.queue.now_time == duration
+        assert_runs_identical(tick_run, fraction_run)
+        if duration == Fraction(1, 3):
+            assert tick_run.metrics()["util[p0]"] == 0.9382
+            assert tick_run.metrics()["util[p1]"] == 0.93435625
 
     def test_full_rate_pal_clocks(self):
         # The paper's unscaled clocks: a 6.4 MHz RF source against 32 kHz
         # audio.  One video line of simulated time is enough to interleave
         # thousands of source ticks between audio instants.
         analysis = Program.from_app("pal_decoder", scale=1).analyze()
-        duration = Fraction(1, 2_000)
-        fraction_run = analysis.run(duration, time_base="fraction")
-        tick_run = analysis.run(duration, time_base="ticks")
+        tick_run, fraction_run = tick_and_fraction_runs(analysis, Fraction(1, 2_000))
         assert tick_run.simulation.time_base.resolution <= Fraction(1, 6_400_000)
         assert len(tick_run.trace.endpoint_events) > 1000
-        assert_traces_identical(tick_run.trace, fraction_run.trace)
+        assert_runs_identical(tick_run, fraction_run)
 
     def test_engine_run_tasks_equivalence(self):
-        a = run_tasks(ring_program(40, tokens=4, stagger=5), stop_after_firings=300,
-                      time_base="fraction")
-        b = run_tasks(ring_program(40, tokens=4, stagger=5), stop_after_firings=300,
-                      time_base="ticks")
+        with fraction_time_base():
+            a = run_tasks(ring_program(40, tokens=4, stagger=5), stop_after_firings=300)
+        b = run_tasks(ring_program(40, tokens=4, stagger=5), stop_after_firings=300)
+        assert a.queue.timebase is None
         assert b.queue.timebase is not None
         assert_traces_identical(a.trace, b.trace)
         assert a.makespan == b.makespan
+        assert a.queue.now_time == b.queue.now_time
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +304,8 @@ class TestSimulationEquivalence:
 
 class TestFractionFallback:
     def test_explicit_fraction_mode(self):
-        run = Program.from_app("quickstart").analyze().run(
-            Fraction(1, 50), time_base="fraction"
-        )
+        with fraction_time_base():
+            run = Program.from_app("quickstart").analyze().run(Fraction(1, 50))
         assert run.time_base == "fraction"
         assert run.simulation.queue.timebase is None
         assert run.deadline_misses == 0
@@ -246,60 +318,82 @@ class TestFractionFallback:
         offset = {"averages": Fraction(1, 10**19)}
         run = analysis.run(Fraction(1, 50), sink_start_times=offset)
         assert run.time_base == "fraction"
-        # forcing ticks on the same program is a loud error instead
-        with pytest.raises(OilRuntimeError):
-            analysis.run(Fraction(1, 50), sink_start_times=offset, time_base="ticks")
 
     def test_fallback_trace_matches_tick_trace(self):
         analysis = Program.from_app("rate_converter").analyze()
-        tick_run = analysis.run(Fraction(1, 10))  # auto -> ticks
-        fallback_run = analysis.run(Fraction(1, 10), time_base="fraction")
-        assert tick_run.time_base == "ticks"
-        assert fallback_run.time_base == "fraction"
-        assert_traces_identical(tick_run.trace, fallback_run.trace)
+        tick_run, fallback_run = tick_and_fraction_runs(analysis, Fraction(1, 10))
+        assert_runs_identical(tick_run, fallback_run)
 
     def test_run_tasks_fallback_without_positive_wcets(self):
         tasks = ring_program(10, tokens=2, wcet=0)
-        run = run_tasks(tasks, stop_after_firings=20)  # auto
+        run = run_tasks(tasks, stop_after_firings=20)
         assert run.queue.timebase is None
         assert run.engine.completed_firings >= 20
-        with pytest.raises(TimeBaseError):
-            run_tasks(ring_program(10, tokens=2, wcet=0), time_base="ticks")
 
     def test_unknown_time_base_rejected(self):
-        with pytest.raises(ValueError):
-            run_tasks(ring_program(10, tokens=2), time_base="nanoseconds")
-        with pytest.raises(OilRuntimeError):
-            Program.from_app("quickstart").analyze().run(
-                Fraction(1, 100), time_base="nanoseconds"
-            )
-
-    def test_explicit_timebase_instance_validated(self):
-        analysis = Program.from_app("quickstart").analyze()
-        # 2 kHz source, 1 kHz sink (half period 1/2000), wcet 3/10000:
-        # 1/10000 covers everything.
-        run = analysis.run(Fraction(1, 50), time_base=TimeBase(Fraction(1, 10_000)))
-        assert run.time_base == "ticks"
-        with pytest.raises(OilRuntimeError):
-            analysis.run(Fraction(1, 50), time_base=TimeBase(Fraction(1, 3)))
+        # The representation is derived, never chosen: a time_base keyword
+        # of any value is an unexpected keyword.
+        for value in ("nanoseconds", "fraction", TimeBase(Fraction(1, 10_000))):
+            with pytest.raises(TypeError, match="time_base"):
+                run_tasks(ring_program(10, tokens=2), time_base=value)
+            with pytest.raises(TypeError, match="time_base"):
+                Program.from_app("quickstart").analyze().run(
+                    Fraction(1, 100), time_base=value
+                )
 
 
 # ---------------------------------------------------------------------------
-# Sweeping the time base as a run axis
+# One derivation, no option
 # ---------------------------------------------------------------------------
 
-class TestTimeBaseSweep:
-    def test_time_base_is_a_run_axis(self):
-        from repro.api import Sweep
+class TestDerivedTimeBase:
+    def test_no_signature_accepts_time_base(self):
+        for function in (
+            Program.__init__,
+            Program.from_source,
+            ProgramSpec.from_app,
+            Analysis.simulation,
+            Analysis.run,
+            Simulation.__init__,
+            run_tasks,
+        ):
+            assert "time_base" not in inspect.signature(function).parameters, function
+        assert "time_base" not in {f.name for f in ProgramSpec.__dataclass_fields__.values()}
+        assert not hasattr(Program.from_app("quickstart"), "time_base")
+        assert "time_base" not in RUN_AXES
+        assert not hasattr(Simulation, "run_until_sink_count")
+        assert not hasattr(TimeBase, "try_ticks")
+        run = Program.from_app("modal_two_mode").analyze().run(Fraction(1, 10), trace="off")
+        assert run.fast_forwarded
+        assert not hasattr(run.simulation.engine.steady_state, "sink_target")
+        assert not hasattr(SteadyState, "sink_target")
 
-        report = (
-            Sweep("quickstart", duration=Fraction(1, 50))
-            .add_axis("time_base", ["fraction", "ticks"])
-            .run()
+    def test_for_durations_is_called_from_one_place(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+        callers = [
+            f"{path.relative_to(src)}:{number}"
+            for path in sorted(src.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if "for_durations(" in line and "def for_durations" not in line
+        ]
+        assert len(callers) == 1 and callers[0].startswith("engine/dispatcher.py:"), callers
+
+    def test_speed_migrating_policy_derives_no_ticks(self):
+        from repro.platform.policies import FixedPriorityPreemptive
+
+        run = Program.from_app("quickstart").analyze().run(
+            Fraction(1, 50),
+            scheduler=FixedPriorityPreemptive(Platform.heterogeneous([1, 2])),
         )
-        assert report.ok
-        assert report.column("time_base") == ["fraction", "ticks"]
-        rows = report.rows()
-        # identical observable metrics, whatever the representation
-        for key in ("deadline_misses", "completed_firings", "makespan"):
-            assert rows[0][key] == rows[1][key]
+        assert run.time_base == "fraction"
+        homogeneous = Program.from_app("quickstart").analyze().run(
+            Fraction(1, 50), scheduler=FixedPriorityPreemptive(Platform.homogeneous(2))
+        )
+        assert homogeneous.time_base == "ticks"
+
+    def test_time_base_is_a_program_axis_the_builder_rejects(self):
+        sweep = Sweep("quickstart", duration=Fraction(1, 50)).add_axis(
+            "time_base", ["fraction", "ticks"]
+        )
+        with pytest.raises(TypeError, match="time_base"):
+            sweep.run()
