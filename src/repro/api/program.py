@@ -464,7 +464,8 @@ class Analysis:
         greedy list scheduling otherwise) and is mutually exclusive with
         ``scheduler``.  The policy also picks the engine's dispatch loop
         (boolean or platform).  ``trace`` selects the recording granularity
-        (``"full"``, ``"endpoints"``, ``"off"``).  The event queue's time
+        (``"full"``, ``"endpoints"``, ``"off"``); deadline misses are
+        counted at every level.  The event queue's time
         representation is derived, not chosen: integer ticks when the
         program's -- speed-scaled -- durations fit a grid, exact fractions
         otherwise, observationally identical either way
@@ -518,7 +519,8 @@ class RunResult:
     @property
     def deadline_misses(self) -> int:
         """Source overflows + sink underflows (the real-time failures the
-        buffer-sizing analysis must exclude)."""
+        buffer-sizing analysis must exclude), counted at every trace
+        level."""
         return self.trace.deadline_miss_count()
 
     @property
@@ -623,7 +625,7 @@ class RunResult:
 
     # ------------------------------------------------------------- validation
     def occupancy_violations(self) -> List[str]:
-        """Buffers whose traced high-water mark exceeded the runtime
+        """Buffers whose occupancy high-water mark exceeded the runtime
         buffer's own capacity.
 
         This is a consistency check of the trace, not a check of the
@@ -632,7 +634,7 @@ class RunResult:
         enforces that same capacity on every acquire, so the list stays
         empty even when the analysed capacities are too small (those show
         up as back pressure instead: deadline misses, lower measured
-        rates).  Occupancy is recorded only at
+        rates).  Each buffer keeps its own mark, reported only at
         ``trace="full"``; at coarser levels the list is vacuously empty.
         """
         violations = []

@@ -181,6 +181,8 @@ class ExecutionEngine:
     ) -> None:
         self.queue = queue
         self.trace = trace
+        # The trace stores native-unit timestamps and converts them when read.
+        trace.to_time = queue.to_time
         self.policy: SchedulerPolicy = policy if policy is not None else SelfTimedUnbounded()
         #: True when the policy speaks the rich platform protocol
         #: (``decide_start``); detected by duck-typing so this module never
@@ -382,6 +384,7 @@ class ExecutionEngine:
             buffer.watch_tokens(self._index_waker(dependents))
         for buffer, dependents in writers.items():
             buffer.watch_space(self._index_waker(dependents))
+            self.trace.track_buffer(buffer)
 
     def _index_waker(self, dependents: Sequence[RuntimeTask]) -> Callable[[], None]:
         """A buffer's waker: dependent indices pre-resolved, ready-set pushes
@@ -536,14 +539,7 @@ class ExecutionEngine:
                 # than closed over: a steady-state jump translates the
                 # pending completion event, and ``now - wcet`` translates
                 # with it (identical to the closed-over start otherwise).
-                trace.record_firing(
-                    task._key,
-                    queue.to_time(now - task.wcet_internal),
-                    queue.to_time(now),
-                    executed,
-                )
-            if trace.occupancy_enabled:
-                self._record_occupancy(task)
+                trace.record_firing(task._key, now - task.wcet_internal, now, executed)
             if not trivial:
                 self.policy.on_complete(task)
             if self.on_complete is not None:
@@ -555,10 +551,6 @@ class ExecutionEngine:
                 steady.on_anchor_completion()
 
         queue.schedule(queue.now + task.wcet_internal, complete, label=task._complete_label)
-
-    def _record_occupancy(self, task: RuntimeTask) -> None:
-        for _, _, buffer, _ in task._write_windows:
-            self.trace.record_occupancy(buffer.name, buffer.occupancy())
 
     # ------------------------------------------------- platform-mode execution
     def _duration_on(self, task: RuntimeTask, processor: "Processor") -> Union[int, Fraction]:
@@ -603,11 +595,7 @@ class ExecutionEngine:
         )
         trace = self.trace
         if trace.firings_enabled:
-            trace.record_firing(
-                task._key, queue.to_time(firing.start), queue.to_time(queue.now), executed
-            )
-        if trace.occupancy_enabled:
-            self._record_occupancy(task)
+            trace.record_firing(task._key, firing.start, queue.now, executed)
         self.policy.on_complete(task, firing.processor)
         if self.on_complete is not None:
             self.on_complete(task)
@@ -700,7 +688,7 @@ class EngineRun:
         equals the start order, i.e. the executed schedule).  Requires the
         default ``"full"`` trace level -- the sequence is read off the
         recorded firings."""
-        return [firing.task.rsplit(":", 1)[-1] for firing in self.trace.firings]
+        return [task.rsplit(":", 1)[-1] for task in self.trace.firing_tasks()]
 
 
 def run_tasks(

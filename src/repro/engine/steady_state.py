@@ -649,13 +649,13 @@ class SteadyState:
                     sink.consumed.extend(period_values)
 
         # 6. Trace: streaming counters always; stored records only when the
-        # retention is unbounded (a capped trace would drop them again).
-        shift_seconds = queue.to_time(shift)
-        self.trace.extrapolate_periodic(snapshot.trace_snapshot, periods, shift_seconds)
+        # retention is unbounded (a capped trace would drop them again).  The
+        # trace keeps native units, so the shift needs no conversion.  Buffer
+        # high-water marks need nothing: the windows and ``freed`` moved
+        # together above, so every buffer's occupancy is unchanged.
+        self.trace.extrapolate_periodic(snapshot.trace_snapshot, periods, shift)
         if self._replay:
-            self.trace.replay_periodic(
-                snapshot.trace_snapshot["lengths"], periods, queue.to_time(delta)
-            )
+            self.trace.replay_periodic(snapshot.trace_snapshot["lengths"], periods, delta)
 
         self.jumps += 1
         self.skipped_ticks += shift

@@ -37,6 +37,8 @@ also keeps a reverse index of dependents: the execution engine subscribes
 per-buffer callbacks via :meth:`watch_tokens` / :meth:`watch_space` and is
 notified exactly when one of the two floors changed, which is what makes
 event-driven ready-set dispatch possible without re-polling every task.
+Each produce also keeps :attr:`CircularBuffer.high_water`, the buffer's peak
+occupancy, current in O(1), so the trace never scans windows for it.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ class CircularBuffer:
         #: released position every (active) consumer has passed (0 without
         #: consumers): locations below it are free space
         self.freed: int = 0
+        #: the highest occupancy any produce left behind (see produce_window)
+        self.high_water: int = 0
         # The windows each floor is the minimum over (see _members).
         self._floor_producers: Tuple[WindowState, ...] = ()
         self._floor_consumers: Tuple[WindowState, ...] = ()
@@ -319,6 +323,14 @@ class CircularBuffer:
         at firing start and the produce at completion -- producing acquires
         and releases atomically) and on the consumer floor, which only
         grows.
+
+        It also keeps :attr:`high_water`, the peak :meth:`occupancy`, in
+        O(1): the producing window's ``acquired - freed`` equals
+        ``occupancy()`` when that window holds the highest acquired
+        position, and is lower otherwise -- and then ``occupancy()`` itself
+        is at most what was recorded when the highest window produced,
+        because ``freed`` only grows.  (A steady-state jump moves every
+        window and ``freed`` together, which leaves occupancy unchanged.)
         """
         if values is not None:
             storage, capacity, base = self._storage, self.capacity, window.acquired
@@ -326,6 +338,9 @@ class CircularBuffer:
                 storage[(base + offset) % capacity] = values[offset]
         window.acquired += count
         window.released += count
+        occupancy = window.acquired - self.freed
+        if occupancy > self.high_water:
+            self.high_water = occupancy
         self._producers_moved()
 
     # ------------------------------------------------------------- consumers

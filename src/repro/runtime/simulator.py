@@ -11,8 +11,11 @@ worst-case response time.
 The simulation is used by the examples and benchmarks to validate the
 analysis results: with the buffer capacities computed by
 :mod:`repro.cta.buffer_sizing`, periodic sources never find their buffer full
-and periodic sinks never find it empty, and the observed buffer occupancies
-stay within the computed capacities.
+and periodic sinks never find it empty.  Too-small capacities show up as
+those deadline misses, which the trace counts at every level.  Each buffer
+also reports its occupancy high-water mark; the runtime capacity bounds it
+by construction (every acquire checks it), so the mark shows how much of a
+buffer a run used, not whether the analysed capacity sufficed.
 
 Modal behaviour: a sequential module with a single (infinite) top-level loop
 runs fully data-driven; a module with several top-level loops switches
@@ -183,7 +186,9 @@ class Simulation:
         runs stay on exact integer ticks.
     trace_level:
         Granularity of the :class:`~repro.runtime.trace.TraceRecorder`
-        (``"full"``, ``"endpoints"`` or ``"off"``).
+        (``"full"``, ``"endpoints"`` or ``"off"``).  Deadline misses are
+        counted at every level; the recorder stores native-unit records and
+        converts them to exact seconds when they are read.
     mode_schedules:
         Per sequential instance path or module name, the cyclic list of
         ``(top-level loop, iteration quota)`` phases of a multi-loop module.
@@ -208,7 +213,9 @@ class Simulation:
     trace_retention:
         Keep only the most recent N records per trace stream (see
         :class:`~repro.runtime.trace.TraceRecorder`); ``None`` (default)
-        stores everything.  Streaming counters and rates remain exact either
+        stores everything.  Anything but ``None`` or an integer ``>= 0``
+        raises :class:`TypeError` or :class:`ValueError` here, before the
+        run.  Streaming counters and rates remain exact either
         way; long fast-forwarded horizons need a cap (or a coarser
         ``trace_level``) to avoid materialising billions of records.
 

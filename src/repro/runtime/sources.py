@@ -20,7 +20,13 @@ Both drivers convert their period (and offsets) into the event queue's native
 time units and bind their buffer window once, at :meth:`start`: on a
 tick-based queue the per-period hot path then only adds integers and checks
 the window against the buffer's current floors.  Trace timestamps are
-recorded as exact rational seconds regardless of the queue's representation.
+handed over in the same native units (``queue.now``); the
+:class:`~repro.runtime.trace.TraceRecorder` converts them to exact rational
+seconds only when they are read.  A source's buffer keeps its own
+occupancy high-water mark, so a production records nothing else.  Every
+dropped sample and every underflow is counted as a deadline miss at every
+trace level; its record (and detail text) is stored only at ``"endpoints"``
+and ``"full"``.
 
 The stimulus model
 ------------------
@@ -340,6 +346,7 @@ class SourceDriver:
         self.launched = True
         self.buffer.register_producer(self.name)
         self._window = self.buffer.window_of_producer(self.name)
+        self.trace.track_buffer(self.buffer)
         queue = self.queue
         self._period_i = queue.to_internal(self.period)
         self._label = f"source:{self.name}"
@@ -357,20 +364,19 @@ class SourceDriver:
             buffer.produce_window(self._window, [value], 1)
             self.produced += 1
             if trace.endpoints_enabled:
-                trace.record_endpoint(self.name, "source", queue.now_time, value)
-            if trace.occupancy_enabled:
-                trace.record_occupancy(buffer.name, buffer.occupancy())
+                trace.record_endpoint(self.name, "source", queue.now, value)
             if self.on_change is not None:
                 self.on_change()
         else:
             self.dropped += 1
-            if trace.violations_enabled:
-                trace.record_violation(
-                    self.name,
-                    "source-overflow",
-                    queue.now_time,
-                    detail=f"buffer {buffer.name!r} full ({buffer.occupancy()} tokens)",
-                )
+            trace.record_violation(
+                self.name,
+                "source-overflow",
+                queue.now,
+                f"buffer {buffer.name!r} full ({buffer.occupancy()} tokens)"
+                if trace.violations_enabled
+                else "",
+            )
         queue.schedule(queue.now + self._period_i, self._tick, label=self._label)
 
 
@@ -440,16 +446,15 @@ class SinkDriver:
             self.consumed.append(value)
             self.consumed_count += 1
             if trace.endpoints_enabled:
-                trace.record_endpoint(self.name, "sink", queue.now_time, value)
+                trace.record_endpoint(self.name, "sink", queue.now, value)
             if self.on_change is not None:
                 self.on_change()
         else:
             self.misses += 1
-            if trace.violations_enabled:
-                trace.record_violation(
-                    self.name,
-                    "sink-underflow",
-                    queue.now_time,
-                    detail=f"buffer {buffer.name!r} empty",
-                )
+            trace.record_violation(
+                self.name,
+                "sink-underflow",
+                queue.now,
+                f"buffer {buffer.name!r} empty" if trace.violations_enabled else "",
+            )
         queue.schedule(queue.now + self._period_i, self._tick, label=self._label)

@@ -54,11 +54,13 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro import __version__
 from repro.api.spec import SweepConfigError, stable_digest
 
-#: Bump when the stored payload shape or the key recipe changes; every
-#: existing row then stops matching and the store refills itself.  2: the
-#: canonical encoding of :class:`~repro.api.spec.ProgramSpec` lost its
-#: ``time_base`` field.
-STORE_SCHEMA = 2
+#: Bump when the stored payload shape, the key recipe or the meaning of a
+#: stored value changes; every existing row then stops matching and the
+#: store refills itself.  2: the canonical encoding of
+#: :class:`~repro.api.spec.ProgramSpec` lost its ``time_base`` field.
+#: 3: ``deadline_misses`` is counted at every trace level, so a row run at
+#: ``trace="off"`` reports the real miss count where it stored 0.
+STORE_SCHEMA = 3
 
 
 def program_identity(sweep: Any) -> Tuple[Any, ...]:

@@ -24,6 +24,7 @@ from repro.platform import Platform
 from repro.platform.policies import ListScheduledPlatform
 from repro.runtime.events import EventQueue
 from repro.runtime.simulator import Simulation
+from repro.runtime.trace import TRACE_LEVELS
 from repro.util.rational import MAX_TICK_DENOMINATOR, TimeBase, TimeBaseError
 
 
@@ -34,11 +35,26 @@ def assert_traces_identical(a, b):
     assert a.buffer_high_water == b.buffer_high_water
 
 
+def assert_measurements_identical(a, b, simulation):
+    """The trace's derived measurements, which it converts when read."""
+    endpoints = [*simulation.sources, *simulation.sinks]
+    for name in endpoints:
+        assert a.first_output_time(name) == b.first_output_time(name)
+        assert a.measured_rate(name) == b.measured_rate(name)
+    for source in simulation.sources:
+        for sink in simulation.sinks:
+            assert a.end_to_end_latency(source, sink) == b.end_to_end_latency(source, sink)
+    for task in simulation.tasks:
+        assert a.task_throughput(task._key) == b.task_throughput(task._key)
+
+
 def assert_runs_identical(tick_run, fraction_run):
     """Everything a run reports, except which representation ran."""
     assert tick_run.time_base == "ticks"
     assert fraction_run.time_base == "fraction"
     assert_traces_identical(tick_run.trace, fraction_run.trace)
+    assert_measurements_identical(tick_run.trace, fraction_run.trace, tick_run.simulation)
+    assert tick_run.summary() == fraction_run.summary()
     assert tick_run.makespan == fraction_run.makespan
     assert tick_run.sink_counts == fraction_run.sink_counts
     for name in tick_run.sink_counts:
@@ -254,10 +270,22 @@ def tick_and_fraction_runs(analysis, duration, **kwargs):
 class TestSimulationEquivalence:
     @pytest.mark.parametrize("app,params,duration", APP_CASES, ids=[c[0] for c in APP_CASES])
     def test_traces_bit_identical_across_time_bases(self, app, params, duration):
+        # Every level and retention: the trace stores native units (ticks
+        # here, seconds in the oracle) and converts what is read.  Capped
+        # runs step naively: a jump replays no stored records or sink values
+        # into a capped trace, and the fraction oracle never jumps.
         analysis = Program.from_app(app, **params).analyze()
-        tick_run, fraction_run = tick_and_fraction_runs(analysis, duration)
-        assert len(tick_run.trace.firings) > 0
-        assert_runs_identical(tick_run, fraction_run)
+        for level in TRACE_LEVELS:
+            for retention in (None, 64):
+                tick_run, fraction_run = tick_and_fraction_runs(
+                    analysis,
+                    duration,
+                    trace=level,
+                    trace_retention=retention,
+                    fast_forward="auto" if retention is None else False,
+                )
+                assert (len(tick_run.trace.firings) > 0) == (level == "full")
+                assert_runs_identical(tick_run, fraction_run)
 
     @pytest.mark.parametrize(
         "duration", [Fraction(1, 3), Fraction(1, 7), Fraction(1, 8)], ids=str
