@@ -18,7 +18,8 @@ for exactly this).  Three configurations are measured:
 2. polling dispatch over buffers whose floors are kept current (isolates
    the floor gain),
 3. the engine: indexed ready-set dispatch over windows bound at
-   ``wire_buffers`` time (the one boolean-policy loop every run takes).
+   ``wire_buffers`` time (the one dispatch loop every policy runs; the
+   default self-timed policy starts its firings unasked).
 
 Both polling rows run the test suite's reference oracle
 (``tests/dispatch_oracle.py``), the same rescan the equivalence tests

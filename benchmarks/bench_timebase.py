@@ -12,15 +12,19 @@ bodies and buffer bookkeeping dilute the queue's share of the work.
 Every run derives its time base, so the tick rows run as any caller would
 and the fraction rows run inside the test suite's reference oracle
 (``tests/timebase_oracle.py``), the same one the equivalence tests use.
-Both modes run the same dispatch loop (the engine's boolean-policy loop
-serves both time bases) and execute the identical event sequence -- the
-equivalence tests (tests/test_timebase.py) assert bit-identical traces -- so
-the ratio below is pure time-representation cost.
+Both modes run the engine's one dispatch loop and execute the identical
+event sequence -- the equivalence tests (tests/test_timebase.py) assert
+bit-identical traces -- so the ratio below is pure time-representation cost.
+Each timed run starts from a fresh garbage collection: under
+``BENCH_SMOKE=1`` a timed run lasts milliseconds, and a full collection of
+what earlier benchmarks in the same process left on the heap would
+otherwise land inside it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
 import sys
 import time
@@ -63,6 +67,7 @@ def _ring_events_per_second(time_base: str) -> float:
     best = 0.0
     for _ in range(REPEATS):
         tasks = ring_program(TASK_COUNT, tokens=TOKENS, stagger=STAGGER)
+        gc.collect()
         started = time.perf_counter()
         with _representation(time_base):
             run = run_tasks(
@@ -82,6 +87,7 @@ def _app_events_per_second(time_base: str) -> float:
     best = 0.0
     for _ in range(REPEATS):
         analysis = Program.from_app("quickstart").analyze()
+        gc.collect()
         started = time.perf_counter()
         with _representation(time_base):
             run = analysis.run(APP_DURATION, trace="off")

@@ -43,9 +43,9 @@ from repro.core.compiler import CompilationResult, compile_program
 from repro.cta.buffer_sizing import BufferSizingResult
 from repro.cta.consistency import ConsistencyResult
 from repro.cta.latency import LatencyCheck
-from repro.engine.policies import SchedulerPolicy
 from repro.lang.semantics import BlackBoxModule
 from repro.platform.model import Platform
+from repro.platform.policies import PlatformPolicy
 from repro.runtime.functions import FunctionRegistry
 from repro.runtime.simulator import ModeSchedule, Simulation
 from repro.runtime.trace import TraceRecorder
@@ -399,7 +399,7 @@ class Analysis:
     def simulation(
         self,
         *,
-        scheduler: Optional[SchedulerPolicy] = None,
+        scheduler: Optional[PlatformPolicy] = None,
         platform: Optional[Platform] = None,
         trace: str = "full",
         mode_schedules: Optional[ModeSchedule] = None,
@@ -441,7 +441,7 @@ class Analysis:
         self,
         duration: RationalLike,
         *,
-        scheduler: Optional[SchedulerPolicy] = None,
+        scheduler: Optional[PlatformPolicy] = None,
         platform: Optional[Platform] = None,
         trace: str = "full",
         mode_schedules: Optional[ModeSchedule] = None,
@@ -462,8 +462,8 @@ class Analysis:
         :class:`~repro.platform.model.Platform` shorthand for that
         platform's default policy (partitioned with an affinity mapping,
         greedy list scheduling otherwise) and is mutually exclusive with
-        ``scheduler``.  The policy also picks the engine's dispatch loop
-        (boolean or platform).  ``trace`` selects the recording granularity
+        ``scheduler``.  Every policy runs through the engine's one dispatch
+        loop.  ``trace`` selects the recording granularity
         (``"full"``, ``"endpoints"``, ``"off"``); deadline misses are
         counted at every level.  The event queue's time
         representation is derived, not chosen: integer ticks when the
@@ -507,7 +507,7 @@ class RunResult:
         trace: TraceRecorder,
         duration: Rat,
         *,
-        scheduler: Optional[SchedulerPolicy] = None,
+        scheduler: Optional[PlatformPolicy] = None,
     ) -> None:
         self.analysis = analysis
         self.simulation = simulation
@@ -555,15 +555,24 @@ class RunResult:
     # ---------------------------------------------------- platform accounting
     @property
     def platform(self):
-        """The :class:`~repro.platform.model.Platform` the run executed on
-        (None under legacy boolean policies)."""
+        """The :class:`~repro.platform.model.Platform` the run executed on:
+        the one passed as ``platform=`` or carried by the policy.  ``None``
+        under :class:`~repro.engine.policies.SelfTimedUnbounded`,
+        :class:`~repro.engine.policies.BoundedProcessors` and
+        :class:`~repro.engine.policies.StaticOrder`, which schedule
+        anonymous processors; their metric rows and summaries therefore
+        carry no ``preemptions`` or ``util[...]`` entries."""
         return self.simulation.platform
 
     @property
     def processor_busy(self) -> Dict[str, Rat]:
-        """Exact busy time per processor in seconds (platform runs only;
-        empty otherwise).  Suspended firings stop accruing at the preemption
-        instant and continue at the resume."""
+        """Exact busy time per processor in seconds.  Suspended firings stop
+        accruing at the preemption instant and continue at the resume.
+        :class:`~repro.engine.policies.BoundedProcessors` and
+        :class:`~repro.engine.policies.StaticOrder` report their anonymous
+        unit-speed processors (``p0`` .. ``p{n-1}``);
+        :class:`~repro.engine.policies.SelfTimedUnbounded` accounts no
+        processor and reports ``{}``."""
         return self.simulation.engine.processor_busy_time
 
     def processor_utilisation(self) -> Dict[str, float]:
@@ -634,8 +643,8 @@ class RunResult:
         enforces that same capacity on every acquire, so the list stays
         empty even when the analysed capacities are too small (those show
         up as back pressure instead: deadline misses, lower measured
-        rates).  Each buffer keeps its own mark, reported only at
-        ``trace="full"``; at coarser levels the list is vacuously empty.
+        rates).  Each buffer keeps its own mark, so the check reads the
+        same marks at every trace level.
         """
         violations = []
         for name, mark in sorted(self.trace.buffer_high_water.items()):
@@ -663,11 +672,12 @@ class RunResult:
             row[f"sink_count[{name}]"] = count
         for name, rate in sorted(self.measured_rates.items()):
             row[f"rate[{name}]"] = None if rate is None else float(rate)
-        if self.simulation.engine.platform_mode:
+        platform = self.platform
+        if platform is not None:
             row["preemptions"] = self.preemptions
             # per-processor columns only for concrete platforms; the virtual
             # per-task processors of self-timed mode would flood the table
-            if self.platform is not None and not self.platform.is_unbounded:
+            if not platform.is_unbounded:
                 for name, utilisation in self.processor_utilisation().items():
                     row[f"util[{name}]"] = round(utilisation, 9)
         return row
@@ -691,12 +701,13 @@ class RunResult:
             lines.extend(f"  {entry}" for entry in violations)
         elif self.trace.buffer_high_water:
             lines.append("occupancy within buffer capacities for all traced buffers")
-        if self.simulation.engine.platform_mode:
+        platform = self.platform
+        if platform is not None:
             lines.append(f"preemptions: {self.preemptions}")
             # per-processor lines only for concrete platforms (the virtual
             # per-task processors of self-timed mode would just repeat the
             # task list), and only while they fit on a screen
-            if self.platform is not None and not self.platform.is_unbounded:
+            if not platform.is_unbounded:
                 utilisation = self.processor_utilisation()
                 if utilisation and len(utilisation) <= 16:
                     for name, value in utilisation.items():

@@ -16,25 +16,27 @@ replaces it with dependency-indexed dispatch:
   cursor to the next pass, which reproduces the exact fixpoint iteration
   order of the polling dispatcher -- self-timed traces are bit-identical to
   the seed implementation,
-* a pluggable :class:`~repro.engine.policies.SchedulerPolicy` gates starts,
-  so the same dispatch loop executes unbounded self-timed, bounded-processor
-  and static-order schedules, on both time bases,
-* a *platform* policy (:mod:`repro.platform.policies`, detected by the
-  presence of ``decide_start``) upgrades the boolean gate to full
-  ``(task, processor, start | preempt | resume)`` decisions: the engine then
-  tracks in-flight firings (:class:`ActiveFiring`), cancels and re-posts
-  completion events on preemption with the exact remaining work, scales
-  durations by processor speed, and accounts busy time per processor.
+* a pluggable policy (the one protocol,
+  :class:`~repro.platform.policies.PlatformPolicy`) decides where and whether
+  each eligible task starts: a processor, and at most one in-flight firing
+  to preempt.  The engine keeps one :class:`FiringRecord` per task for the
+  in-flight firing (start, processor, segment start, remaining work and the
+  speed it accrued at), cancels and re-posts completion events on
+  preemption with the exact remaining work, scales durations by processor
+  speed, and accounts busy time per processor.
 
-So there is one dispatch loop per policy protocol, and the policy picks it:
-:meth:`ExecutionEngine._dispatch_compiled` for boolean policies and
-:meth:`ExecutionEngine._dispatch_platform` for platform policies.  Both fire
-tasks through the windows bound at :meth:`ExecutionEngine.wire_buffers` time
-and share one eligibility rule, :meth:`RuntimeTask.can_fire
-<repro.runtime.tasks.RuntimeTask.can_fire>`.  The polling dispatcher
-survives only in the test suite (``tests/dispatch_oracle.py``), as the
-brute-force reference the equivalence tests and the dispatch microbenchmark
-compare against.
+So there is one dispatch loop (:meth:`ExecutionEngine._dispatch`), one
+start (:meth:`ExecutionEngine._start`) and one completion
+(:meth:`ExecutionEngine._complete`, bound once per task at wire time), for
+every policy on both time bases.  The default
+:class:`~repro.engine.policies.SelfTimedUnbounded` is recognised by its type
+and never asked: its firings start on no processor, with no policy call and
+no busy accounting.  Every firing goes through the windows bound at
+:meth:`ExecutionEngine.wire_buffers` time and the one eligibility rule,
+:meth:`RuntimeTask.can_fire <repro.runtime.tasks.RuntimeTask.can_fire>`.
+The polling dispatcher survives only in the test suite
+(``tests/dispatch_oracle.py``), as the brute-force reference the
+equivalence tests and the dispatch microbenchmark compare against.
 
 Starting a task only *consumes* tokens (outputs are released at completion),
 and consuming can only enable other tasks -- a producer gains space, no
@@ -59,9 +61,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.engine.policies import SchedulerPolicy, SelfTimedUnbounded
+from repro.engine.policies import SelfTimedUnbounded
 from repro.graph.circular_buffer import CircularBuffer
 from repro.util.rational import Rat, TimeBase, as_rational
 from repro.util.validation import check_non_negative
@@ -69,6 +72,7 @@ from repro.util.validation import check_non_negative
 if TYPE_CHECKING:  # imports only for annotations: runtime.simulator imports us
     from repro.engine.steady_state import SteadyState
     from repro.platform.model import Platform, Processor
+    from repro.platform.policies import PlatformPolicy
     from repro.runtime.events import Event, EventQueue
     from repro.runtime.sources import SinkDriver, SourceDriver
     from repro.runtime.tasks import RuntimeTask
@@ -122,28 +126,45 @@ class ReadySet:
         return index
 
 
-@dataclass
-class ActiveFiring:
-    """One in-flight (or suspended) firing under a platform policy.
+class FiringRecord:
+    """The firing record of one task, made once at wire time.
 
-    ``remaining`` is ``None`` while the firing runs; a preemption records the
-    native-unit time still owed (``completion event time - now``, exact in
-    both tick and fraction modes) and the speed it was accrued at, so a
-    resume -- possibly on a different-speed processor -- re-posts the
-    completion with exactly the outstanding work.
+    It holds the state of the task's in-flight (or suspended) firing: the
+    start instant, the processor it occupies (``None`` while idle,
+    suspended, or under the self-timed short-circuit), the start of the
+    current uninterrupted segment (busy accounting), the pending completion
+    event, and after a preemption the native-unit time still owed
+    (``remaining``, exact in both tick and fraction modes) with the
+    ``speed`` it was accrued at, so a resume -- possibly on a
+    different-speed processor -- re-posts exactly the outstanding work.
+    ``complete`` is the task's completion callback, bound once; the
+    in-flight input values live on the task (``inflight_values``).
     """
 
-    task: "RuntimeTask"
-    values: dict
-    start: Union[int, Fraction]
-    processor: "Processor"
-    #: start of the current uninterrupted execution segment (busy accounting)
-    segment_start: Union[int, Fraction]
-    event: Optional["Event"] = None
-    #: native-unit time still owed after a preemption (None while running)
-    remaining: Optional[Union[int, Fraction]] = None
-    #: speed factor ``remaining`` was accrued at (for migrating resumes)
-    suspended_speed: Optional[Fraction] = None
+    __slots__ = (
+        "task",
+        "start",
+        "processor",
+        "segment_start",
+        "event",
+        "remaining",
+        "speed",
+        "durations",
+        "complete",
+    )
+
+    def __init__(self, task: "RuntimeTask", complete: Callable[["FiringRecord"], None]) -> None:
+        self.task = task
+        self.start: Union[int, Fraction] = 0
+        self.processor: Optional["Processor"] = None
+        self.segment_start: Union[int, Fraction] = 0
+        self.event: Optional["Event"] = None
+        self.remaining: Optional[Union[int, Fraction]] = None
+        self.speed: Optional[Fraction] = None
+        #: native-unit duration per processor name (``wcet / speed``), kept
+        #: at the first firing on each processor
+        self.durations: Dict[str, Union[int, Fraction]] = {}
+        self.complete: Callable[[], None] = partial(complete, self)
 
 
 class ExecutionEngine:
@@ -161,15 +182,15 @@ class ExecutionEngine:
     queue, trace:
         The discrete-event queue and trace recorder shared with the drivers.
     policy:
-        A :class:`~repro.engine.policies.SchedulerPolicy` (dispatched by
-        :meth:`_dispatch_compiled`) or a platform policy (dispatched by
-        :meth:`_dispatch_platform`); default
-        :class:`~repro.engine.policies.SelfTimedUnbounded`.
+        A scheduling policy (:class:`~repro.platform.policies.PlatformPolicy`);
+        default :class:`~repro.engine.policies.SelfTimedUnbounded`, which the
+        engine never asks (module docstring).
 
     :meth:`wire_buffers` specialises the per-program hot path: wcets
     pre-converted to the queue's native units, window objects pre-bound per
-    task, dependent indices pre-resolved per buffer -- the firing path then
-    touches no dicts.
+    task, dependent indices pre-resolved per buffer, one :class:`FiringRecord`
+    and one bound completion per task -- the firing path then allocates no
+    closure and no record per firing.
     """
 
     def __init__(
@@ -177,49 +198,44 @@ class ExecutionEngine:
         queue: EventQueue,
         trace: TraceRecorder,
         *,
-        policy: Optional[SchedulerPolicy] = None,
+        policy: Optional["PlatformPolicy"] = None,
     ) -> None:
         self.queue = queue
         self.trace = trace
         # The trace stores native-unit timestamps and converts them when read.
         trace.to_time = queue.to_time
-        self.policy: SchedulerPolicy = policy if policy is not None else SelfTimedUnbounded()
-        #: True when the policy speaks the rich platform protocol
-        #: (``decide_start``); detected by duck-typing so this module never
-        #: imports :mod:`repro.platform`
-        self.platform_mode = callable(getattr(self.policy, "decide_start", None))
-        #: the trivial self-timed policy's calls are no-ops by definition, so
-        #: the boolean loop skips them outright
-        self._trivial_policy = type(self.policy) is SelfTimedUnbounded
+        self.policy: "PlatformPolicy" = policy if policy is not None else SelfTimedUnbounded()
+        #: the self-timed short-circuit: the default policy's answer is
+        #: always "start now, on a processor of its own", so the engine
+        #: starts its firings without asking and accounts no processor
+        self._self_timed = type(self.policy) is SelfTimedUnbounded
         self.tasks: List[RuntimeTask] = []
         self._index: Dict[RuntimeTask, int] = {}
+        #: one firing record per task, aligned with ``tasks`` (wire_buffers)
+        self._firings: List[FiringRecord] = []
         self._ready = ReadySet()
         self._dispatch_pending = False
         self._in_dispatch = False
         self.started_firings = 0
         self.completed_firings = 0
-        #: platform-mode state: in-flight firings, suspended firings and the
+        #: suspended firings (task -> index), in suspension order, and the
         #: per-processor busy-time accumulators (native units)
-        self._active: Dict[RuntimeTask, ActiveFiring] = {}
-        self._suspended: Dict[RuntimeTask, ActiveFiring] = {}
+        self._suspended: Dict[RuntimeTask, int] = {}
         self._busy_internal: Dict[str, Union[int, Fraction]] = {}
-        self._duration_cache: Dict[tuple, Union[int, Fraction]] = {}
         self.preemptions = 0
         self.resumes = 0
         #: completion time of the last finished firing in the queue's native
         #: units; maintained independently of the trace so makespans survive
         #: ``trace_level="off"``.  Read via :attr:`last_completion_time`.
         self._last_completion: Union[int, Fraction] = 0
-        #: True once :meth:`wire_buffers` set up the boolean loop
-        #: (:meth:`_dispatch_compiled`), i.e. ``not platform_mode``
+        #: True once :meth:`wire_buffers` bound the firing path
         self.kernel_active = False
         #: steady-state fast-forward detector (enable_fast_forward)
         self._steady: Optional["SteadyState"] = None
         # A fresh engine is a fresh execution: drop any processor accounting
         # a previous (possibly mid-flight-stopped) run left in the policy.
-        reset = getattr(self.policy, "reset", None)
-        if reset is not None:
-            reset()
+        if not self._self_timed:
+            self.policy.reset()
         #: optional hook run at the end of every completion (the simulator
         #: advances mode-schedule phases and notifies waiting sinks here)
         self.on_complete: Optional[Callable[[RuntimeTask], None]] = None
@@ -234,20 +250,21 @@ class ExecutionEngine:
     @property
     def processor_busy_time(self) -> Dict[str, Rat]:
         """Accumulated busy time per processor as exact rational seconds
-        (platform mode only; empty under legacy boolean policies).  Busy
-        time of a suspended firing stops at the preemption instant and
-        continues at the resume, and a still-running firing counts its
-        executed segment up to the current instant -- so the sum over
-        processors equals the sum of actually executed segments even when a
-        run horizon cuts firings mid-flight (up to the exact end instant,
-        :attr:`~repro.runtime.events.EventQueue.now_time`, also between two
-        ticks)."""
+        (empty under the self-timed short-circuit, which accounts no
+        processor).  Busy time of a suspended firing stops at the preemption
+        instant and continues at the resume, and a still-running firing
+        counts its executed segment up to the current instant -- so the sum
+        over processors equals the sum of actually executed segments even
+        when a run horizon cuts firings mid-flight (up to the exact end
+        instant, :attr:`~repro.runtime.events.EventQueue.now_time`, also
+        between two ticks)."""
         queue = self.queue
         busy = {name: queue.to_time(value) for name, value in self._busy_internal.items()}
         now = queue.now_time
-        for firing in self._active.values():
-            name = firing.processor.name
-            busy[name] = busy.get(name, 0) + now - queue.to_time(firing.segment_start)
+        for firing in self._firings:
+            if firing.processor is not None:
+                name = firing.processor.name
+                busy[name] = busy.get(name, 0) + now - queue.to_time(firing.segment_start)
         return dict(sorted(busy.items()))
 
     @property
@@ -317,7 +334,7 @@ class ExecutionEngine:
         The one derivation every run gets its time base from.  The grid is
         the gcd (:meth:`TimeBase.for_durations`) of *durations* (the
         callers' driver periods and offsets), every registered task's wcet
-        and, under a platform policy, every ``wcet / speed`` a firing can
+        and, on the policy's platform, every ``wcet / speed`` a firing can
         take: event times are sums of these, so all of them lie on the grid.
         A policy that resumes preempted firings across processor speeds
         keeps fractions, because a rescaled remainder is closed under no
@@ -328,7 +345,7 @@ class ExecutionEngine:
         if not getattr(self.policy, "migrates_across_speeds", False):
             wcets = [task.wcet for task in self.tasks]
             durations = [*durations, *wcets]
-            platform = getattr(self.policy, "platform", None)
+            platform = self.policy.platform
             if platform is not None:
                 durations.extend(platform.scaled_durations(wcets))
             timebase = TimeBase.for_durations(durations)
@@ -346,29 +363,22 @@ class ExecutionEngine:
         so that a moved produced floor wakes the buffer's readers and a moved
         consumed floor wakes its writers.  Call once, after all tasks are
         registered and the queue's time base (if any) is set -- response
-        times are pre-converted to the queue's native units and every task's
-        windows are bound here, so the firing hot path only adds and looks
+        times are pre-converted to the queue's native units, every task's
+        windows, firing record and completion are bound, and the policy is
+        bound to the fleet here, so the firing hot path only adds and looks
         nothing up."""
         queue = self.queue
         for task in self.tasks:
             task.wcet_internal = queue.to_internal(task.wcet)
             task.bind_windows()
-        self.kernel_active = not self.platform_mode
-        if self.platform_mode:
-            bind = getattr(self.policy, "bind", None)
-            if bind is not None:
-                bind(self.tasks)
+        self._firings = [FiringRecord(task, self._complete) for task in self.tasks]
+        if not self._self_timed:
+            self.policy.bind(self.tasks)
             # Seed the busy accumulators so idle processors report 0 busy
             # time instead of being absent from the accounting.
-            for processor in getattr(self.policy, "processors", ()):
+            for processor in self.policy.processors:
                 self._busy_internal.setdefault(processor.name, 0)
-            # Partitioned policies pin every task to one processor; warming
-            # the scaled-duration cache here keeps the firing hot path free
-            # of Fraction division even on heterogeneous platforms.
-            processor_of = getattr(self.policy, "processor_of", None)
-            if callable(processor_of):
-                for task in self.tasks:
-                    self._duration_on(task, processor_of(task))
+        self.kernel_active = True
         readers: Dict[CircularBuffer, List[RuntimeTask]] = {}
         writers: Dict[CircularBuffer, List[RuntimeTask]] = {}
         for task in self.tasks:
@@ -436,171 +446,105 @@ class ExecutionEngine:
         self.queue.schedule(self.queue.now, self._dispatch, label="dispatch")
 
     def _dispatch(self) -> None:
+        """The dispatch loop: examine only woken tasks, in the polling
+        dispatcher's pass order, and ask the policy where each one starts.
+
+        A popped task may be a *suspended* firing (queued by a freed
+        processor), in which case the policy decides a resume instead of a
+        start, and any decision may name a lower-priority victim to preempt.
+        Tasks the policy keeps waiting (all processors busy, not next in the
+        static order) stay queued for the next dispatch, which the releasing
+        completion always schedules.  Under the self-timed short-circuit
+        every task that can fire starts, unasked.
+        """
         self._dispatch_pending = False
         self._in_dispatch = True
+        ready = self._ready
+        firings = self._firings
+        policy = None if self._self_timed else self.policy
+        start = self._start
+        stalled: Optional[List[int]] = None
         try:
-            if self.platform_mode:
-                self._dispatch_platform()
-            else:
-                self._dispatch_compiled()
+            while True:
+                index = ready.pop()
+                if index is None:
+                    break
+                firing = firings[index]
+                task = firing.task
+                if task.suspended:
+                    decision = policy.decide_resume(task)
+                elif not task.can_fire():
+                    continue  # fell since its wake; the wake restoring it re-queues it
+                elif policy is None:
+                    start(firing, None)
+                    continue
+                else:
+                    decision = policy.decide_start(task)
+                if decision is None:
+                    if stalled is None:
+                        stalled = []
+                    stalled.append(index)
+                    continue
+                processor, victim = decision
+                if victim is not None:
+                    self._preempt(victim)
+                if task.suspended:
+                    self._resume(firing, processor)
+                else:
+                    start(firing, processor)
+            if stalled:
+                for index in stalled:
+                    ready.push(index)
         finally:
             self._in_dispatch = False
 
-    def _dispatch_compiled(self) -> None:
-        """The boolean-policy loop: examine only woken tasks, in the polling
-        dispatcher's pass order, over the windows bound at wire time.
-
-        Tasks that are eligible but denied by the policy (all processors
-        busy, not next in the static order) are kept queued for the next
-        dispatch, which the policy's releasing completion always schedules.
-        Under the trivial self-timed policy the per-firing policy calls are
-        skipped outright (they are no-ops by definition).
-        """
-        ready = self._ready
-        tasks = self.tasks
-        policy = self.policy
-        trivial = self._trivial_policy
-        stalled: Optional[List[int]] = None
-        while True:
-            index = ready.pop()
-            if index is None:
-                break
-            task = tasks[index]
-            if not task.can_fire():
-                continue  # fell since its wake; the wake restoring it re-queues it
-            if not trivial and not policy.allow_start(task):
-                if stalled is None:
-                    stalled = []
-                stalled.append(index)
-                continue
-            self._start_task(task)
-        if stalled:
-            for index in stalled:
-                ready.push(index)
-
-    def _dispatch_platform(self) -> None:
-        """Ready-set dispatch under the rich platform protocol.
-
-        The loop mirrors :meth:`_dispatch_compiled` exactly -- same pop
-        order, same can-fire check, same stalled re-queueing -- so a
-        degenerate platform policy (no preemption, unit speeds) schedules
-        the very same events in the very same order as its legacy boolean
-        counterpart: traces are bit-identical.  On top of that, a popped
-        task may be a *suspended* firing (queued by a freed processor), in
-        which case the policy decides a resume instead of a start, and any
-        decision may name a lower-priority victim to preempt.
-        """
-        policy = self.policy
-        stalled: List[int] = []
-        while True:
-            index = self._ready.pop()
-            if index is None:
-                break
-            task = self.tasks[index]
-            if task in self._suspended:
-                decision = policy.decide_resume(task)
-                if decision is None:
-                    stalled.append(index)
-                    continue
-                if decision.preempt is not None:
-                    self._preempt(decision.preempt)
-                self._resume_firing(task, decision.processor)
-                continue
-            if not task.can_fire():
-                continue  # fell since its wake; the wake restoring it re-queues it
-            decision = policy.decide_start(task)
-            if decision is None:
-                stalled.append(index)
-                continue
-            if decision.preempt is not None:
-                self._preempt(decision.preempt)
-            self._start_platform(task, decision.processor)
-        for index in stalled:
-            self._ready.push(index)
-
     # -------------------------------------------------------------- execution
-    def _start_task(self, task: RuntimeTask) -> None:
-        """Start a firing under a boolean policy and post its completion."""
-        queue = self.queue
-        trivial = self._trivial_policy
-        values = task.start_firing()
-        if not trivial:
-            self.policy.on_start(task)
-        self.started_firings += 1
-
-        def complete() -> None:
-            executed = task.finish_firing(values)
-            self.completed_firings += 1
-            now = queue.now
-            self._last_completion = now
-            trace = self.trace
-            if trace.firings_enabled:
-                # The start is recomputed from the completion instant rather
-                # than closed over: a steady-state jump translates the
-                # pending completion event, and ``now - wcet`` translates
-                # with it (identical to the closed-over start otherwise).
-                trace.record_firing(task._key, now - task.wcet_internal, now, executed)
-            if not trivial:
-                self.policy.on_complete(task)
-            if self.on_complete is not None:
-                self.on_complete(task)
-            self.wake_task(task)
-            self.schedule_dispatch()
-            steady = self._steady
-            if steady is not None and task is steady.anchor:
-                steady.on_anchor_completion()
-
-        queue.schedule(queue.now + task.wcet_internal, complete, label=task._complete_label)
-
-    # ------------------------------------------------- platform-mode execution
-    def _duration_on(self, task: RuntimeTask, processor: "Processor") -> Union[int, Fraction]:
-        """Native-unit occupancy of one firing of *task* on *processor*
-        (``wcet / speed``, cached per pair; exact -- raises
-        :class:`~repro.util.rational.TimeBaseError` when a scaled duration
-        falls off an integer tick grid)."""
-        if processor.speed == 1:
-            return task.wcet_internal
-        key = (task, processor.name)
-        duration = self._duration_cache.get(key)
-        if duration is None:
-            duration = self.queue.to_internal(task.wcet / processor.speed)
-            self._duration_cache[key] = duration
-        return duration
-
-    def _start_platform(self, task: RuntimeTask, processor: "Processor") -> None:
-        start = self.queue.now
-        values = task.start_firing()
-        self.policy.on_start(task, processor)
-        self.started_firings += 1
-        firing = ActiveFiring(
-            task=task, values=values, start=start, processor=processor, segment_start=start
-        )
-        self._active[task] = firing
-        firing.event = self.queue.schedule(
-            start + self._duration_on(task, processor),
-            lambda: self._complete_platform(firing),
-            label=task._complete_label,
-        )
-
-    def _complete_platform(self, firing: ActiveFiring) -> None:
+    def _start(self, firing: FiringRecord, processor: Optional["Processor"]) -> None:
+        """Start a firing on *processor* (``None``: the self-timed
+        short-circuit, unaccounted) and post its completion."""
         task = firing.task
         queue = self.queue
-        del self._active[task]
-        executed = task.finish_firing(firing.values)
+        now = queue.now
+        task.start_firing()
+        self.started_firings += 1
+        firing.start = now
+        if processor is None:
+            duration = task.wcet_internal
+        else:
+            self.policy.on_start(task, processor)
+            firing.processor = processor
+            firing.segment_start = now
+            duration = firing.durations.get(processor.name)
+            if duration is None:
+                # exact: raises TimeBaseError should wcet / speed fall off
+                # the tick grid (derive_time_base puts it on the grid)
+                duration = queue.to_internal(task.wcet / processor.speed)
+                firing.durations[processor.name] = duration
+        firing.event = queue.schedule(now + duration, firing.complete, label=task._complete_label)
+
+    def _complete(self, firing: FiringRecord) -> None:
+        """The completion of *firing*'s task: run the body, release the
+        outputs, account the processor, and wake what it enabled."""
+        task = firing.task
+        now = self.queue.now
+        executed = task.finish_firing(task.inflight_values)
         self.completed_firings += 1
-        self._last_completion = queue.now
-        name = firing.processor.name
-        self._busy_internal[name] = (
-            self._busy_internal.get(name, 0) + queue.now - firing.segment_start
-        )
+        self._last_completion = now
         trace = self.trace
         if trace.firings_enabled:
-            trace.record_firing(task._key, firing.start, queue.now, executed)
-        self.policy.on_complete(task, firing.processor)
+            trace.record_firing(task._key, firing.start, now, executed)
+        processor = firing.processor
+        if processor is not None:
+            firing.processor = None
+            name = processor.name
+            busy = self._busy_internal
+            busy[name] = busy.get(name, 0) + now - firing.segment_start
+            self.policy.on_complete(task, processor)
         if self.on_complete is not None:
             self.on_complete(task)
         self.wake_task(task)
-        self._wake_suspended()
+        if self._suspended:
+            self._wake_suspended()
         self.schedule_dispatch()
         steady = self._steady
         if steady is not None and task is steady.anchor:
@@ -609,42 +553,43 @@ class ExecutionEngine:
     def _preempt(self, victim: RuntimeTask) -> None:
         """Suspend the in-flight firing of *victim*: cancel its completion
         event and record the exact native-unit time still owed."""
-        firing = self._active.pop(victim)
+        index = self._index[victim]
+        firing = self._firings[index]
         queue = self.queue
+        processor = firing.processor
         queue.cancel(firing.event)
         firing.remaining = firing.event.time - queue.now
-        firing.suspended_speed = firing.processor.speed
-        name = firing.processor.name
+        firing.speed = processor.speed
+        firing.processor = None
+        name = processor.name
         self._busy_internal[name] = (
             self._busy_internal.get(name, 0) + queue.now - firing.segment_start
         )
         victim.suspended = True
         victim.preemptions += 1
-        self._suspended[victim] = firing
+        self._suspended[victim] = index
         self.preemptions += 1
-        self.policy.on_preempt(victim, firing.processor)
+        self.policy.on_preempt(victim, processor)
 
-    def _resume_firing(self, task: RuntimeTask, processor: "Processor") -> None:
+    def _resume(self, firing: FiringRecord, processor: "Processor") -> None:
         """Continue a suspended firing on *processor*, re-posting the
         completion with exactly the remaining work (rescaled by the speed
         ratio when the firing migrates across speeds)."""
-        firing = self._suspended.pop(task)
+        task = firing.task
+        del self._suspended[task]
         task.suspended = False
         queue = self.queue
         remaining = firing.remaining
-        if processor.speed != firing.suspended_speed:
+        if processor.speed != firing.speed:
             # remaining work = remaining time x old speed; exact rescale
-            work = queue.to_time(remaining) * firing.suspended_speed
+            work = queue.to_time(remaining) * firing.speed
             remaining = queue.to_internal(work / processor.speed)
         firing.processor = processor
         firing.segment_start = queue.now
         firing.remaining = None
-        firing.suspended_speed = None
-        self._active[task] = firing
+        firing.speed = None
         firing.event = queue.schedule(
-            queue.now + remaining,
-            lambda: self._complete_platform(firing),
-            label=task._complete_label,
+            queue.now + remaining, firing.complete, label=task._complete_label
         )
         self.resumes += 1
         self.policy.on_resume(task, processor)
@@ -653,8 +598,8 @@ class ExecutionEngine:
         """Queue every suspended firing for a resume decision.  Suspended
         tasks are ``busy`` (their inputs are consumed), so :meth:`wake_task`
         would skip them; they are pushed directly."""
-        for task in self._suspended:
-            self._ready.push(self._index[task])
+        for index in self._suspended.values():
+            self._ready.push(index)
 
 
 @dataclass
@@ -694,7 +639,7 @@ class EngineRun:
 def run_tasks(
     tasks: Sequence[RuntimeTask],
     *,
-    policy: Optional[SchedulerPolicy] = None,
+    policy: Optional["PlatformPolicy"] = None,
     platform: Optional["Platform"] = None,
     stop_after_firings: Optional[int] = None,
     horizon=Fraction(10**9),
@@ -737,9 +682,8 @@ def run_tasks(
 
     Any other value raises :class:`ValueError`.
 
-    The policy picks the dispatch loop: boolean policies run
-    :meth:`ExecutionEngine._dispatch_compiled` and platform policies
-    :meth:`ExecutionEngine._dispatch_platform`, on either time base.
+    Every policy runs through the engine's one dispatch loop, on either
+    time base.
     """
     from repro.engine.steady_state import check_fast_forward, function_qualification
     from repro.runtime.events import EventQueue

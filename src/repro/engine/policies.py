@@ -1,15 +1,17 @@
-"""Pluggable scheduling policies of the execution engine.
+"""The engine's built-in scheduling policies.
 
 The dispatcher (:mod:`repro.engine.dispatcher`) decides *when* a task is
-eligible -- enough tokens on every read buffer, enough space on every write
-buffer, loop active, no firing in flight.  A :class:`SchedulerPolicy` decides
-*whether* an eligible task may start *now*, which is where platform models
-plug in:
+eligible; a policy decides where and whether an eligible task starts, in
+the one scheduling protocol of :mod:`repro.platform.policies`.  The three
+policies here are the paper's scheduling scenarios, each a platform policy
+on anonymous unit-speed processors -- they describe no
+:class:`~repro.platform.model.Platform`, so their runs report none:
 
 * :class:`SelfTimedUnbounded` -- every eligible task starts immediately: one
   processor per task, the virtual unbounded-parallel hardware the paper's CTA
   analysis bounds.  This is the default and reproduces the seed simulator's
-  semantics exactly.
+  semantics exactly.  The engine knows its answer and never asks: it starts
+  the firing with no policy call, no processor and no busy accounting.
 * :class:`BoundedProcessors` -- list scheduling on ``n`` identical
   processors: at most ``n`` firings are in flight at any instant, eligible
   tasks are started in static (extraction) order as processors free up.  This
@@ -20,95 +22,42 @@ plug in:
   :mod:`repro.baselines.sequential_schedule` baseline into the engine: the
   baseline's generated schedule *is* the policy's firing order.
 
-A policy never decides eligibility -- it only gates starts -- so every policy
-observes the same data-driven semantics and the same produced values; policies
-only reshape the timing.
-
-This boolean protocol cannot express *where* a firing runs or that it is
-suspended with work left; those are the platform protocol's decisions
-(:mod:`repro.platform.policies`), which re-expresses all three policies here
-as degenerate platforms with bit-identical traces and adds preemptive
-fixed-priority and partitioned heterogeneous scheduling on top.
+A policy never decides eligibility, so every policy observes the same
+data-driven semantics and the same produced values; policies only reshape
+the timing.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.util.validation import check_positive, require
+from repro.platform.model import Platform
+from repro.platform.policies import ListScheduledPlatform, SelfTimedPlatform, StaticOrderPlatform
+from repro.util.validation import check_positive
 
 if TYPE_CHECKING:  # import only for annotations: runtime.simulator imports us
     from repro.runtime.tasks import RuntimeTask
 
 
-def _task_name(task: "RuntimeTask") -> str:
-    """Default :class:`StaticOrder` schedule key: the bare task name.
-
-    A module-level function (not a lambda) so a default-keyed policy pickles
-    by reference -- process-parallel sweeps ship policy instances to worker
-    processes.
-    """
-    return task.name
-
-
-@runtime_checkable
-class SchedulerPolicy(Protocol):
-    """Start-gating protocol implemented by all scheduling policies."""
-
-    def allow_start(self, task: RuntimeTask) -> bool:
-        """May this *eligible* task start a firing right now?"""
-        ...
-
-    def on_start(self, task: RuntimeTask) -> None:
-        """A firing of *task* started (account the processor it occupies)."""
-        ...
-
-    def on_complete(self, task: RuntimeTask) -> None:
-        """The in-flight firing of *task* completed (release its processor)."""
-        ...
-
-    def reset(self) -> None:
-        """Drop run-scoped state.  The engine calls this when it is
-        constructed, so one policy object can be reused across runs (a run
-        stopped mid-flight would otherwise leak busy-processor accounting
-        into the next one)."""
-        ...
-
-    # Policies additionally expose ``steady_state_key()`` -- a hashable
-    # summary of all state that influences future scheduling decisions.  The
-    # steady-state fast-forward detector folds it into its periodicity key;
-    # a policy without the method opts out of fast-forward (the detector
-    # refuses rather than guessing what hidden state the policy carries).
-
-
-class SelfTimedUnbounded:
+class SelfTimedUnbounded(SelfTimedPlatform):
     """Self-timed execution on virtually unbounded parallel hardware.
 
     Every task owns its own processor, so an eligible task always starts
     immediately -- the execution model the CTA analysis bounds and the
-    semantics of the seed dispatcher.
+    semantics of the seed dispatcher.  :class:`SelfTimedPlatform` without
+    the platform: the engine recognises this exact type and starts its
+    firings without asking, on no processor and with no busy accounting.
     """
 
-    def allow_start(self, task: RuntimeTask) -> bool:
-        return True
-
-    def on_start(self, task: RuntimeTask) -> None:
-        pass
-
-    def on_complete(self, task: RuntimeTask) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    def steady_state_key(self) -> tuple:
-        return ()
+    def __init__(self) -> None:
+        super().__init__()
+        self.platform = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "SelfTimedUnbounded()"
 
 
-class BoundedProcessors:
+class BoundedProcessors(ListScheduledPlatform):
     """List scheduling on *processors* identical processors.
 
     At most *processors* firings are in flight simultaneously; the dispatcher
@@ -116,63 +65,26 @@ class BoundedProcessors:
     order (the classical list-scheduling priority).  With ``processors=1``
     the execution is fully serialised; as the count grows the makespan
     approaches the self-timed (unbounded) execution, which is exactly the
-    Fig. 4 speedup experiment.
+    Fig. 4 speedup experiment.  :class:`ListScheduledPlatform` on
+    ``Platform.homogeneous(processors)``, with the processors left
+    anonymous.
     """
 
     def __init__(self, processors: int) -> None:
         check_positive(processors, "processors")
-        self.processors = processors
-        self.busy = 0
-        #: completions that arrived without a matching start (a run stopped
-        #: mid-flight whose policy was reset/reused); clamped, and counted
-        #: so the anomaly stays observable
-        self.stale_completions = 0
-
-    def allow_start(self, task: RuntimeTask) -> bool:
-        return self.busy < self.processors
-
-    def on_start(self, task: RuntimeTask) -> None:
-        self.busy += 1
-
-    def on_complete(self, task: RuntimeTask) -> None:
-        # A run stopped mid-flight leaves completions that never ran; when
-        # the policy is then reset (or reused) while such a stale completion
-        # still fires, an unguarded decrement would drive ``busy`` negative
-        # and over-admit starts forever after.  Clamp instead of going
-        # negative and record the anomaly.
-        if self.busy > 0:
-            self.busy -= 1
-        else:
-            self.stale_completions += 1
-
-    def reset(self) -> None:
-        self.busy = 0
-        self.stale_completions = 0
-
-    def steady_state_key(self) -> tuple:
-        return (self.busy,)
+        super().__init__(Platform.homogeneous(processors))
+        self.platform = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"BoundedProcessors({self.processors})"
+        return f"BoundedProcessors({len(self.processors)})"
 
 
-class StaticOrder:
+class StaticOrder(StaticOrderPlatform):
     """A single processor executing a fixed firing sequence.
 
-    *order* lists one entry per firing; when *cyclic* (the default) the
-    sequence repeats indefinitely, which is the ``loop{...} while(1)``
-    wrapper of the generated sequential program.  One-shot (initialisation)
-    tasks are outside the steady-state schedule and are admitted whenever
-    the processor is free -- but, like every firing on this single
-    processor, never while another firing is in flight.
-
-    Schedule entries are matched against ``key(task)`` -- bare ``task.name``
-    by default, which is unambiguous for SDF-derived and synthetic task sets
-    (one task per actor).  For compiled OIL programs, where distinct module
-    instances may contain same-named tasks, pass ``key=lambda t:
-    t.producer_key()`` and spell the schedule in ``"instance:name"`` form.
-
-    Use :func:`repro.baselines.sequential_schedule.static_order_policy` to
+    :class:`StaticOrderPlatform` on one anonymous unit-speed processor: see
+    there for the schedule, one-shot and key semantics.  Use
+    :func:`repro.baselines.sequential_schedule.static_order_policy` to
     build this policy directly from an SDF graph's deadlock-free schedule.
     """
 
@@ -181,56 +93,10 @@ class StaticOrder:
         order: Sequence[str],
         *,
         cyclic: bool = True,
-        key: Optional[Callable[[RuntimeTask], str]] = None,
+        key: Optional[Callable[["RuntimeTask"], str]] = None,
     ) -> None:
-        require(len(order) > 0, "a static-order schedule needs at least one entry")
-        self.order: List[str] = list(order)
-        self.cyclic = cyclic
-        self.position = 0
-        self._in_flight = False
-        self._key = key if key is not None else _task_name
-
-    def current(self) -> Optional[str]:
-        """Schedule entry the policy admits next (None when exhausted)."""
-        if not self.cyclic and self.position >= len(self.order):
-            return None
-        return self.order[self.position % len(self.order)]
-
-    def allow_start(self, task: RuntimeTask) -> bool:
-        # One-shots too must wait for the processor: admitting them while a
-        # steady-state firing is in flight would overlap two firings on the
-        # supposedly single processor.
-        if self._in_flight:
-            return False
-        if task.one_shot:
-            return True
-        return self._key(task) == self.current()
-
-    def on_start(self, task: RuntimeTask) -> None:
-        self._in_flight = True
-
-    def on_complete(self, task: RuntimeTask) -> None:
-        if not self._in_flight:
-            # stale completion of a run stopped mid-flight whose policy was
-            # reset/reused: ignore it instead of advancing the schedule past
-            # entries that never ran (same hardening as BoundedProcessors)
-            return
-        self._in_flight = False
-        if not task.one_shot:
-            # only steady-state firings consume a schedule entry
-            self.position += 1
-
-    def reset(self) -> None:
-        self.position = 0
-        self._in_flight = False
-
-    def steady_state_key(self) -> tuple:
-        # The cyclic schedule only cares about the position modulo its
-        # length; the absolute position grows forever and would make every
-        # state unique.  A finite schedule keeps the absolute position (no
-        # two states with different remaining work may ever be identified).
-        position = self.position % len(self.order) if self.cyclic else self.position
-        return (position, self._in_flight)
+        super().__init__(order, cyclic=cyclic, key=key)
+        self.platform = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StaticOrder({len(self.order)} firings, cyclic={self.cyclic})"

@@ -21,9 +21,10 @@ detector captures a canonical key of the entire execution state:
   label)`` -- completion events, driver ticks and the dispatch event, with
   same-instant ties kept in their sequence order (ties execute in that
   order, so it is part of the state),
-* per task: busy/suspended/active flags, phase progress, and for platform
-  policies the occupied processor with the elapsed segment time (running)
-  or the exact remaining work and accrual speed (suspended),
+* per task, read off its firing record: busy/suspended/active flags, phase
+  progress, and the occupied processor with the elapsed segment time
+  (running on an accounted processor) or the exact remaining work and
+  accrual speed (suspended),
 * the ready set's queued indices, the policy's
   ``steady_state_key()`` and any simulator-supplied extra state (mode
   schedule phases),
@@ -44,7 +45,8 @@ per-``delta`` increments.  The detector then *jumps* ``K`` periods at once:
   (:meth:`~repro.runtime.events.EventQueue.shift_pending`),
 * engine counters, per-task firing/preemption counters, per-processor busy
   time, driver production/consumption counters and the trace's streaming
-  statistics advance by ``K`` times their per-period delta,
+  statistics advance by ``K`` times their per-period delta, and every
+  in-flight firing record's start (and segment start) moves with the clock,
 * every buffer window advances by ``K`` times its buffer's per-period
   advance and the storage ring rotates with it (floors translated, no
   watcher fires: relative state is unchanged, so nothing new is enabled),
@@ -406,18 +408,15 @@ class SteadyState:
         pendings = [
             (time - now, rank, label) for rank, (time, _, label) in enumerate(live)
         ]
-        active = engine._active
-        suspended = engine._suspended
         task_items = []
-        for index, task in enumerate(engine.tasks):
-            firing = active.get(task)
-            if firing is not None:
+        for index, firing in enumerate(engine._firings):
+            task = firing.task
+            if firing.processor is not None:
                 processor, elapsed = firing.processor.name, now - firing.segment_start
             else:
                 processor, elapsed = "", -1
-            parked = suspended.get(task)
-            if parked is not None:
-                remaining, speed = parked.remaining, str(parked.suspended_speed)
+            if task.suspended:
+                remaining, speed = firing.remaining, str(firing.speed)
             else:
                 remaining, speed = -1, ""
             # ``phase_firings`` is deliberately absent: it grows without
@@ -572,11 +571,11 @@ class SteadyState:
         engine.resumes += periods * d_resumes
         if d_completed > 0:
             engine._last_completion += shift
-        for firing in engine._active.values():
-            firing.start += shift
-            firing.segment_start += shift
-        for firing in engine._suspended.values():
-            firing.start += shift
+        for firing in engine._firings:
+            if firing.task.busy:  # in flight or suspended
+                firing.start += shift
+                if firing.processor is not None:
+                    firing.segment_start += shift
         for name, d in busy_deltas.items():
             if d:
                 engine._busy_internal[name] += periods * d

@@ -3,16 +3,15 @@
 The platform model of the execution layer: :class:`Processor` (exact
 rational speed factor, optional power weights), :class:`Platform`
 (homogeneous or heterogeneous processor sets with optional task affinity)
-and the :class:`PlatformPolicy` protocol whose decisions are *(task,
-processor, start | preempt | resume)* triples rather than the legacy
-boolean start-gate.
+and :class:`PlatformPolicy`, the one scheduling protocol, whose decisions
+are *(task, processor, start | preempt | resume)* triples.
 
 Built-in policies:
 
-* degenerate re-expressions of the legacy policies, with bit-identical
-  traces: :class:`SelfTimedPlatform`, :class:`ListScheduledPlatform`,
-  :class:`StaticOrderPlatform`,
-* the new capabilities they unlock: :class:`FixedPriorityPreemptive`
+* the described-platform twins of the engine's built-in policies, with
+  bit-identical traces: :class:`SelfTimedPlatform`,
+  :class:`ListScheduledPlatform`, :class:`StaticOrderPlatform`,
+* what a described platform adds: :class:`FixedPriorityPreemptive`
   (suspend/resume with exact remaining-work re-posting) and
   :class:`PartitionedHeterogeneous` (pinned tasks on mixed-speed
   processors).
@@ -22,7 +21,8 @@ platform=...)`` accept a :class:`Platform` (its :meth:`Platform.policy`
 default) or any policy instance via ``scheduler=``/``policy=``;
 ``Analysis.run(platform=...)`` and the ``"platform"`` sweep axis expose the
 same knob through the facade, and platforms are plain picklable data so
-heterogeneous speedup grids run on the process sweep backend.
+heterogeneous speedup grids run on the process sweep backend.  This package
+imports nothing from :mod:`repro.engine`; the engine's policies build on it.
 """
 
 from repro.platform.model import Platform, Processor

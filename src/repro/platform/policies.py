@@ -1,29 +1,29 @@
-"""Platform scheduling policies: decisions are (task, processor, action).
+"""Scheduling policies: decisions are (task, processor, action).
 
-The legacy :class:`~repro.engine.policies.SchedulerPolicy` protocol is a
-boolean start-gate -- it can say *whether* an eligible task may start, but
-not *where* it runs, and it cannot express "this firing is suspended with
-three ticks of work left on processor 2".  The platform protocol replaces
-the boolean with a :class:`PlatformDecision`: which processor the firing
-occupies, and optionally which in-flight firing is preempted to make room.
-The execution engine performs the mechanics (cancelling and re-posting
-completion events, tracking remaining work, per-processor busy accounting);
-the policy only decides.
+The execution engine (:mod:`repro.engine.dispatcher`) decides *when* a task
+is eligible -- enough tokens on every read buffer, enough space on every
+write buffer, loop active, no firing in flight.  A policy decides *where*
+an eligible task runs and whether it runs now.  :class:`PlatformPolicy` is
+the one scheduling protocol: every policy answers with a
+:class:`PlatformDecision` -- which processor the firing occupies, and
+optionally which in-flight firing is preempted to make room -- or ``None``
+to keep the task queued.  The engine performs the mechanics (cancelling
+and re-posting completion events, tracking remaining work, per-processor
+busy accounting); the policy only decides.
 
 Policies
 --------
 * :class:`SelfTimedPlatform` -- one virtual processor per task; the
-  degenerate re-expression of
-  :class:`~repro.engine.policies.SelfTimedUnbounded` (bit-identical traces).
+  accounted form of :class:`~repro.engine.policies.SelfTimedUnbounded`
+  (bit-identical traces).
 * :class:`ListScheduledPlatform` -- greedy list scheduling: first free
-  processor in platform order.  On a homogeneous platform this re-expresses
-  :class:`~repro.engine.policies.BoundedProcessors` bit-identically; on a
-  heterogeneous platform it is speed-aware greedy scheduling (fastest-first
-  when the platform lists fast processors first).
+  processor in platform order.  On a homogeneous platform this is
+  :class:`~repro.engine.policies.BoundedProcessors`; on a heterogeneous
+  platform it is speed-aware greedy scheduling (fastest-first when the
+  platform lists fast processors first).
 * :class:`StaticOrderPlatform` -- a fixed (cyclic) firing sequence on a
-  single processor; re-expresses
-  :class:`~repro.engine.policies.StaticOrder`, optionally on a scaled
-  processor.
+  single processor; :class:`~repro.engine.policies.StaticOrder` on a
+  described (optionally scaled) processor.
 * :class:`FixedPriorityPreemptive` -- preemptive fixed-priority scheduling:
   an eligible task preempts the lowest-priority running firing when no
   processor is free and that firing's priority is strictly lower.  Priorities
@@ -34,28 +34,37 @@ Policies
   the processor's speed.
 
 Every policy is picklable before binding (module-level key functions, plain
-data), so platform policies travel as sweep axes to worker processes; the
-engine binds them to the task fleet in ``wire_buffers``.
+data), so policies travel as sweep axes to worker processes; the engine
+binds them to the task fleet in ``wire_buffers``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
-from repro.engine.policies import _task_name
 from repro.platform.model import Platform, Processor
 from repro.util.validation import require
 
-if TYPE_CHECKING:  # annotations only -- the engine imports nothing from here
+if TYPE_CHECKING:  # annotations only
     from repro.runtime.tasks import RuntimeTask
 
 
-@dataclass(frozen=True)
-class PlatformDecision:
+def _task_name(task: "RuntimeTask") -> str:
+    """Default schedule / priority / mapping key: the bare task name.
+
+    A module-level function (not a lambda) so a default-keyed policy pickles
+    by reference -- process-parallel sweeps ship policy instances to worker
+    processes.
+    """
+    return task.name
+
+
+class PlatformDecision(NamedTuple):
     """One scheduling decision: start (or resume) on *processor*, after
     suspending *preempt* (when set, an in-flight lower-priority firing whose
-    remaining work the engine re-posts on resume)."""
+    remaining work the engine re-posts on resume).  A plain tuple, so the
+    engine unpacks it without a call and a policy can keep one per
+    processor instead of building one per firing."""
 
     processor: Processor
     preempt: Optional["RuntimeTask"] = None
@@ -63,15 +72,19 @@ class PlatformDecision:
 
 @runtime_checkable
 class PlatformPolicy(Protocol):
-    """The rich scheduling protocol of the platform layer.
+    """The scheduling protocol every policy speaks.
 
-    The engine detects platform policies by the presence of
-    ``decide_start`` (duck-typed, so :mod:`repro.engine` never imports this
-    package); legacy boolean policies keep their original dispatch path
-    untouched.
+    ``processors`` is the processor set busy time is accounted on (virtual
+    ones exist after :meth:`bind`); ``platform`` is the
+    :class:`~repro.platform.model.Platform` a run reports, or ``None`` for
+    policies that schedule anonymous processors.  ``steady_state_key()``
+    is a hashable summary of every state that influences future decisions;
+    the steady-state fast-forward detector folds it into its periodicity
+    key, and a policy without it opts out of fast-forward.
     """
 
-    platform: Platform
+    platform: Optional[Platform]
+    processors: Tuple[Processor, ...]
 
     def bind(self, tasks: Sequence["RuntimeTask"]) -> None:
         """Resolve task-dependent state (priorities, affinity, virtual
@@ -95,7 +108,12 @@ class PlatformPolicy(Protocol):
 
     def on_complete(self, task: "RuntimeTask", processor: Processor) -> None: ...
 
-    def reset(self) -> None: ...
+    def reset(self) -> None:
+        """Drop run-scoped state.  The engine calls this when it is
+        constructed, so one policy object can be reused across runs."""
+        ...
+
+    def steady_state_key(self) -> tuple: ...
 
 
 class PlatformPolicyBase:
@@ -103,22 +121,25 @@ class PlatformPolicyBase:
 
     Subclasses implement :meth:`decide_start` (and, for preemptive policies,
     :meth:`decide_resume`); the engine drives the ``on_*`` notifications,
-    which maintain the occupancy table here.
+    which maintain the occupancy table here.  A completion or preemption
+    that names a processor the task does not occupy (a stale event of a run
+    stopped mid-flight, after :meth:`reset`) changes nothing, so it can
+    never free a processor twice and over-admit starts.
     """
 
     def __init__(self, platform: Platform) -> None:
-        self.platform = platform
+        self.platform: Optional[Platform] = platform
+        #: the processors scheduling runs on (virtual platforms make theirs
+        #: at bind)
+        self.processors: Tuple[Processor, ...] = platform.processors
         #: processor name -> the task whose firing currently occupies it
         self._running: Dict[str, "RuntimeTask"] = {}
         self._tasks: Tuple["RuntimeTask", ...] = ()
+        #: (name, start decision) per processor in platform order: the
+        #: first-free scan returns a kept decision instead of building one
+        self._starts = tuple((p.name, PlatformDecision(p)) for p in self.processors)
 
     # ------------------------------------------------------------------ bind
-    @property
-    def processors(self) -> Tuple[Processor, ...]:
-        """The concrete processor set scheduling runs on (after bind for
-        virtual platforms)."""
-        return self.platform.processors
-
     @property
     def migrates_across_speeds(self) -> bool:
         """True when a suspended firing may resume on a different-speed
@@ -136,10 +157,13 @@ class PlatformPolicyBase:
         """Subclass hook run after :meth:`bind` stored the fleet."""
 
     # -------------------------------------------------------------- decisions
-    def first_free(self) -> Optional[Processor]:
-        for processor in self.processors:
-            if processor.name not in self._running:
-                return processor
+    def first_free(self) -> Optional[PlatformDecision]:
+        """A start on the first free processor in platform order (None when
+        every processor is occupied)."""
+        running = self._running
+        for name, decision in self._starts:
+            if name not in running:
+                return decision
         return None
 
     def decide_start(self, task: "RuntimeTask") -> Optional[PlatformDecision]:
@@ -185,32 +209,26 @@ class SelfTimedPlatform(PlatformPolicyBase):
     """Self-timed execution on virtually unbounded hardware: every task owns
     its own processor, so an eligible task always starts immediately.
 
-    The degenerate platform re-expression of
-    :class:`~repro.engine.policies.SelfTimedUnbounded` -- traces are
-    bit-identical (regression-asserted).  Per-task processors are
-    materialised at bind time and named by the task's producer key, so the
-    per-processor busy accounting doubles as per-task busy accounting.
+    The accounted form of :class:`~repro.engine.policies.SelfTimedUnbounded`
+    -- traces are bit-identical (regression-asserted).  Per-task processors
+    are materialised at bind time and named by the task's producer key, so
+    the per-processor busy accounting doubles as per-task busy accounting.
     """
 
     def __init__(self, platform: Optional[Platform] = None) -> None:
         platform = platform if platform is not None else Platform.unbounded()
         require(platform.is_unbounded, "SelfTimedPlatform runs on Platform.unbounded()")
         super().__init__(platform)
-        self._processor_of: Dict["RuntimeTask", Processor] = {}
-        self._virtual: Tuple[Processor, ...] = ()
-
-    @property
-    def processors(self) -> Tuple[Processor, ...]:
-        return self._virtual
+        self._decision_of: Dict["RuntimeTask", PlatformDecision] = {}
 
     def _bound(self) -> None:
-        self._processor_of = {
-            task: Processor(task.producer_key()) for task in self._tasks
+        self._decision_of = {
+            task: PlatformDecision(Processor(task.producer_key())) for task in self._tasks
         }
-        self._virtual = tuple(self._processor_of[task] for task in self._tasks)
+        self.processors = tuple(self._decision_of[task].processor for task in self._tasks)
 
     def decide_start(self, task: "RuntimeTask") -> Optional[PlatformDecision]:
-        return PlatformDecision(self._processor_of[task])
+        return self._decision_of[task]
 
     def steady_state_key(self) -> tuple:
         # One virtual processor per task: the occupancy table mirrors the
@@ -226,7 +244,7 @@ class ListScheduledPlatform(PlatformPolicyBase):
     processor in platform order (tasks are offered in static order, the
     classical list-scheduling priority).
 
-    On ``Platform.homogeneous(n)`` this re-expresses
+    On ``Platform.homogeneous(n)`` this is
     :class:`~repro.engine.policies.BoundedProcessors` with bit-identical
     traces; on a heterogeneous platform the processor *order* becomes the
     allocation preference (list fast processors first to keep them busy).
@@ -237,18 +255,32 @@ class ListScheduledPlatform(PlatformPolicyBase):
         super().__init__(platform)
 
     def decide_start(self, task: "RuntimeTask") -> Optional[PlatformDecision]:
-        processor = self.first_free()
-        return PlatformDecision(processor) if processor is not None else None
+        return self.first_free()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ListScheduledPlatform({self.platform.name!r})"
 
 
 class StaticOrderPlatform(PlatformPolicyBase):
-    """A fixed (cyclic) firing sequence on one processor -- the platform
-    re-expression of :class:`~repro.engine.policies.StaticOrder`, with the
-    same one-shot and stale-completion semantics, optionally on a scaled
-    processor (a generated sequential schedule on slower silicon)."""
+    """A fixed (cyclic) firing sequence on one processor.
+
+    *order* lists one entry per firing; when *cyclic* (the default) the
+    sequence repeats indefinitely, which is the ``loop{...} while(1)``
+    wrapper of a generated sequential program.  One-shot (initialisation)
+    tasks are outside the steady-state schedule and start whenever the
+    processor is free -- but, like every firing on this single processor,
+    never while another firing is in flight.  Only steady-state completions
+    advance the schedule, and a stale completion (one whose task does not
+    occupy the processor) advances nothing.
+
+    Schedule entries are matched against ``key(task)`` -- bare ``task.name``
+    by default, which is unambiguous for SDF-derived and synthetic task sets
+    (one task per actor).  For compiled OIL programs, where distinct module
+    instances may contain same-named tasks, pass ``key=lambda t:
+    t.producer_key()`` and spell the schedule in ``"instance:name"`` form.
+    A *platform* of one (possibly scaled) processor runs the schedule on
+    slower or faster silicon.
+    """
 
     def __init__(
         self,
@@ -268,23 +300,22 @@ class StaticOrderPlatform(PlatformPolicyBase):
         self._key = key if key is not None else _task_name
 
     def current(self) -> Optional[str]:
+        """Schedule entry the policy admits next (None when exhausted)."""
         if not self.cyclic and self.position >= len(self.order):
             return None
         return self.order[self.position % len(self.order)]
 
     def decide_start(self, task: "RuntimeTask") -> Optional[PlatformDecision]:
-        processor = self.first_free()
-        if processor is None:
+        decision = self.first_free()
+        if decision is None:
             return None
         if task.one_shot or self._key(task) == self.current():
-            return PlatformDecision(processor)
+            return decision
         return None
 
     def on_complete(self, task: "RuntimeTask", processor: Processor) -> None:
         if self._running.get(processor.name) is not task:
-            # stale completion of a run stopped mid-flight: do not advance
-            # the schedule past entries that never ran
-            return
+            return  # stale: do not advance past entries that never ran
         super().on_complete(task, processor)
         if not task.one_shot:
             self.position += 1
@@ -294,6 +325,9 @@ class StaticOrderPlatform(PlatformPolicyBase):
         self.position = 0
 
     def steady_state_key(self) -> tuple:
+        # A cyclic schedule only cares about the position modulo its length
+        # (the absolute one grows forever and would make every state
+        # unique); a finite schedule keeps the absolute position.
         position = self.position % len(self.order) if self.cyclic else self.position
         return super().steady_state_key() + (position,)
 
@@ -350,9 +384,9 @@ class FixedPriorityPreemptive(PlatformPolicyBase):
         return len(set(self.platform.speeds)) > 1
 
     def _decide(self, task: "RuntimeTask") -> Optional[PlatformDecision]:
-        processor = self.first_free()
-        if processor is not None:
-            return PlatformDecision(processor)
+        decision = self.first_free()
+        if decision is not None:
+            return decision
         victim_name = None
         victim_rank = self.rank_of(task)
         for name, running in self._running.items():
@@ -401,29 +435,30 @@ class PartitionedHeterogeneous(PlatformPolicyBase):
         for task_key, processor_name in self.mapping.items():
             platform.processor(processor_name)  # raises KeyError with context
         self._key = key if key is not None else _task_name
-        self._processor_of: Dict["RuntimeTask", Processor] = {}
+        self._decision_of: Dict["RuntimeTask", PlatformDecision] = {}
 
     def _bound(self) -> None:
         processors = self.platform.processors
-        self._processor_of = {}
+        self._decision_of = {}
         for index, task in enumerate(self._tasks):
             pinned = self.mapping.get(self._key(task))
             if pinned is None:
                 pinned = self.mapping.get(task.producer_key())
             if pinned is not None:
-                self._processor_of[task] = self.platform.processor(pinned)
+                processor = self.platform.processor(pinned)
             else:
-                self._processor_of[task] = processors[index % len(processors)]
+                processor = processors[index % len(processors)]
+            self._decision_of[task] = PlatformDecision(processor)
 
     def processor_of(self, task: "RuntimeTask") -> Processor:
         """The processor *task* is pinned to (after bind)."""
-        return self._processor_of[task]
+        return self._decision_of[task].processor
 
     def decide_start(self, task: "RuntimeTask") -> Optional[PlatformDecision]:
-        processor = self._processor_of[task]
-        if processor.name in self._running:
+        decision = self._decision_of[task]
+        if decision.processor.name in self._running:
             return None
-        return PlatformDecision(processor)
+        return decision
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

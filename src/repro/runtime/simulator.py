@@ -3,10 +3,13 @@
 The simulator instantiates the module hierarchy of a compiled program --
 FIFOs, sources, sinks, sequential-module task graphs and black boxes -- and
 executes it with self-timed (data-driven) task semantics on virtual
-unbounded-parallel hardware: every task occupies its own processor, exactly
-the execution model the CTA analysis bounds.  This replaces the paper's
-multi-core MPSoC platform (ref. [28]); each task firing takes its registered
-worst-case response time.
+unbounded-parallel hardware by default: every task occupies its own
+processor, exactly the execution model the CTA analysis bounds.  This
+replaces the paper's multi-core MPSoC platform (ref. [28]); each task firing
+takes its registered worst-case response time.  Execution is the scheduler
+engine's (:mod:`repro.engine`): one dispatch loop, one start and one
+completion for every scheduling policy, whether it bounds the processors,
+fixes a static order, or models a platform with speeds and preemption.
 
 The simulation is used by the examples and benchmarks to validate the
 analysis results: with the buffer capacities computed by
@@ -31,7 +34,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapp
 
 from repro.core.compiler import CompilationResult
 from repro.engine.dispatcher import ExecutionEngine
-from repro.engine.policies import SchedulerPolicy
 from repro.engine.steady_state import check_fast_forward, function_qualification
 from repro.graph.circular_buffer import CircularBuffer
 from repro.graph.taskgraph import Access, Task, TaskGraph
@@ -45,8 +47,9 @@ from repro.runtime.trace import TraceRecorder
 from repro.util.rational import Rat, TimeBase, as_rational
 from repro.util.validation import check_non_negative
 
-if TYPE_CHECKING:  # annotation only -- repro.platform imports the engine
+if TYPE_CHECKING:  # annotations only
     from repro.platform.model import Platform
+    from repro.platform.policies import PlatformPolicy
 
 #: A mode schedule: per module instance path (or module name), the cyclic list
 #: of (loop identifier, iteration quota) phases.
@@ -163,20 +166,17 @@ class Simulation:
     (:mod:`repro.engine`): this class instantiates the module hierarchy --
     buffers, drivers, runtime tasks, mode schedules -- and registers the
     resulting task fleet with an :class:`~repro.engine.dispatcher.ExecutionEngine`
-    that performs indexed ready-set dispatch.  The scheduler picks the
-    engine's dispatch loop -- the boolean-policy loop or the platform loop --
-    on either time base.
+    that performs indexed ready-set dispatch: one dispatch loop for every
+    scheduler, on either time base.
 
     Parameters (scheduling)
     -----------------------
     scheduler:
-        A :class:`~repro.engine.policies.SchedulerPolicy` deciding which
-        eligible task may occupy a processor; default
-        :class:`~repro.engine.policies.SelfTimedUnbounded` (one processor per
-        task, the execution model the CTA analysis bounds).  Platform
-        policies (:mod:`repro.platform.policies`) are accepted here too and
-        switch the engine to platform mode (processor assignment,
-        preemption, per-processor accounting).
+        A scheduling policy (:class:`~repro.platform.policies.PlatformPolicy`)
+        deciding which eligible task occupies which processor when: one of
+        :mod:`repro.engine.policies` or :mod:`repro.platform.policies`;
+        default :class:`~repro.engine.policies.SelfTimedUnbounded` (one
+        processor per task, the execution model the CTA analysis bounds).
     platform:
         A :class:`~repro.platform.model.Platform` shorthand for
         ``scheduler=platform.policy()`` -- partitioned when the platform
@@ -239,7 +239,7 @@ class Simulation:
         mode_schedules: Optional[ModeSchedule] = None,
         sink_start_times: Optional[Mapping[str, Rat]] = None,
         top: Optional[str] = None,
-        scheduler: Optional[SchedulerPolicy] = None,
+        scheduler: Optional["PlatformPolicy"] = None,
         platform: Optional["Platform"] = None,
         trace_level: str = "full",
         fast_forward: Union[bool, str] = "auto",
@@ -252,12 +252,12 @@ class Simulation:
             if scheduler is not None:
                 raise OilRuntimeError("pass either scheduler= or platform=, not both")
             scheduler = platform.policy()
-        #: the platform the run executes on (direct, or carried by a platform
-        #: policy), or None under legacy boolean policies
-        self.platform = platform if platform is not None else getattr(scheduler, "platform", None)
         self.queue = EventQueue()
         self.trace = TraceRecorder(level=trace_level, retention=trace_retention)
         self.engine = ExecutionEngine(self.queue, self.trace, policy=scheduler)
+        #: the platform the policy runs on, or None for policies on
+        #: anonymous processors
+        self.platform = self.engine.policy.platform
         self.engine.on_complete = self._after_firing
         self.fast_forward = fast_forward
         #: fast-forward qualification warnings recorded for this simulation

@@ -13,14 +13,14 @@ the analysis: sustained throughput per source/sink, end-to-end latency and
 deadline misses.  Buffer occupancy is not recorded here: every
 :class:`~repro.graph.circular_buffer.CircularBuffer` keeps its own high-water
 mark, updated in O(1) at each produce, and :attr:`TraceRecorder.buffer_high_water`
-reports the marks of the buffers tasks and source drivers write (at
-``"full"``).
+reports the marks of the buffers tasks and source drivers write, at every
+level.
 
 Recording granularity is configurable via ``level`` so throughput benchmarks
 do not pay for bookkeeping they never read:
 
-* ``"full"`` (default) -- everything: firings, endpoint events, violations
-  and the written buffers' high-water marks,
+* ``"full"`` (default) -- everything: firings, endpoint events and
+  violations,
 * ``"endpoints"`` -- only endpoint events and deadline violations (the
   signals the real-time claims are judged by); the high-volume per-firing
   records are skipped,
@@ -221,10 +221,8 @@ class TraceRecorder:
         read off each buffer's own mark (see
         :attr:`CircularBuffer.high_water
         <repro.graph.circular_buffer.CircularBuffer.high_water>`); only
-        buffers written at least once appear.  Reported at ``"full"``;
-        ``{}`` at coarser levels."""
-        if not self.firings_enabled:
-            return {}
+        buffers written at least once appear.  Reported at every level:
+        the buffers keep their marks whatever the recorder stores."""
         marks: Dict[str, int] = {}
         for buffer in self._written:
             if buffer.high_water > marks.get(buffer.name, 0):

@@ -7,16 +7,15 @@ the buffer's occupancy -- the highest acquired position of any producer
 window minus the consumers' freed floor -- and kept the maximum per buffer
 name.  Buffers now keep the mark themselves, in O(1) at each produce
 (:attr:`repro.graph.circular_buffer.CircularBuffer.high_water`), and
-``TraceRecorder.buffer_high_water`` reports it at ``trace="full"``.  The
+``TraceRecorder.buffer_high_water`` reports it at every trace level.  The
 two must agree, keys and values::
 
     with sampled_high_water() as marks:
         result = analysis.run(duration)
     assert result.trace.buffer_high_water == marks
 
-The oracle samples at every trace level; the recorder reports ``{}`` below
-``"full"``.  Samples are taken only where the seed took them, so a token a
-test injects through ``CircularBuffer.produce`` is not sampled.
+Samples are taken only where the seed took them, so a token a test injects
+through ``CircularBuffer.produce`` is not sampled.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from repro.engine import (
 )
 from repro.graph.circular_buffer import CircularBuffer
 from repro.graph.taskgraph import Access, Task
+from repro.platform import ListScheduledPlatform, PartitionedHeterogeneous, Platform
 from repro.runtime.functions import FunctionRegistry
 from repro.runtime.simulator import Simulation
 from repro.runtime.tasks import RuntimeTask
@@ -251,8 +252,8 @@ class TestDispatcherEquivalence:
         assert_traces_identical(a.trace, b.trace)
 
     def test_fraction_time_base_traces_identical(self):
-        # The boolean loop runs on both time bases; Fraction timestamps must
-        # not change what it dispatches.
+        # The dispatch loop runs on both time bases; Fraction timestamps
+        # must not change what it dispatches.
         with fraction_time_base():
             a, b = engine_and_oracle(
                 lambda: run_tasks(ring_program(30, tokens=4, stagger=2),
@@ -265,10 +266,11 @@ class TestDispatcherEquivalence:
 
 @st.composite
 def generated_fleets(draw):
-    """A fleet builder and a boolean policy: a ring of the shapes
+    """A fleet builder and a policy factory: a ring of the shapes
     ``generated_rings`` draws, or a fork-join diamond of width 1-6, under
-    ``SelfTimedUnbounded`` (``processors`` None) or
-    ``BoundedProcessors(processors)``."""
+    ``SelfTimedUnbounded``, ``BoundedProcessors(n)``, or
+    ``ListScheduledPlatform`` / ``PartitionedHeterogeneous`` on 1-3
+    processors of speeds 1 and 2 (homogeneous or mixed)."""
     if draw(st.booleans()):
         task_count, shape, _, _ = draw(generated_rings())
         build = functools.partial(ring_program, task_count, **shape)
@@ -279,17 +281,24 @@ def generated_fleets(draw):
             worker_wcet=Fraction(draw(st.integers(1, 5)), 1000),
             overhead_wcet=Fraction(draw(st.integers(1, 3)), 1000),
         )
-    processors = draw(st.none() | st.integers(1, 3))
-    return build, processors
+    family = draw(st.sampled_from(["self-timed", "bounded", "list-scheduled", "partitioned"]))
+    processors = draw(st.integers(1, 3))
+    if family == "self-timed":
+        return build, SelfTimedUnbounded
+    if family == "bounded":
+        return build, functools.partial(BoundedProcessors, processors)
+    speeds = draw(st.lists(st.sampled_from([1, 2]), min_size=processors, max_size=processors))
+    policy = ListScheduledPlatform if family == "list-scheduled" else PartitionedHeterogeneous
+    return build, functools.partial(policy, Platform.heterogeneous(speeds))
 
 
 @given(generated_fleets())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_engine_equals_polling_oracle_on_generated_fleets(case):
-    build, processors = case
+    build, make_policy = case
 
     def run():
-        policy = SelfTimedUnbounded() if processors is None else BoundedProcessors(processors)
+        policy = make_policy()
         return run_tasks(build(), policy=policy, stop_after_firings=400, fast_forward=False)
 
     reference, candidate = engine_and_oracle(run)
@@ -432,18 +441,19 @@ class TestStaticOrderPolicy:
         # arriving after reset() must not advance the schedule position or
         # clear an in-flight flag it does not own.
         policy = StaticOrder(["a", "b"])
+        (processor,) = policy.processors
 
         class _Steady:
             one_shot = False
 
         task = _Steady()
-        policy.on_start(task)
+        policy.on_start(task, processor)
         policy.reset()  # run stopped mid-flight, engine resets the policy
-        policy.on_complete(task)  # stale completion of the old run
+        policy.on_complete(task, processor)  # stale completion of the old run
         assert policy.position == 0
         assert policy.current() == "a"
-        policy.on_start(task)
-        policy.on_complete(task)
+        policy.on_start(task, processor)
+        policy.on_complete(task, processor)
         assert policy.position == 1
 
     def test_default_key_policy_is_picklable(self):
@@ -461,7 +471,7 @@ class TestStaticOrderPolicy:
             one_shot = False
             name = "a"
 
-        assert revived.allow_start(_Steady())
+        assert revived.decide_start(_Steady()) is not None
 
     def test_one_shot_cannot_overlap_in_flight_firing(self):
         # Regression: one-shot init tasks were admitted unconditionally, so
@@ -531,20 +541,21 @@ class TestBoundedProcessors:
         second = run_tasks(fork_join_program(4), policy=policy, stop_after_firings=12)
         assert second.engine.completed_firings >= 12
 
-    def test_stale_completion_cannot_drive_busy_negative(self):
+    def test_stale_completion_cannot_over_admit(self):
         # A run stopped mid-flight leaves completions that never fired; when
         # the policy is reset (or reused) and such a stale completion still
-        # arrives, the busy count must clamp at zero instead of going
-        # negative and over-admitting starts ever after.
+        # arrives, it must not free the processor a later firing occupies,
+        # or the policy would over-admit starts ever after.
         policy = BoundedProcessors(1)
-        policy.on_start(None)
+        (processor,) = policy.processors
+        old, current = object(), object()
+        policy.on_start(old, processor)
         policy.reset()  # the engine resets between runs
-        policy.on_complete(None)  # stale completion of the old run
-        assert policy.busy == 0
-        assert policy.stale_completions == 1  # the anomaly stays observable
-        policy.on_start(None)
-        assert policy.busy == 1
-        assert not policy.allow_start(None)
+        policy.on_complete(old, processor)  # stale completion of the old run
+        assert policy.decide_start(current) is not None
+        policy.on_start(current, processor)
+        policy.on_complete(old, processor)  # stale again, while current runs
+        assert policy.decide_start(object()) is None
 
     def test_makespan_available_with_tracing_off(self):
         run = run_tasks(
@@ -612,7 +623,10 @@ class TestTraceLevels:
         assert trace.firings == []
         assert trace.endpoint_events == []
         assert trace.violations == []
-        assert trace.buffer_high_water == {}
+        # the buffers keep their own marks: every level reports them
+        full = Analysis(quickstart_program(), result, sizing=sizing).run(Fraction(1, 20)).trace
+        assert full.buffer_high_water
+        assert trace.buffer_high_water == full.buffer_high_water
         # the simulation itself still ran
         assert len(simulation.sinks["averages"].consumed) > 0
 
@@ -621,8 +635,10 @@ class TestTraceLevels:
         trace = Analysis(quickstart_program(), result, sizing=sizing).run(
             Fraction(1, 20), trace="endpoints"
         ).trace
+        full = Analysis(quickstart_program(), result, sizing=sizing).run(Fraction(1, 20)).trace
         assert trace.firings == []
-        assert trace.buffer_high_water == {}
+        assert full.buffer_high_water
+        assert trace.buffer_high_water == full.buffer_high_water
         assert len(trace.endpoint_events) > 0
         assert trace.measured_rate("averages") is not None
 

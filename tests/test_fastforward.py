@@ -8,10 +8,9 @@ to a naive one -- trace records, completion counters, makespan, deadline
 misses, measured rates, busy accounting and sink values -- because the
 detector folds every value state into its periodicity key.  Everything
 else steps naively.  ``fast_forward`` accepts exactly ``"auto"`` and
-``False``.  The compiled kernel -- the engine's boolean-policy loop -- runs
-every non-platform run, on both time bases, and composes with
-fast-forward; its equivalence with the polling oracle is asserted in
-tests/test_engine.py.
+``False``.  The compiled kernel -- the engine's one dispatch loop -- runs
+every policy, on both time bases, and composes with fast-forward; its
+equivalence with the polling oracle is asserted in tests/test_engine.py.
 """
 
 import itertools
@@ -32,8 +31,8 @@ from repro.engine.dispatcher import run_tasks
 from repro.engine.policies import BoundedProcessors, SelfTimedUnbounded, StaticOrder
 from repro.engine.steady_state import fast_forward_refusal
 from repro.engine.synthetic import fork_join_program, ring_program, tasks_from_sdf
-from repro.platform.model import Platform
-from repro.platform.policies import FixedPriorityPreemptive, ListScheduledPlatform
+from repro.platform.model import Platform, Processor
+from repro.platform.policies import FixedPriorityPreemptive, ListScheduledPlatform, PlatformDecision
 from repro.runtime.functions import FunctionRegistry
 from repro.runtime.sources import ConstantStimulus, GeneratorStimulus, PeriodicStimulus
 from repro.runtime.trace import TraceRecorder
@@ -313,17 +312,19 @@ def test_auto_equals_naive_on_generated_rings(case):
 
 
 # ---------------------------------------------------------------------------
-# Compiled dispatch kernel
+# The one dispatch loop, bound at wire time
 # ---------------------------------------------------------------------------
 
 class TestCompiledKernel:
-    def test_kernel_inactive_only_under_platform_policies(self):
+    def test_kernel_active_once_wired_under_every_policy(self):
+        # Every policy runs the one loop the wiring binds; ``kernel_active``
+        # stays readable and reports the wiring.
         platform_run = run_tasks(
             ring_program(10, tokens=2),
             policy=ListScheduledPlatform(Platform.homogeneous(2)),
             stop_after_firings=50,
         )
-        assert not platform_run.engine.kernel_active
+        assert platform_run.engine.kernel_active
         with fraction_time_base():
             fraction_run = run_tasks(ring_program(10, tokens=2), stop_after_firings=50)
         assert fraction_run.engine.kernel_active
@@ -370,13 +371,31 @@ class TestRefusals:
 
     def test_policy_without_steady_state_key_refuses(self):
         class OpaquePolicy:
-            def allow_start(self, task):
-                return True
+            """The scheduling protocol without ``steady_state_key``: every
+            task starts at once on one shared processor name."""
 
-            def on_start(self, task):
+            platform = None
+            processors = (Processor("p0"),)
+
+            def bind(self, tasks):
                 pass
 
-            def on_complete(self, task):
+            def decide_start(self, task):
+                return PlatformDecision(self.processors[0])
+
+            def decide_resume(self, task):
+                return None
+
+            def on_start(self, task, processor):
+                pass
+
+            def on_preempt(self, task, processor):
+                pass
+
+            def on_resume(self, task, processor):
+                pass
+
+            def on_complete(self, task, processor):
                 pass
 
             def reset(self):

@@ -3,9 +3,9 @@ suspend/resume) and its plumbing through the facade.
 
 The two load-bearing guarantees:
 
-* **Degenerate equivalence** -- the legacy boolean policies re-expressed
-  over the platform layer (self-timed, bounded processors, static order)
-  produce *bit-identical* traces to the originals on all four packaged
+* **Degenerate equivalence** -- the engine's built-in policies
+  (self-timed, bounded processors, static order) and their twins on a
+  described platform produce *bit-identical* traces on all four packaged
   applications and on the synthetic scheduler workloads.
 * **Exact preemption accounting** -- a preempted firing is suspended with
   its exact remaining work (native tick arithmetic, no drift), resumes --
@@ -124,8 +124,8 @@ class TestPlatformModel:
 # Degenerate equivalence on the packaged applications
 # ---------------------------------------------------------------------------
 
-#: (legacy policy factory, platform re-expression factory) pairs that must be
-#: observationally indistinguishable.
+#: (built-in policy factory, described-platform twin factory) pairs that
+#: must be observationally indistinguishable.
 DEGENERATE_PAIRS = [
     ("self-timed", lambda: SelfTimedUnbounded(), lambda: SelfTimedPlatform()),
     *[
@@ -523,6 +523,44 @@ class TestFacadePlumbing:
         legacy = analysis.run(Fraction(1, 20), scheduler=SelfTimedUnbounded())
         assert legacy.platform is None
         assert legacy.processor_busy == {}
+
+    def test_report_contract_of_every_policy(self, quickstart_sized):
+        """Each policy's repr and metric-row keys, in order: the bytes a
+        sweep report renders.  Policies on anonymous processors report no
+        platform columns, SelfTimedPlatform reports preemptions alone, and
+        a concrete platform adds one util[...] column per processor."""
+        result, sizing = quickstart_sized
+        analysis = Analysis(quickstart_program(), result, sizing=sizing)
+        common = [
+            "deadline_misses",
+            "completed_firings",
+            "makespan",
+            "occupancy_ok",
+            "time_base",
+            "fast_forwarded",
+            "sink_count[averages]",
+            "rate[averages]",
+            "rate[samples]",
+        ]
+        cases = [
+            (SelfTimedUnbounded(), "SelfTimedUnbounded()", []),
+            (BoundedProcessors(2), "BoundedProcessors(2)", []),
+            (SelfTimedPlatform(), "SelfTimedPlatform()", ["preemptions"]),
+            (
+                ListScheduledPlatform(Platform.heterogeneous([2, 1, 1])),
+                "ListScheduledPlatform('3p-hetero')",
+                ["preemptions", "util[p0]", "util[p1]", "util[p2]"],
+            ),
+            (
+                FixedPriorityPreemptive(Platform.heterogeneous([2, 1])),
+                "FixedPriorityPreemptive('2p-hetero', 0 explicit priorities)",
+                ["preemptions", "util[p0]", "util[p1]"],
+            ),
+        ]
+        for policy, text, platform_columns in cases:
+            assert repr(policy) == text
+            run = analysis.run(Fraction(1, 50), scheduler=policy)
+            assert list(run.metrics()) == common + platform_columns, text
 
     def test_summary_names_the_policy_that_actually_ran(self, quickstart_sized):
         result, sizing = quickstart_sized

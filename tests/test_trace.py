@@ -21,7 +21,7 @@ from hypothesis import given, settings
 
 from occupancy_oracle import sampled_high_water, seed_occupancy
 from repro.api import Program
-from repro.engine import BoundedProcessors, SelfTimedUnbounded, run_tasks
+from repro.engine import BoundedProcessors, run_tasks
 from repro.graph.circular_buffer import CircularBuffer
 from repro.platform import Platform
 from repro.platform.policies import FixedPriorityPreemptive
@@ -159,10 +159,14 @@ class TestBufferHighWater:
         assert result.trace.buffer_high_water == marks
 
     @pytest.mark.parametrize("level", ["off", "endpoints"])
-    def test_coarser_levels_report_no_marks_but_buffers_keep_them(self, pal, level):
+    def test_coarser_levels_report_the_full_runs_marks(self, pal, level):
+        # The buffers keep their marks at every level, so every level
+        # reports them: PAL over 1/20 s marks 1, 1, 6, 8, 10, 16 and 25.
+        full = pal.run(Fraction(1, 20), fast_forward=False, trace="full").trace
         with sampled_high_water() as marks:
             result = pal.run(Fraction(1, 20), fast_forward=False, trace=level)
-        assert result.trace.buffer_high_water == {}
+        assert sorted(full.buffer_high_water.values()) == [1, 1, 6, 8, 10, 16, 25]
+        assert result.trace.buffer_high_water == full.buffer_high_water == marks
         assert written_buffer_marks(result) == marks
         assert result.occupancy_ok
 
@@ -182,10 +186,9 @@ class TestBufferHighWater:
 @given(generated_fleets())
 @settings(max_examples=25, deadline=None)
 def test_marks_equal_the_seed_samples_on_generated_fleets(case):
-    build, processors = case
-    policy = SelfTimedUnbounded() if processors is None else BoundedProcessors(processors)
+    build, make_policy = case
     with sampled_high_water() as marks:
-        run = run_tasks(build(), policy=policy, stop_after_firings=400, fast_forward=False)
+        run = run_tasks(build(), policy=make_policy(), stop_after_firings=400, fast_forward=False)
     assert marks
     assert run.trace.buffer_high_water == marks
 
