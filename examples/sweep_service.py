@@ -4,14 +4,15 @@
 The paper's experiments are all parameter sweeps, and real use re-runs
 them constantly -- the same grid after a code tweak elsewhere, a widened
 axis, a run that a timeout killed at point 70k of 100k.  The sweep
-service (``repro.service``, engaged through ``Sweep.run(store=...,
-checkpoint=...)``) makes each of those cheap:
+service (``repro.service``, engaged through ``Sweep.run(store=...)``)
+makes each of those cheap:
 
 1. **content-addressed store** -- every point's metric row is persisted
    under a stable content digest, so a repeated run executes nothing and
    an overlapping grid pays only for the new points;
-2. **checkpoint/resume** -- completed rows are journaled as they finish;
-   a killed run resumes bit-identically.
+2. **resume** -- each row is stored the moment its point completes, so a
+   killed run, re-run on the same store, executes only the points it had
+   not finished, into a bit-identical report.
 
 Run with:  python examples/sweep_service.py
 """
@@ -54,17 +55,18 @@ def demo_store(root: Path) -> str:
 
 
 def demo_resume(root: Path, clean_json: str) -> None:
-    print("=== Checkpoint/resume: a killed sweep picks up where it died ===")
-    checkpoint = root / "interrupted.jsonl"
-    # Simulate the interruption: cut a finished journal back to its header
-    # and first point, the file a run killed after one point leaves
-    # (tests/test_sweep_service.py kills a real subprocess with SIGKILL to
-    # prove the same thing end-to-end).
-    build_sweep().run(checkpoint=checkpoint)
-    header_and_first_point = checkpoint.read_text().splitlines(keepends=True)[:2]
-    checkpoint.write_text("".join(header_and_first_point))
-    resumed = build_sweep().run(checkpoint=checkpoint)
+    print("=== Resume: a killed sweep picks up where it died ===")
+    store = root / "interrupted"
+    # Simulate the interruption: a run killed after the grid's first two
+    # points leaves a store holding just their rows, as running those two
+    # alone does (tests/test_sweep_service.py kills a real subprocess with
+    # SIGKILL to prove the same thing end-to-end).
+    Sweep("producer_consumer", duration=Fraction(2)).add_axis(
+        "scheduler", [BoundedProcessors(1), BoundedProcessors(2)]
+    ).run(store=store)
+    resumed = build_sweep().run(store=store)
     print(f"resumed  : {resumed.service_stats}")
+    assert resumed.service_stats["store_hits"] == 2
     assert resumed.to_json() == clean_json, "resume must be bit-identical"
     print("resumed report is bit-identical to an uninterrupted run")
     print()

@@ -21,9 +21,9 @@ Sub-packages
 ------------
 ``repro.api``       the unified facade (Program -> Analysis -> RunResult)
                     and the batched Sweep runner
-``repro.service``   the sweep service behind ``Sweep.run(store=...,
-                    checkpoint=...)``: content-addressed result store and
-                    resumable checkpoints
+``repro.service``   the sweep service behind ``Sweep.run(store=...)``: the
+                    content-addressed result store a killed sweep resumes
+                    from
 ``repro.rules``     pre-flight rule framework (structured violations with
                     source spans) and the ``python -m repro check`` CLI
 ``repro.lang``      OIL frontend (lexer, parser, AST, semantics, printer)

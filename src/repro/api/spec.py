@@ -39,12 +39,15 @@ registry factory, an open file in the params, ...) cannot travel.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import pickle
+import sys
+import types
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.api.program import Program
 
@@ -82,10 +85,14 @@ def _canonical(value: Any) -> Any:
     Objects encode as class qualname + canonical instance state: dataclass
     fields, or ``vars()`` for plain classes (covers scheduler policies and
     platforms).  Functions and classes encode by module+qualname,
-    mirroring how pickle ships them by reference.  Anything else falls back
-    to ``repr`` -- a default repr embeds the instance id, which digests
-    differently every run and therefore only ever causes cache *misses*,
-    never wrong hits.
+    mirroring how pickle ships them by reference, so they must be reachable
+    by that path: a lambda, a closure or a local class raises
+    :class:`SweepConfigError` (:func:`_reference`).  A bound method encodes
+    its instance and function, a ``functools.partial`` its function,
+    arguments and keywords.  Anything else encodes by its pickle bytes, or,
+    when it does not pickle, by ``repr`` -- a default repr embeds the
+    instance id, which digests differently every run and therefore only
+    ever causes cache *misses*, never wrong hits.
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -106,16 +113,42 @@ def _canonical(value: Any) -> Any:
         state = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
         qualname = f"{type(value).__module__}.{type(value).__qualname__}"
         return ["obj", qualname, _canonical(state)]
-    if isinstance(value, type) or callable(value):
-        module = getattr(value, "__module__", None)
-        qualname = getattr(value, "__qualname__", None)
-        if module is not None and qualname is not None and "<locals>" not in qualname:
-            return ["ref", module, qualname]
+    if isinstance(value, types.MethodType):
+        return ["method", _canonical(value.__self__), _canonical(value.__func__)]
+    if isinstance(value, functools.partial):
+        return ["partial", *map(_canonical, (value.func, value.args, value.keywords))]
+    if (isinstance(value, type) or callable(value)) and hasattr(value, "__qualname__"):
+        return _reference(value)
     state = getattr(value, "__dict__", None)
     if state is not None:
         qualname = f"{type(value).__module__}.{type(value).__qualname__}"
         return ["obj", qualname, _canonical(state)]
-    return ["repr", type(value).__qualname__, repr(value)]
+    try:
+        return ["pickle", type(value).__qualname__, pickle.dumps(value).hex()]
+    except Exception:  # unpicklable: the id-bearing repr can only miss
+        return ["repr", type(value).__qualname__, repr(value)]
+
+
+def _reference(value: Any) -> List[str]:
+    """``["ref", module, qualname]`` of a function or class that its module
+    exposes under that name (a classmethod's function counts).
+
+    Anything else -- a lambda (``<lambda>``), a closure or a class defined
+    inside a function (``<locals>``), a function shadowed by its decorator
+    -- has no name that tells two of them apart, so it raises.
+    """
+    module = getattr(value, "__module__", None)
+    qualname = value.__qualname__
+    found: Any = sys.modules.get(module or "")
+    for name in qualname.split("."):
+        found = getattr(found, name, None)
+    if found is not value and getattr(found, "__func__", None) is not value:
+        raise SweepConfigError(
+            f"{value!r} has no stable identity (it is not an importable "
+            f"module-level function or class): its results cannot be "
+            f"content-addressed"
+        )
+    return ["ref", module, qualname]
 
 
 def stable_digest(value: Any) -> str:
@@ -124,7 +157,9 @@ def stable_digest(value: Any) -> str:
     Equal values digest equal in every process (no PYTHONHASHSEED
     dependence, no pickle memo effects); unequal values digest unequal up
     to the documented collapses of :func:`_canonical` (list vs tuple).
-    This is the identity the sweep service stores results under.
+    This is the identity the sweep service stores results under.  Raises
+    :class:`SweepConfigError` for a value holding a function or class with
+    no stable identity (see :func:`_reference`).
     """
     rendered = _sort_key(_canonical(value))
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
@@ -133,10 +168,12 @@ def stable_digest(value: Any) -> str:
 class SweepConfigError(ValueError):
     """A sweep/spec configuration that cannot do what was asked of it.
 
-    Raised when the process executor is asked to ship something pickle
-    cannot represent (an unpicklable program-axis value, a closure-based
-    registry factory, a recipe-less precompiled program) and the caller
-    requested strict behaviour instead of the serial fallback.
+    Raised for a spec pickle cannot ship to a worker process (a
+    closure-based registry factory, a recipe-less precompiled program; the
+    process executor catches it and runs the sweep serially instead), for a
+    sweep combining ``scheduler`` and ``platform``, and for a point the
+    result store cannot key because it holds a function or class with no
+    stable identity (a lambda, a closure, a local class).
     """
 
 

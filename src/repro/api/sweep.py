@@ -48,8 +48,13 @@ the *same* report.  Two backends share that contract:
   the serial backend (the dedup keys would otherwise be unsound), an
   unpicklable *run* parameter or a crashed worker re-runs just those points
   in the parent -- each with a warning recorded on the report
-  (:attr:`SweepReport.warnings`).  Pass ``strict=True`` to turn those
-  degradations into :class:`~repro.api.spec.SweepConfigError`.
+  (:attr:`SweepReport.warnings`).
+
+``Sweep.run(store=...)`` persists a sweep in the content-addressed
+:class:`~repro.service.store.ResultStore`: stored points are served without
+compiling anything, and every ok row is stored the moment its point
+completes, so a sweep killed mid-run resumes by running again on the same
+store (see :mod:`repro.service`).
 
 Engine-level scenarios that have no OIL program (synthetic task fleets,
 scheduler experiments) use :meth:`Sweep.from_callable`, which runs an
@@ -103,7 +108,7 @@ RUN_AXES = (
 )
 
 
-def _program_key(program_params: Mapping[str, Any], *, strict: bool = False) -> Tuple:
+def _program_key(program_params: Mapping[str, Any]) -> Tuple:
     """A value-based dedup key for one program-parameter combination.
 
     ``repr`` alone is not safe here: types with truncating reprs (numpy
@@ -116,25 +121,15 @@ def _program_key(program_params: Mapping[str, Any], *, strict: bool = False) -> 
     program redundantly, which is the safe direction.  (An unpicklable type
     whose custom ``repr`` hides a value difference would share one
     compilation; give such types a faithful ``repr`` or make them
-    picklable.)
-
-    ``strict=True`` is the process-backend mode: there the key must also
-    function as a cross-process cache identity, where a repr-based stand-in
-    is unsound in *both* directions, so an unpicklable value raises a
-    :class:`SweepConfigError` naming the offending axis instead.
+    picklable.)  The process backend never meets that fallback: it probes
+    program axes with :func:`_unpicklable_param` first and runs a sweep
+    with an unpicklable one serially.
     """
     parts = []
     for name, value in sorted(program_params.items()):
         try:
             rendered: object = pickle.dumps(value)
-        except Exception as error:
-            if strict:
-                raise SweepConfigError(
-                    f"program axis {name!r} has an unpicklable value "
-                    f"({type(value).__qualname__}: {value!r}): the process "
-                    f"executor ships program parameters to worker processes "
-                    f"by pickle ({type(error).__name__}: {error})"
-                ) from error
+        except Exception:
             rendered = ("unpicklable", type(value).__qualname__, repr(value))
         parts.append((name, rendered))
     return tuple(parts)
@@ -220,8 +215,8 @@ class SweepResult:
 
     def payload(self) -> Dict[str, Any]:
         """The point as one structured JSON-safe mapping -- the persistence
-        encoding shared by :meth:`SweepReport.to_json`, the sweep service's
-        checkpoints and the content-addressed result store.
+        encoding shared by :meth:`SweepReport.to_json` and the
+        content-addressed result store (which keeps its params and metrics).
 
         Unlike :meth:`row` (the flattened tabular view) this keeps params
         and metrics separate, so :meth:`from_payload` can reconstruct the
@@ -267,10 +262,10 @@ class SweepReport:
         #: unaffected -- fallbacks preserve serial-identical metrics -- so
         #: warnings live beside the results, not inside them
         self.warnings: List[str] = list(warnings)
-        #: how the sweep service satisfied each point (``executed`` /
-        #: ``store_hits`` / ``resumed`` counts), set by
-        #: ``Sweep.run(store=..., checkpoint=...)``; None for plain runs.
-        #: Deliberately NOT serialised: a cache-served report must stay
+        #: how the result store satisfied the grid (``points`` /
+        #: ``executed`` / ``store_hits`` counts), set by
+        #: ``Sweep.run(store=...)``; None for plain runs.  Deliberately NOT
+        #: serialised: a cache-served or resumed report must stay
         #: bit-identical to the uncached one.
         self.service_stats: Optional[Dict[str, int]] = None
         # Per-point run degradations (fast-forward refusals/give-ups) ride
@@ -578,9 +573,7 @@ class Sweep:
         run_params = {k: v for k, v in params.items() if k in RUN_AXES}
         return program_params, run_params
 
-    def _analyses(
-        self, points: Sequence[Mapping[str, Any]], *, strict: bool = False
-    ) -> Dict[Tuple, Analysis]:
+    def _analyses(self, points: Sequence[Mapping[str, Any]]) -> Dict[Tuple, Analysis]:
         """Compile + analyse each distinct program exactly once (serially --
         compilation is the shared part the workers must not repeat).
 
@@ -588,15 +581,11 @@ class Sweep:
         fan-out: workers only read the shared analysis, they never race to
         compute it (buffer sizing mutates the model's buffer parameters while
         it searches, so it must not run concurrently on one model).
-
-        ``strict`` forwards to :func:`_program_key`: refuse the repr-based
-        fallback for unpicklable axis values instead of risking a redundant
-        compilation.
         """
         analyses: Dict[Tuple, Analysis] = {}
         for params in points:
             program_params, _ = self._split(params)
-            key = _program_key(program_params, strict=strict)
+            key = _program_key(program_params)
             if key in analyses:
                 continue
             self._check_program_source(program_params)
@@ -660,9 +649,7 @@ class Sweep:
         workers: int = 1,
         executor: str = "serial",
         keep_runs: bool = True,
-        strict: bool = False,
         store: Any = None,
-        checkpoint: Any = None,
     ) -> SweepReport:
         """Execute every grid point and aggregate a :class:`SweepReport`.
 
@@ -680,11 +667,7 @@ class Sweep:
         cannot be shipped: unpicklable program axes fall the whole sweep
         back to serial execution, unpicklable run parameters or crashed
         workers re-run just those points in the parent -- each recorded in
-        :attr:`SweepReport.warnings`.  ``strict=True`` turns those
-        degradations into :class:`~repro.api.spec.SweepConfigError`; on the
-        serial backend it likewise refuses the repr-based dedup-key fallback
-        for unpicklable program-axis values (which may otherwise compile one
-        program redundantly) instead of being silently ignored.
+        :attr:`SweepReport.warnings`.
 
         ``keep_runs=False`` drops each point's full :class:`RunResult`
         (simulation state, complete trace, sink sample lists) once its flat
@@ -696,14 +679,16 @@ class Sweep:
         ``run=None``.
 
         ``store`` (a :class:`~repro.service.store.ResultStore` or a
-        directory path) and ``checkpoint`` (a JSONL file path) engage the
-        sweep service: points whose content digest is already in the store
-        are answered without compiling or executing anything, completed
-        rows are appended to the checkpoint as they finish, and a re-run
-        with the same checkpoint resumes instead of restarting.  The
-        resulting report is bit-identical to an uninterrupted plain run;
+        directory path) persists the sweep: points whose content digest is
+        already stored are answered without compiling or executing
+        anything, and every point that runs ok is stored (and flushed) from
+        this process the moment it completes.  Failed points are never
+        stored, so every run retries them.  A sweep killed mid-run thus
+        resumes by running again on the same store.  The report is
+        bit-identical to an uninterrupted plain run;
         :attr:`SweepReport.service_stats` records how many points were
-        executed vs served.  See :mod:`repro.service`.
+        executed vs served.  A path-opened store is closed at the end, a
+        passed one flushed.  See :mod:`repro.service`.
         """
         check_positive(workers, "workers")
         if executor not in EXECUTORS:
@@ -717,27 +702,64 @@ class Sweep:
                 "each run takes exactly one of them"
             )
         points = self.points()
-        if store is not None or checkpoint is not None:
-            from repro.service.runner import run_service_sweep
-
-            return run_service_sweep(
-                self,
-                points,
-                store=store,
-                checkpoint=checkpoint,
+        if store is None:
+            results, warnings = self._execute_points(
+                list(enumerate(points)),
                 executor=executor,
                 workers=workers,
                 keep_runs=keep_runs,
-                strict=strict,
             )
-        results, warnings = self._execute_points(
-            list(enumerate(points)),
-            executor=executor,
-            workers=workers,
-            keep_runs=keep_runs,
-            strict=strict,
-        )
-        return SweepReport(results, name=self.name, warnings=warnings)
+            return SweepReport(results, name=self.name, warnings=warnings)
+
+        # late: repro.service.store imports repro.api
+        from repro.service.store import ResultStore, point_keys
+
+        result_store = store if isinstance(store, ResultStore) else ResultStore(store)
+        try:
+            keys = point_keys(self, points)
+            results = []
+            missing: List[Tuple[int, Dict[str, Any]]] = []
+            for index, key in enumerate(keys):
+                payload = result_store.get(key)
+                if payload is None:
+                    missing.append((index, points[index]))
+                else:
+                    results.append(
+                        SweepResult(
+                            index=index, params=payload["params"], metrics=payload["metrics"]
+                        )
+                    )
+
+            def store_row(result: SweepResult) -> None:
+                if result.ok:
+                    payload = result.payload()
+                    # the grid position belongs to the asking grid, not the
+                    # point's content: overlapping grids share rows
+                    row = {"params": payload["params"], "metrics": payload["metrics"]}
+                    result_store.put(keys[result.index], row)
+
+            warnings = []
+            if missing:
+                executed, warnings = self._execute_points(
+                    missing,
+                    executor=executor,
+                    workers=workers,
+                    keep_runs=keep_runs,
+                    on_result=store_row,
+                )
+                results = sorted(results + executed, key=lambda result: result.index)
+        finally:
+            if result_store is store:
+                result_store.flush()
+            else:
+                result_store.close()
+        report = SweepReport(results, name=self.name, warnings=warnings)
+        report.service_stats = {
+            "points": len(points),
+            "executed": len(missing),
+            "store_hits": len(points) - len(missing),
+        }
+        return report
 
     def _execute_points(
         self,
@@ -746,39 +768,30 @@ class Sweep:
         executor: str,
         workers: int,
         keep_runs: bool,
-        strict: bool,
         on_result: Optional[Callable[[SweepResult], None]] = None,
     ) -> Tuple[List[SweepResult], List[str]]:
         """Execute ``(grid index, params)`` pairs on the selected backend.
 
-        The shared engine behind :meth:`run` and the sweep service: indices
-        are caller-assigned (the service passes only the cache-missed subset
-        of a grid, with their original positions), results come back in the
-        given order alongside the backend's degradation warnings, and
-        ``on_result`` fires exactly once per point as it completes -- the
-        checkpoint-append hook, always called from the parent process.
+        Results come back in the given order alongside the backend's
+        degradation warnings; ``on_result`` fires exactly once per point as
+        it completes, always in this process -- the result store's write
+        hook.
         """
         if executor == "process":
             # Even with workers=1 the process path is taken: the backend's
-            # contract (strict validation, run=None results, pickle-probed
-            # shipping) must not silently vary with the worker count.
-            return self._run_process(
-                indexed_points, workers, strict=strict, on_result=on_result
-            )
-        return self._run_serial(indexed_points, keep_runs, on_result, strict=strict), []
+            # contract (run=None results, pickle-probed shipping) must not
+            # silently vary with the worker count.
+            return self._run_process(indexed_points, workers, on_result)
+        return self._run_serial(indexed_points, keep_runs, on_result), []
 
     def _run_serial(
         self,
         indexed_points: Sequence[Tuple[int, Dict[str, Any]]],
         keep_runs: bool,
         on_result: Optional[Callable[[SweepResult], None]] = None,
-        *,
-        strict: bool = False,
     ) -> List[SweepResult]:
         if self._runner is None:
-            analyses = self._analyses(
-                [params for _, params in indexed_points], strict=strict
-            )
+            analyses = self._analyses([params for _, params in indexed_points])
         else:
             analyses = {}
         results = []
@@ -801,27 +814,21 @@ class Sweep:
         self,
         indexed_points: List[Tuple[int, Dict[str, Any]]],
         workers: int,
-        *,
-        strict: bool,
         on_result: Optional[Callable[[SweepResult], None]] = None,
     ) -> Tuple[List[SweepResult], List[str]]:
         """The ``executor="process"`` backend (see :meth:`run`)."""
         warnings: List[str] = []
         params_by_index = dict(indexed_points)
 
-        def degrade_to_serial(
-            reason: str, error: Exception
-        ) -> Tuple[List[SweepResult], List[str]]:
-            if strict:
-                if isinstance(error, SweepConfigError):
-                    raise error
-                raise SweepConfigError(reason) from error
+        def degrade_to_serial(reason: str) -> Tuple[List[SweepResult], List[str]]:
             warnings.append(f"{reason}; running the sweep serially instead")
             results = self._run_serial(indexed_points, keep_runs=False, on_result=on_result)
             return results, warnings
 
-        # -- 1. shared state must be picklable: specs (or the runner).  An
-        # unsound dedup key / unshippable program degrades the whole sweep.
+        # -- 1. shared state must be picklable: program axes and specs (or
+        # the runner).  An unpicklable program axis (whose dedup key would
+        # fall back to a repr) or an unshippable program degrades the whole
+        # sweep.
         # Dedup keys embed the pickle bytes of every program-axis value, so
         # they are interned to small integer spec ids here -- point payloads
         # then reference programs by id instead of re-shipping (potentially
@@ -834,24 +841,32 @@ class Sweep:
             except Exception as error:
                 return degrade_to_serial(
                     f"sweep runner {self._runner!r} is not picklable "
-                    f"({type(error).__name__}: {error})",
-                    error,
+                    f"({type(error).__name__}: {error})"
                 )
             spec_id_by_index = {index: None for index, _ in indexed_points}
         else:
-            try:
-                spec_ids: Dict[Tuple, int] = {}
-                for index, params in indexed_points:
-                    program_params, _ = self._split(params)
-                    key = _program_key(program_params, strict=True)
-                    if key not in spec_ids:
+            spec_ids: Dict[Tuple, int] = {}
+            for index, params in indexed_points:
+                program_params, _ = self._split(params)
+                offending = _unpicklable_param(program_params)
+                if offending is not None:
+                    name, value, error = offending
+                    return degrade_to_serial(
+                        f"program axis {name!r} has an unpicklable value "
+                        f"({type(value).__qualname__}: {value!r}): the process "
+                        f"executor ships program parameters to worker processes "
+                        f"by pickle ({type(error).__name__}: {error})"
+                    )
+                key = _program_key(program_params)
+                if key not in spec_ids:
+                    try:
                         spec = self._spec_for(dict(program_params))
                         spec.ensure_picklable()
-                        spec_ids[key] = len(specs)
-                        specs[spec_ids[key]] = spec
-                    spec_id_by_index[index] = spec_ids[key]
-            except SweepConfigError as error:
-                return degrade_to_serial(str(error), error)
+                    except SweepConfigError as error:
+                        return degrade_to_serial(str(error))
+                    spec_ids[key] = len(specs)
+                    specs[spec_ids[key]] = spec
+                spec_id_by_index[index] = spec_ids[key]
 
         # -- 2. per-point run parameters: a point the backend cannot ship
         # (an unpicklable scheduler key, a custom trace sink, ...) runs in
@@ -867,15 +882,12 @@ class Sweep:
             if offending is None:
                 shippable.append((index, spec_id_by_index[index], run_params))
             else:
-                name, value, error = offending
-                message = (
+                name, value, _ = offending
+                warnings.append(
                     f"point {index}: run parameter {name!r} has an "
                     f"unpicklable value ({type(value).__qualname__}: "
-                    f"{value!r})"
+                    f"{value!r}); running the point in-process"
                 )
-                if strict:
-                    raise SweepConfigError(message) from error
-                warnings.append(f"{message}; running the point in-process")
                 local_indices.append(index)
 
         # -- 3. fan the shippable points out in contiguous chunks.  A broken
@@ -890,7 +902,7 @@ class Sweep:
         def record(index: int, ok: bool, error_text: Optional[str], metrics) -> None:
             # a row arrives from a worker exactly once per index (a broken
             # or failed chunk never delivered its rows), so on_result fires
-            # once per point, as the checkpoint contract requires
+            # once per point, in the parent -- the store is written here
             result = SweepResult(
                 index=index,
                 params=params_by_index[index],
@@ -907,27 +919,6 @@ class Sweep:
         ) -> List[List[Tuple[int, Optional[int], Dict[str, Any]]]]:
             """One pool round; returns the chunks whose pool broke."""
             broken: List[List[Tuple[int, Optional[int], Dict[str, Any]]]] = []
-
-            def fail(chunk, error: Exception, what: str) -> str:
-                message = (
-                    f"{what} on points {[index for index, _, _ in chunk]} "
-                    f"({type(error).__name__}: {error})"
-                )
-                if strict:
-                    # Don't leave queued chunks burning CPU behind the raise,
-                    # and surface the *root cause* when there is one: a
-                    # worker that died compiling (the exception text died
-                    # with the child) re-compiles here in the parent, so a
-                    # broken program raises its original exception type
-                    # instead of an opaque pool-breakage message.
-                    pool.shutdown(cancel_futures=True)
-                    if self._runner is None:
-                        self._analyses(
-                            [params_by_index[index] for index, _, _ in chunk]
-                        )
-                    raise SweepConfigError(message) from error
-                return message
-
             with ProcessPoolExecutor(
                 max_workers=min(workers, len(chunks)),
                 initializer=_process_worker_init,
@@ -937,24 +928,26 @@ class Sweep:
                 for chunk in chunks:
                     try:
                         futures.append((pool.submit(_process_run_chunk, chunk), chunk))
-                    except BrokenExecutor as error:
+                    except BrokenExecutor:
                         # a worker died while later chunks were still queued
-                        fail(chunk, error, "process pool broke")
                         broken.append(chunk)
                 for future, chunk in futures:
                     try:
                         for index, ok, error_text, metrics in future.result():
                             record(index, ok, error_text, metrics)
-                    except BrokenExecutor as error:
-                        fail(chunk, error, "process pool broke")
+                    except BrokenExecutor:
                         broken.append(chunk)
                     except Exception as error:
                         # a chunk-level failure that left the pool alive
                         # (e.g. an unpicklable metric value in the result):
                         # retrying would fail identically, go straight to
                         # the in-parent fallback
-                        message = fail(chunk, error, "process worker failed")
-                        warnings.append(f"{message}; re-running them in-process")
+                        warnings.append(
+                            f"process worker failed on points "
+                            f"{[index for index, _, _ in chunk]} "
+                            f"({type(error).__name__}: {error}); "
+                            f"re-running them in-process"
+                        )
                         local_indices.extend(index for index, _, _ in chunk)
             return broken
 

@@ -1,42 +1,26 @@
-"""The sweep service: cached, resumable parameter-grid serving.
+"""The sweep service: the content-addressed result store behind
+``Sweep.run(store=...)``.
 
-Layered on :class:`repro.api.Sweep` (which stays usable without it) and
-engaged through ``Sweep.run(store=..., checkpoint=...)``:
-
-``store``
-    content-addressed result store -- a stable sha256 digest of
-    *(program identity, point parameters, code/schema version)* maps to a
-    persisted metric row, so repeated or overlapping grids only execute
-    points never seen before, and cache hits skip compilation entirely.
-``checkpoint``
-    append-only JSONL journal of completed rows; a killed sweep resumes
-    from it, bit-identical to an uninterrupted run.
-``runner``
-    the orchestration behind ``Sweep.run(store=..., checkpoint=...)``.
+A stable sha256 digest of *(program identity, point parameters,
+code/schema version)* maps to a persisted metric row, so repeated or
+overlapping grids only execute points never seen before, and cache hits
+skip compilation entirely.  Every ok row is written (and flushed) the moment
+its point completes, so the store is also how a sweep resumes: a run killed
+mid-grid is re-run on the same store, serves the rows it stored and
+executes the rest, into a report byte-equal to an uninterrupted run.
+Failed points are never stored, so every run retries them.
 """
 
-from repro.service.checkpoint import (
-    CheckpointMismatchError,
-    SweepCheckpoint,
-    read_checkpoint,
-)
-from repro.service.runner import run_service_sweep
 from repro.service.store import (
     STORE_SCHEMA,
     ResultStore,
-    grid_digest,
     point_key,
     point_keys,
 )
 
 __all__ = [
     "STORE_SCHEMA",
-    "CheckpointMismatchError",
     "ResultStore",
-    "SweepCheckpoint",
-    "grid_digest",
     "point_key",
     "point_keys",
-    "read_checkpoint",
-    "run_service_sweep",
 ]

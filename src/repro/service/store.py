@@ -16,7 +16,7 @@ Digest definition
 
     ("repro-sweep-point", STORE_SCHEMA, repro.__version__,
      program identity,             # ("app", name) | ("spec", spec digest)
-                                   # | ("runner", module, qualname)
+                                   # | ("runner", runner function)
      program-axis params, run-axis params, default duration)
 
 The canonical encoding sorts sets and mapping items by value, so the key is
@@ -39,8 +39,12 @@ record is one self-contained JSON line, so a reader never needs more than a
 line scan and a torn final line (a writer killed mid-append) is simply
 skipped -- losing an interrupted write is the safe direction.  The index
 maps each key to the byte range of its row so ``get`` is one ``seek`` +
-``read``; it is rebuilt from the segments when missing or stale (segments
-are the source of truth, the index is only an accelerator).
+``read``, and records per segment the offset its writer absorbed: the end
+of the last complete line it scanned or ``put``.  Opening scans every
+segment past that offset, so rows another writer appended while the index's
+writer was open, and the rows of a writer killed before it wrote an index,
+are found (segments are the source of truth, the index is only an
+accelerator).
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro import __version__
-from repro.api.spec import SweepConfigError, stable_digest
+from repro.api.spec import stable_digest
 
 #: Bump when the stored payload shape, the key recipe or the meaning of a
 #: stored value changes; every existing row then stops matching and the
@@ -60,7 +64,10 @@ from repro.api.spec import SweepConfigError, stable_digest
 #: :class:`~repro.api.spec.ProgramSpec` lost its ``time_base`` field.
 #: 3: ``deadline_misses`` is counted at every trace level, so a row run at
 #: ``trace="off"`` reports the real miss count where it stored 0.
-STORE_SCHEMA = 3
+#: 4: the canonical encoding tells bound methods, partials and values it
+#: rendered by a truncating ``repr`` apart, so no row stored under a key
+#: two such values shared is served again.
+STORE_SCHEMA = 4
 
 
 def program_identity(sweep: Any) -> Tuple[Any, ...]:
@@ -70,21 +77,14 @@ def program_identity(sweep: Any) -> Tuple[Any, ...]:
     by their :meth:`~repro.api.spec.ProgramSpec.digest` (raises
     :class:`~repro.api.spec.SweepConfigError` for recipe-less precompiled
     programs -- those cannot be content-addressed), callable sweeps by the
-    runner's module + qualname (the code-version caveat is covered by
-    ``repro.__version__`` in the key for packaged runners, and is the
-    caller's responsibility for their own functions).
+    runner itself, which :func:`~repro.api.spec.stable_digest` encodes by
+    module + qualname and refuses when it is a lambda or a local function
+    (the code-version caveat is covered by ``repro.__version__`` in the key
+    for packaged runners, and is the caller's responsibility for their own
+    functions).
     """
     if sweep._runner is not None:
-        runner = sweep._runner
-        module = getattr(runner, "__module__", None)
-        qualname = getattr(runner, "__qualname__", None)
-        if module is None or qualname is None or "<locals>" in qualname:
-            raise SweepConfigError(
-                f"sweep runner {runner!r} has no stable identity (it is not "
-                f"an importable module-level callable): its results cannot "
-                f"be content-addressed"
-            )
-        return ("runner", module, qualname)
+        return ("runner", sweep._runner)
     if sweep._program is not None:
         return ("spec", sweep._program.spec().digest())
     if sweep._app is None:
@@ -118,26 +118,6 @@ def point_key(sweep: Any, params: Dict[str, Any]) -> str:
     return point_keys(sweep, [params])[0]
 
 
-def grid_digest(sweep: Any, points: List[Dict[str, Any]]) -> str:
-    """The identity of a whole expanded grid, for checkpoint matching.
-
-    Two sweeps share a grid digest exactly when they execute the same
-    program over the same points with the same defaults under the same
-    code/schema version -- the precondition for resuming one's checkpoint
-    from the other.
-    """
-    return stable_digest(
-        (
-            "repro-sweep-grid",
-            STORE_SCHEMA,
-            __version__,
-            program_identity(sweep),
-            sweep.duration,
-            points,
-        )
-    )
-
-
 class ResultStore:
     """The content-addressed on-disk store (see the module docstring).
 
@@ -147,7 +127,7 @@ class ResultStore:
     are deterministic functions of their key, so a second write of the same
     key can only be the identical row.  Failed points are never stored (a
     failure may be environmental; re-running it next time is the safe
-    direction), which the sweep service enforces at its call site.
+    direction), which ``Sweep.run`` enforces at its call site.
 
     The instance keeps ``hits`` / ``misses`` / ``writes`` counters so
     benchmarks and the CI smoke job can assert cache behaviour, and is a
@@ -164,6 +144,8 @@ class ResultStore:
         self._cache: Dict[str, Dict[str, Any]] = {}
         self._handle = None
         self._segment_name: Optional[str] = None
+        #: segment name -> byte offset up to which this store has indexed it
+        self._absorbed: Dict[str, int] = {}
         self._dirty = False
         self.hits = 0
         self.misses = 0
@@ -174,12 +156,11 @@ class ResultStore:
     def _load(self) -> None:
         """Read the index, then scan whatever it does not cover.
 
-        The index records how many bytes of each segment it has absorbed;
-        segments that grew (another writer appended) or are unknown are
-        scanned from that watermark, so opening a warm store re-reads
-        nothing and opening after a crash recovers every intact line.
+        The index records the offset of each segment its writer absorbed;
+        segments that grew past it (another writer appended) or are unknown
+        are scanned from there, so opening a warm store re-reads nothing and
+        opening after a crash recovers every intact line.
         """
-        scanned: Dict[str, int] = {}
         if self.index_path.exists():
             try:
                 with open(self.index_path, encoding="utf-8") as handle:
@@ -187,33 +168,37 @@ class ResultStore:
             except (OSError, json.JSONDecodeError):
                 data = None  # a torn index rebuilds from the segments
             if data is not None and data.get("schema") == STORE_SCHEMA:
-                scanned = dict(data.get("segments", {}))
+                self._absorbed = dict(data.get("segments", {}))
                 for key, location in data.get("keys", {}).items():
                     name, offset, length = location
                     self._locations[key] = (name, int(offset), int(length))
         for path in sorted(self.segments_dir.glob("segment-*.jsonl")):
-            start = scanned.get(path.name, 0)
-            size = path.stat().st_size
-            if size > start:
-                self._scan_segment(path, start)
-                self._dirty = True
+            if path.stat().st_size > self._absorbed.get(path.name, 0):
+                self._scan_segment(path)
 
-    def _scan_segment(self, path: Path, start: int) -> None:
+    def _scan_segment(self, path: Path) -> None:
+        """Index the complete lines of *path* past its absorbed offset.
+
+        A final line without its newline is a killed writer's torn tail, or
+        a row another writer is still appending: it stays unabsorbed, so the
+        next open reads it again.
+        """
+        start = offset = self._absorbed.get(path.name, 0)
         with open(path, "rb") as handle:
             handle.seek(start)
-            offset = start
             for raw in handle:
-                length = len(raw)
+                if not raw.endswith(b"\n"):
+                    break
                 try:
                     entry = json.loads(raw.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError):
-                    offset += length  # torn line of a killed writer: skip
-                    continue
+                    entry = {}  # a corrupt line: skip it
                 if entry.get("schema") == STORE_SCHEMA and "key" in entry:
-                    self._locations.setdefault(
-                        entry["key"], (path.name, offset, length)
-                    )
-                offset += length
+                    self._locations.setdefault(entry["key"], (path.name, offset, len(raw)))
+                offset += len(raw)
+        if offset > start:
+            self._absorbed[path.name] = offset
+            self._dirty = True
 
     # --------------------------------------------------------------- lookup
     def __len__(self) -> int:
@@ -256,6 +241,7 @@ class ResultStore:
         self._handle.write(line)
         self._handle.flush()  # every row is durable the moment put returns
         self._locations[key] = (self._segment_name, offset, len(line))
+        self._absorbed[self._segment_name] = offset + len(line)
         self._cache[key] = copy.deepcopy(payload)
         self.writes += 1
         self._dirty = True
@@ -279,14 +265,10 @@ class ResultStore:
         """Persist the index (atomically: write-then-rename)."""
         if not self._dirty:
             return
-        sizes = {
-            path.name: path.stat().st_size
-            for path in self.segments_dir.glob("segment-*.jsonl")
-        }
         data = {
             "schema": STORE_SCHEMA,
             "version": __version__,
-            "segments": sizes,
+            "segments": self._absorbed,
             "keys": {key: list(loc) for key, loc in self._locations.items()},
         }
         temporary = self.index_path.with_suffix(".json.tmp")

@@ -332,26 +332,6 @@ class TestProcessSweep:
         assert any("serially" in warning for warning in report.warnings)
         assert any("'signal'" in warning for warning in report.warnings)
 
-    def test_strict_mode_raises_naming_the_axis(self):
-        sweep = (
-            Sweep("quickstart", duration=Fraction(1, 100))
-            .add_axis("signal", [(float(i) for i in range(100))])
-            .add_axis("scheduler", [None, BoundedProcessors(1)])
-        )
-        with pytest.raises(SweepConfigError, match="'signal'"):
-            sweep.run(executor="process", workers=2, strict=True)
-
-    def test_strict_applies_to_serial_backend_too(self):
-        # strict forbids the repr-based dedup-key fallback everywhere, not
-        # just on the process backend -- it must never be a silent no-op.
-        def build():
-            return Sweep("quickstart", duration=Fraction(1, 100)).add_axis(
-                "signal", [(float(i) for i in range(100))]
-            )
-
-        with pytest.raises(SweepConfigError, match="'signal'"):
-            build().run(strict=True)
-
     def test_unpicklable_run_param_degrades_that_point_only(self):
         class LocalPolicy(SelfTimedUnbounded):
             """Test-local class: unpicklable (not importable), deepcopy-able,

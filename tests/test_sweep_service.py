@@ -1,11 +1,13 @@
-"""Tests for the sweep service (repro.service): stable content digests, the
-content-addressed result store, and incremental checkpoints and resume.
+"""Tests for the sweep service (repro.service): stable content digests and
+the content-addressed result store, which is also how a killed sweep
+resumes.
 
 The load-bearing invariant throughout: a report produced *any* service way
 -- resumed after a kill, served from the cache -- renders bit-identically
 (``to_json``, ``rows``) to a plain single-shot serial run of the same sweep.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -16,21 +18,45 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Sweep, SweepConfigError
+from repro.api import Program, Sweep, SweepConfigError
 from repro.api.spec import ProgramSpec, stable_digest
-from repro.engine import BoundedProcessors, SelfTimedUnbounded
-from repro.service import (
-    CheckpointMismatchError,
-    ResultStore,
-    SweepCheckpoint,
-    point_key,
-    point_keys,
+from repro.apps.producer_consumer import (
+    QUICKSTART_OIL_SOURCE,
+    quickstart_registry,
+    quickstart_wcets,
 )
+from repro.dsp.mixer import Mixer
+from repro.engine import BoundedProcessors, SelfTimedUnbounded
+from repro.runtime.sources import ConstantStimulus, RampStimulus
+from repro.service import STORE_SCHEMA, ResultStore, point_key, point_keys
 
 
 def _square_point(n):
     """Module-level runner: stable identity for content addressing."""
     return {"value": n * n}
+
+
+# Two module-level lambdas share the qualname ``<lambda>``.
+_constant_signals = lambda: {"samples": ConstantStimulus(1.0)}  # noqa: E731
+_ramp_signals = lambda: {"samples": RampStimulus(0.0, 1.0)}  # noqa: E731
+
+
+def _constant_samples():
+    return {"samples": ConstantStimulus(1.0)}
+
+
+def _ramp_samples():
+    return {"samples": RampStimulus(0.0, 1.0)}
+
+
+def _quickstart_with(signals):
+    return Program.from_source(
+        QUICKSTART_OIL_SOURCE,
+        name="inline-quickstart",
+        function_wcets=quickstart_wcets(),
+        registry=quickstart_registry,
+        signals=signals,
+    )
 
 
 def _quick_sweep(**kwargs):
@@ -40,11 +66,22 @@ def _quick_sweep(**kwargs):
     )
 
 
-def _keep_journal_prefix(path, rows):
-    """Cut a serial run's checkpoint back to its header and first *rows*
-    point lines: the journal a run killed after those points leaves."""
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[: 1 + rows]))
+def _keep_store_prefix(root, rows):
+    """Cut the store of one serial run back to its first *rows* rows and no
+    index: the store a run killed after those points leaves."""
+    (root / "index.json").unlink()
+    [segment] = (root / "segments").glob("segment-*.jsonl")
+    lines = segment.read_text().splitlines(keepends=True)
+    segment.write_text("".join(lines[:rows]))
+
+
+def _stored_rows(root):
+    """The complete row lines in the segments of the store at *root*."""
+    return sum(
+        line.endswith("\n") and '"key"' in line
+        for segment in (root / "segments").glob("segment-*.jsonl")
+        for line in segment.read_text().splitlines(keepends=True)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +145,44 @@ class TestStableDigest:
         same = ProgramSpec.from_app("quickstart", utilisation=0.3)
         other = ProgramSpec.from_app("quickstart", utilisation=0.5)
         assert spec.digest() == same.digest() != other.digest()
+
+    def test_module_level_lambdas_have_no_stable_identity(self):
+        for signals in (_constant_signals, _ramp_signals):
+            with pytest.raises(SweepConfigError, match="stable identity"):
+                stable_digest(signals)
+
+    def test_closures_have_no_stable_identity(self):
+        def level(value):
+            def signals():
+                return {"samples": ConstantStimulus(value)}
+
+            return signals
+
+        for closure in (level(1.0), level(2.0), lambda: 0):
+            with pytest.raises(SweepConfigError, match="stable identity"):
+                stable_digest(closure)
+
+    def test_partials_digest_their_arguments(self):
+        two = functools.partial(_square_point, 2)
+        assert stable_digest(two) == stable_digest(functools.partial(_square_point, 2))
+        assert stable_digest(two) != stable_digest(functools.partial(_square_point, 3))
+        assert stable_digest(functools.partial(_square_point, n=2)) != stable_digest(
+            functools.partial(_square_point, n=3)
+        )
+
+    def test_bound_methods_digest_their_instance(self):
+        assert stable_digest(Mixer(0.1).mix) == stable_digest(Mixer(0.1).mix)
+        assert stable_digest(Mixer(0.1).mix) != stable_digest(Mixer(0.3).mix)
+        assert stable_digest(Mixer(0.1).mix) != stable_digest(Mixer(0.1).reset)
+
+    def test_arrays_digest_every_element(self):
+        numpy = pytest.importorskip("numpy")
+        a = numpy.zeros(5000)
+        b = numpy.zeros(5000)
+        b[2500] = 1.0
+        assert repr(a) == repr(b)  # the premise: the repr is truncated
+        assert stable_digest(a) != stable_digest(b)
+        assert stable_digest(a) == stable_digest(numpy.zeros(5000))
 
 
 class TestPointKeys:
@@ -193,67 +268,38 @@ class TestResultStore:
         third = ResultStore(root)
         assert "a" in third and "b" in third
 
+    def test_index_keeps_rows_another_writer_appended(self, tmp_path):
+        root = tmp_path / "store"
+        first, second = ResultStore(root), ResultStore(root)
+        second.put("kb", {"metrics": {}})
+        second.close()
+        first.put("ka", {"metrics": {}})
+        first.close()  # its index must not claim the other segment as read
+        fresh = ResultStore(root)
+        assert len(fresh) == 2
+        assert fresh.get("kb") == {"metrics": {}}
 
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-
-class TestCheckpoint:
-    def test_fresh_then_resume_roundtrip(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        with SweepCheckpoint(path, name="s", grid="g", points=3) as journal:
-            journal.record({"point": 1, "ok": True, "error": None,
-                            "params": {}, "metrics": {"v": 1}})
-        with SweepCheckpoint(path, name="s", grid="g", points=3) as journal:
-            assert set(journal.completed) == {1}
-            journal.record({"point": 1, "ok": True, "error": None,
-                            "params": {}, "metrics": {"v": 999}})  # no-op
-            journal.record({"point": 0, "ok": False, "error": "boom",
-                            "params": {}, "metrics": {}})
-        with SweepCheckpoint(path, name="s", grid="g", points=3) as journal:
-            assert journal.completed[1]["metrics"] == {"v": 1}
-            assert journal.completed[0]["error"] == "boom"
-
-    def test_grid_mismatch_refused(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        SweepCheckpoint(path, name="s", grid="g1", points=3).close()
-        with pytest.raises(CheckpointMismatchError, match="different sweep"):
-            SweepCheckpoint(path, name="s", grid="g2", points=3)
-        with pytest.raises(CheckpointMismatchError, match="different sweep"):
-            SweepCheckpoint(path, name="s", grid="g1", points=4)
-
-    def test_header_with_extra_fields_resumes(self, tmp_path):
-        # journals written when the header still carried a "shard" field
-        path = tmp_path / "ckpt.jsonl"
-        with SweepCheckpoint(path, name="s", grid="g", points=3) as journal:
-            journal.record({"point": 1, "ok": True, "error": None,
-                            "params": {}, "metrics": {"v": 1}})
-        header, *rows = path.read_text().splitlines(keepends=True)
-        path.write_text(json.dumps({**json.loads(header), "shard": None}) + "\n"
-                        + "".join(rows))
-        with SweepCheckpoint(path, name="s", grid="g", points=3) as journal:
-            assert journal.completed[1]["metrics"] == {"v": 1}
-
-    def test_torn_tail_tolerated(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        with SweepCheckpoint(path, name="s", grid="g", points=3) as journal:
-            journal.record({"point": 2, "ok": True, "error": None,
-                            "params": {}, "metrics": {}})
-        with open(path, "ab") as handle:
-            handle.write(b'{"point": 0, "ok": tr')  # killed mid-append
-        with SweepCheckpoint(path, name="s", grid="g", points=3) as journal:
-            assert set(journal.completed) == {2}
-
-    def test_non_checkpoint_file_refused(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        path.write_text('{"something": "else"}\n')
-        with pytest.raises(CheckpointMismatchError, match="header"):
-            SweepCheckpoint(path, name="s", grid="g", points=1)
+    def test_row_still_being_appended_is_read_by_the_next_open(self, tmp_path):
+        root = tmp_path / "store"
+        with ResultStore(root) as writer:
+            writer.put("a", {"metrics": {}})
+            segment = writer.segments_dir / writer._segment_name
+        line = json.dumps(
+            {"schema": STORE_SCHEMA, "key": "b", "payload": {"metrics": {}}}
+        ).encode("utf-8") + b"\n"
+        with open(segment, "ab") as handle:
+            handle.write(line[:20])  # another writer is mid-append
+        reader = ResultStore(root)
+        assert "b" not in reader
+        with open(segment, "ab") as handle:
+            handle.write(line[20:])
+        reader.put("c", {"metrics": {}})
+        reader.close()
+        assert ResultStore(root).get("b") == {"metrics": {}}
 
 
 # ---------------------------------------------------------------------------
-# the service runner: cache hits, resume, bit-identity
+# Sweep.run(store=...): cache hits, resume, bit-identity
 # ---------------------------------------------------------------------------
 
 
@@ -261,9 +307,7 @@ class TestServiceSweep:
     def test_warm_store_executes_and_compiles_nothing(self, tmp_path, monkeypatch):
         store = tmp_path / "store"
         cold = _quick_sweep().run(store=store)
-        assert cold.service_stats == {
-            "points": 3, "executed": 3, "store_hits": 0, "resumed": 0,
-        }
+        assert cold.service_stats == {"points": 3, "executed": 3, "store_hits": 0}
 
         import repro.api.sweep as sweep_module
 
@@ -276,9 +320,7 @@ class TestServiceSweep:
 
         monkeypatch.setattr(sweep_module.Program, "from_app", classmethod(counting))
         warm = _quick_sweep().run(store=store)
-        assert warm.service_stats == {
-            "points": 3, "executed": 0, "store_hits": 3, "resumed": 0,
-        }
+        assert warm.service_stats == {"points": 3, "executed": 0, "store_hits": 3}
         assert compiles == []  # cache hits never touch the compiler
         assert warm.to_json() == cold.to_json()
 
@@ -298,14 +340,12 @@ class TestServiceSweep:
 
     def test_checkpoint_resume_is_bit_identical(self, tmp_path):
         clean = _quick_sweep().run(executor="serial").to_json()
-        path = tmp_path / "ckpt.jsonl"
-        # journal only a prefix of the grid, as an interrupted run would have
-        _quick_sweep().run(checkpoint=path)
-        _keep_journal_prefix(path, 2)
-        resumed = _quick_sweep().run(checkpoint=path)
-        assert resumed.service_stats == {
-            "points": 3, "executed": 1, "store_hits": 0, "resumed": 2,
-        }
+        store = tmp_path / "store"
+        # store only a prefix of the grid, as an interrupted run would have
+        _quick_sweep().run(store=store)
+        _keep_store_prefix(store, 2)
+        resumed = _quick_sweep().run(store=store)
+        assert resumed.service_stats == {"points": 3, "executed": 1, "store_hits": 2}
         assert resumed.to_json() == clean
 
     def test_failed_points_checkpoint_but_never_store(self, tmp_path):
@@ -317,54 +357,48 @@ class TestServiceSweep:
             )
 
         store = tmp_path / "store"
-        path = tmp_path / "ckpt.jsonl"
-        first = build().run(store=store, checkpoint=path)
+        first = build().run(store=store)
         assert [result.ok for result in first.results] == [True, False]
-        again = build().run(store=store, checkpoint=path)
-        # the ok point came back from the journal; the failure was journaled
-        # too (resume must not flip the report), but the store kept only ok
-        assert again.service_stats["resumed"] == 2
+        assert len(ResultStore(store)) == 1  # the store kept only the ok row
+        for _ in range(2):
+            # every re-run retries the failure and renders it identically
+            again = build().run(store=store)
+            assert again.service_stats == {"points": 2, "executed": 1, "store_hits": 1}
+            assert again.to_json() == first.to_json()
         assert len(ResultStore(store)) == 1
-        assert again.to_json() == first.to_json()
-        # a fresh run against the store alone retries the failed point
-        retry = build().run(store=tmp_path / "store")
-        assert retry.service_stats == {
-            "points": 2, "executed": 1, "store_hits": 1, "resumed": 0,
-        }
-
-    def test_store_and_checkpoint_compose(self, tmp_path):
-        clean = _quick_sweep().run(executor="serial").to_json()
-        report = _quick_sweep().run(
-            store=tmp_path / "store", checkpoint=tmp_path / "ckpt.jsonl"
-        )
-        assert report.to_json() == clean
-        # a different checkpoint, same store: all hits, journaled afresh
-        second = _quick_sweep().run(
-            store=tmp_path / "store", checkpoint=tmp_path / "ckpt2.jsonl"
-        )
-        assert second.service_stats["store_hits"] == 3
-        assert second.to_json() == clean
 
     def test_process_backend_checkpoints_from_the_parent(self, tmp_path):
-        sweep = Sweep.from_callable(_square_point).add_axis("n", [1, 2, 3, 4])
-        clean = (
-            Sweep.from_callable(_square_point).add_axis("n", [1, 2, 3, 4]).run()
-        ).to_json()
-        report = sweep.run(
-            executor="process", workers=2, checkpoint=tmp_path / "ckpt.jsonl"
-        )
+        def sweep():
+            return Sweep.from_callable(_square_point).add_axis("n", [1, 2, 3, 4])
+
+        clean = sweep().run().to_json()
+        store = tmp_path / "store"
+        report = sweep().run(executor="process", workers=2, store=store)
         assert report.to_json() == clean
-        resumed = (
-            Sweep.from_callable(_square_point)
-            .add_axis("n", [1, 2, 3, 4])
-            .run(checkpoint=tmp_path / "ckpt.jsonl")
-        )
-        assert resumed.service_stats["resumed"] == 4
-        assert resumed.to_json() == clean
+        # the parent wrote every row: one segment, named by the parent's pid
+        [segment] = (store / "segments").glob("segment-*.jsonl")
+        assert segment.name.endswith(f"-{os.getpid()}.jsonl")
+        assert _stored_rows(store) == 4
+        served = sweep().run(store=store)
+        assert served.service_stats == {"points": 4, "executed": 0, "store_hits": 4}
+        assert served.to_json() == clean
+
+    def test_program_with_other_signals_is_never_served_its_row(self, tmp_path):
+        store = tmp_path / "store"
+        # one module-level lambda cannot be told from another: no key
+        for signals in (_constant_signals, _ramp_signals):
+            with pytest.raises(SweepConfigError, match="stable identity"):
+                Sweep(program=_quickstart_with(signals), duration=2).run(store=store)
+        # module-level functions are keyed apart: the ramp runs on its own
+        constant = Sweep(program=_quickstart_with(_constant_samples), duration=2)
+        assert constant.run(store=store).column("fast_forwarded") == [True]
+        ramp = Sweep(program=_quickstart_with(_ramp_samples), duration=2).run(store=store)
+        assert ramp.service_stats["store_hits"] == 0
+        assert ramp.column("fast_forwarded") == [False]
 
 
 class TestKillAndResume:
-    """A sweep SIGKILLed mid-run resumes bit-identically from its journal."""
+    """A sweep SIGKILLed mid-run resumes bit-identically from its store."""
 
     SCRIPT = textwrap.dedent(
         """
@@ -383,7 +417,7 @@ class TestKillAndResume:
         if mode == "clean":
             print(sweep.run(executor="serial").to_json(indent=None))
         else:
-            report = sweep.run(executor="serial", checkpoint=sys.argv[2])
+            report = sweep.run(executor="serial", store=sys.argv[2])
             print(json.dumps(report.service_stats))
             print(report.to_json(indent=None))
         """
@@ -404,22 +438,22 @@ class TestKillAndResume:
 
     def test_sigkill_resume_byte_equal(self, tmp_path):
         repo = str(Path(__file__).resolve().parent.parent)
-        checkpoint = tmp_path / "ckpt.jsonl"
+        store = tmp_path / "store"
 
         clean = self._run("clean", cwd=repo)
         assert clean.returncode == 0, clean.stderr
 
-        killed = self._run("checkpoint", checkpoint, kill=True, cwd=repo)
+        killed = self._run("store", store, kill=True, cwd=repo)
         assert killed.returncode == -9  # died by SIGKILL mid-grid
-        journaled = checkpoint.read_text().count('"point"')
-        assert 0 < journaled < 5  # some rows survived, not all
+        stored = _stored_rows(store)
+        assert 0 < stored < 5  # some rows survived, not all
 
-        resumed = self._run("checkpoint", checkpoint, cwd=repo)
+        resumed = self._run("store", store, cwd=repo)
         assert resumed.returncode == 0, resumed.stderr
         stats_line, report_line = resumed.stdout.strip().splitlines()
         stats = json.loads(stats_line)
-        assert stats["resumed"] == journaled
-        assert stats["executed"] == 5 - journaled
+        assert stats["store_hits"] == stored
+        assert stats["executed"] == 5 - stored
         assert report_line == clean.stdout.strip()
 
 
@@ -449,10 +483,9 @@ class TestPalGridIdentity:
         assert warm.to_json() == clean
         assert warm.service_stats["executed"] == 0
 
-        # resumed (prefix journaled, rest executed on resume)
-        checkpoint = tmp_path / "ckpt.jsonl"
-        self._pal().run(checkpoint=checkpoint, keep_runs=False)
-        _keep_journal_prefix(checkpoint, 1)
-        resumed = self._pal().run(checkpoint=checkpoint, keep_runs=False)
-        assert resumed.service_stats["resumed"] == 1
+        # resumed (prefix stored, rest executed on resume)
+        _keep_store_prefix(store, 1)
+        resumed = self._pal().run(store=store, keep_runs=False)
+        assert resumed.service_stats["store_hits"] == 1
+        assert resumed.service_stats["executed"] == 1
         assert resumed.to_json() == clean
