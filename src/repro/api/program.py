@@ -469,7 +469,9 @@ class Analysis:
         representation is derived, not chosen: integer ticks when the
         program's -- speed-scaled -- durations fit a grid, exact fractions
         otherwise, observationally identical either way
-        (:attr:`RunResult.time_base` reports which ran).  A negative
+        (:attr:`RunResult.time_base` reports which ran; a policy that
+        migrates firings across speeds reads ``"fraction"``, its off-grid
+        instants being exact fractional ticks).  A negative
         *duration* raises :class:`ValueError`; 0 runs nothing.
 
         ``fast_forward`` is ``"auto"`` (the default) or ``False``: under
@@ -537,8 +539,16 @@ class RunResult:
     def time_base(self) -> str:
         """Time representation the run executed with: ``"ticks"`` (integer
         tick counts, converted back to exact rationals at this surface) or
-        ``"fraction"``."""
-        return "ticks" if self.simulation.time_base is not None else "fraction"
+        ``"fraction"``: no tick grid exists, or the policy
+        :attr:`~repro.platform.policies.PlatformPolicyBase.migrates_across_speeds`,
+        so instants may fall between ticks and are carried as exact
+        fractions."""
+        simulation = self.simulation
+        if simulation.time_base is None or getattr(
+            simulation.engine.policy, "migrates_across_speeds", False
+        ):
+            return "fraction"
+        return "ticks"
 
     @property
     def warnings(self) -> List[str]:

@@ -331,24 +331,25 @@ class ExecutionEngine:
         """Attach the run's integer-tick base to the pristine queue and
         return it; ``None`` leaves the queue on exact fractions.
 
-        The one derivation every run gets its time base from.  The grid is
-        the gcd (:meth:`TimeBase.for_durations`) of *durations* (the
-        callers' driver periods and offsets), every registered task's wcet
-        and, on the policy's platform, every ``wcet / speed`` a firing can
-        take: event times are sums of these, so all of them lie on the grid.
-        A policy that resumes preempted firings across processor speeds
-        keeps fractions, because a rescaled remainder is closed under no
-        finite grid.  Call after the fleet is registered and before any
-        event is scheduled.
+        The one derivation every run gets its time base from, for every
+        policy.  The grid is the gcd (:meth:`TimeBase.for_durations`) of
+        *durations* (the callers' driver periods and offsets), every
+        registered task's wcet and, on the policy's platform, every
+        ``wcet / speed`` a firing can take: event times are sums of these,
+        so all of them lie on the grid -- except after a resume that
+        rescales a remainder by a speed ratio, which no finite grid closes;
+        :meth:`_resume` carries such an instant as an exact fractional tick
+        count.  ``None`` means no grid exists (no positive duration, or a
+        resolution past :data:`~repro.util.rational.MAX_TICK_DENOMINATOR`).
+        Call after the fleet is registered and before any event is
+        scheduled.
         """
-        timebase: Optional[TimeBase] = None
-        if not getattr(self.policy, "migrates_across_speeds", False):
-            wcets = [task.wcet for task in self.tasks]
-            durations = [*durations, *wcets]
-            platform = self.policy.platform
-            if platform is not None:
-                durations.extend(platform.scaled_durations(wcets))
-            timebase = TimeBase.for_durations(durations)
+        wcets = [task.wcet for task in self.tasks]
+        durations = [*durations, *wcets]
+        platform = self.policy.platform
+        if platform is not None:
+            durations.extend(platform.scaled_durations(wcets))
+        timebase = TimeBase.for_durations(durations)
         self.queue.set_timebase(timebase)
         return timebase
 
@@ -443,7 +444,7 @@ class ExecutionEngine:
         if self._dispatch_pending:
             return
         self._dispatch_pending = True
-        self.queue.schedule(self.queue.now, self._dispatch, label="dispatch")
+        self.queue.post(self.queue.now, self._dispatch, "dispatch")
 
     def _dispatch(self) -> None:
         """The dispatch loop: examine only woken tasks, in the polling
@@ -520,7 +521,7 @@ class ExecutionEngine:
                 # the tick grid (derive_time_base puts it on the grid)
                 duration = queue.to_internal(task.wcet / processor.speed)
                 firing.durations[processor.name] = duration
-        firing.event = queue.schedule(now + duration, firing.complete, label=task._complete_label)
+        firing.event = queue.post(now + duration, firing.complete, task._complete_label)
 
     def _complete(self, firing: FiringRecord) -> None:
         """The completion of *firing*'s task: run the body, release the
@@ -573,24 +574,32 @@ class ExecutionEngine:
 
     def _resume(self, firing: FiringRecord, processor: "Processor") -> None:
         """Continue a suspended firing on *processor*, re-posting the
-        completion with exactly the remaining work (rescaled by the speed
-        ratio when the firing migrates across speeds)."""
+        completion with exactly the remaining work.
+
+        When the firing migrates across speeds the remainder is rescaled
+        in native units, ``remaining * old_speed / new_speed``.  On ticks
+        that need not be a whole number: the completion instant stays an
+        ``int`` when it lands on the grid and is otherwise posted as an
+        exact :class:`~fractions.Fraction` tick count, so only the instants
+        a migration pushes between ticks (and those that follow from them)
+        carry a fraction."""
         task = firing.task
         del self._suspended[task]
         task.suspended = False
         queue = self.queue
+        now = queue.now
         remaining = firing.remaining
         if processor.speed != firing.speed:
-            # remaining work = remaining time x old speed; exact rescale
-            work = queue.to_time(remaining) * firing.speed
-            remaining = queue.to_internal(work / processor.speed)
+            # the work still owed (remaining time x old speed) at the new speed
+            remaining = remaining * firing.speed / processor.speed
+        end = now + remaining
+        if queue.timebase is not None and end.denominator == 1:
+            end = int(end)  # back on the grid: keep the heap on int ticks
         firing.processor = processor
-        firing.segment_start = queue.now
+        firing.segment_start = now
         firing.remaining = None
         firing.speed = None
-        firing.event = queue.schedule(
-            queue.now + remaining, firing.complete, label=task._complete_label
-        )
+        firing.event = queue.post(end, firing.complete, task._complete_label)
         self.resumes += 1
         self.policy.on_resume(task, processor)
 
@@ -662,9 +671,10 @@ def run_tasks(
     The queue's time base is derived, as for every simulation, by
     :meth:`ExecutionEngine.derive_time_base`: integer ticks on the gcd of
     the tasks' response times (and their speed-scaled variants on every
-    platform processor), exact fractions when no grid exists or the policy
-    migrates firings across speeds.  *horizon* is in seconds; a negative one
-    raises :class:`ValueError`.
+    platform processor), exact fractions when no grid exists.  A remainder
+    a migration rescales between two ticks is posted as an exact fractional
+    tick count.  *horizon* is in seconds; a negative one raises
+    :class:`ValueError`.
 
     ``fast_forward`` selects the steady-state detector
     (:mod:`repro.engine.steady_state`):

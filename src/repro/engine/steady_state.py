@@ -105,8 +105,8 @@ Refusals
 :func:`fast_forward_refusal` reports (as a :class:`RunWarning` with a
 stable ``warning_code``) why a configuration cannot fast-forward:
 speed-migrating preemptive platform policies (rescaled remainders are not
-closed under a tick grid -- the same reason their runs derive no tick
-base), fraction-mode queues (durations that admit no tick grid), and
+closed under a tick grid, so their instants may fall between ticks),
+fraction-mode queues (durations that admit no tick grid), and
 policies that do not expose ``steady_state_key()``.  Refused runs fall back silently to naive
 simulation.  The *value-exact qualification* (every stimulus
 ``value_periodic``, every used function ``jump_exact``) is checked by the

@@ -143,10 +143,14 @@ class PlatformPolicyBase:
     @property
     def migrates_across_speeds(self) -> bool:
         """True when a suspended firing may resume on a different-speed
-        processor.  Rescaled remainders (``remaining * s1 / s2``) are not
-        closed under any finite tick grid, so the time-base derivation
-        (``ExecutionEngine.derive_time_base``) keeps exact fractions for
-        such policies."""
+        processor.  A rescaled remainder (``remaining * s1 / s2``) is closed
+        under no finite tick grid: the run keeps its derived grid and the
+        engine posts an instant that falls between two ticks as an exact
+        fractional tick count (``ExecutionEngine._resume``), whether or not
+        the policy declares it.  The declaration makes
+        ``RunResult.time_base`` read ``"fraction"`` (instants may fall
+        between ticks and are carried as exact fractions) and refuses
+        steady-state fast-forward (``speed-migrating-policy``)."""
         return False
 
     def bind(self, tasks: Sequence["RuntimeTask"]) -> None:
@@ -349,10 +353,12 @@ class FixedPriorityPreemptive(PlatformPolicyBase):
     firing may itself preempt a lower-priority one to resume.
 
     On heterogeneous platforms a migrated resume rescales the remaining
-    work by the speed ratio.  Rescaled remainders are not representable on
-    any finite tick grid in general, so on multi-speed platforms this
-    policy reports :attr:`migrates_across_speeds` and its runs derive no
-    tick base: they run on exact fractions (observationally identical).
+    work by the speed ratio.  A rescaled remainder need not be a whole
+    number of ticks, so on multi-speed platforms this policy reports
+    :attr:`migrates_across_speeds`.  Its runs still derive the tick grid;
+    only the instants a migration pushes between two ticks are exact
+    fractional tick counts (observationally identical to a run on
+    fractions), and ``RunResult.time_base`` reads ``"fraction"``.
     """
 
     def __init__(

@@ -12,21 +12,29 @@ queue supports two exact representations of time:
   :class:`~fractions.Fraction` seconds -- the original representation, always
   applicable,
 * **tick mode** (a :class:`~repro.util.rational.TimeBase` attached):
-  timestamps are integer tick counts of the base's resolution.  The heap then
+  timestamps are tick counts of the base's resolution.  The heap then
   orders plain ``(int, int)`` pairs, which is several times cheaper than
   ordering fractions -- the dominant per-event cost on dispatch-bound
   workloads -- while remaining exact: tick counts round-trip to the very same
   rationals via :meth:`EventQueue.to_time` / :attr:`EventQueue.now_time`.
+  Every duration the engine and drivers schedule with lies on the grid, so
+  almost every timestamp is an ``int``; only an instant a speed-migrating
+  resume pushes between two ticks (a remainder rescaled by a speed ratio)
+  is an exact :class:`~fractions.Fraction` tick count, and so are the
+  instants that follow from it.
 
-``now`` and all values passed to :meth:`EventQueue.schedule` are in the
-queue's *native units*: integer ticks in tick mode, rational seconds in
-fraction mode.  Rational inputs are accepted in tick mode too and converted
-exactly (:class:`~repro.util.rational.TimeBaseError` if off the grid); run
-horizons are converted by flooring, which is lossless for event processing
-because every event lies on the grid.  ``now`` stays on the grid too (event
-order needs it), so a run that ends between two ticks keeps its exact end
-instant aside: :attr:`EventQueue.now_time` reports it, as a fraction-mode
-queue would.
+``now`` and the times :meth:`EventQueue.post` takes are in the queue's
+*native units*: ticks (ints, or fractional ticks) in tick mode, rational
+seconds in fraction mode.  :meth:`EventQueue.schedule` is the converting
+entry: an ``int`` is ticks and any other rational is seconds, converted
+exactly (:class:`~repro.util.rational.TimeBaseError` if off the grid) --
+a :class:`~fractions.Fraction` argument could otherwise mean either.  Run
+horizons are converted by flooring, and the few fractional-tick events
+between that floor and an off-grid end still run, so a run processes
+exactly the events a fraction-mode queue would.  An ``int`` ``now`` stays
+on the grid (event order needs it), so a run that ends between two ticks
+keeps its exact end instant aside: :attr:`EventQueue.now_time` reports it,
+as a fraction-mode queue would.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ from repro.util.rational import Rat, TimeBase, as_rational
 
 EventCallback = Callable[[], None]
 
-#: A timestamp in the queue's native units: ticks (int) or seconds (Fraction).
+#: A timestamp in the queue's native units: ticks (an int, or a Fraction
+#: between two ticks) or seconds (Fraction).
 InternalTime = Union[int, Rat]
 
 
@@ -77,8 +86,8 @@ class EventQueue:
         self.now: InternalTime = 0 if timebase is not None else Fraction(0)
         self.processed = 0
         self._cancelled_pending = 0
-        #: tick mode: the grid point an exhausted :meth:`run_until` left
-        #: ``now`` on, and the exact instant that run reached past it;
+        #: tick mode: the tick an exhausted :meth:`run_until` left ``now``
+        #: on, and the exact instant that run reached past it;
         #: :attr:`now_time` reports the instant while ``now`` is that tick
         self._end_tick: InternalTime = -1
         self._end_time: Rat = Fraction(0)
@@ -120,17 +129,12 @@ class EventQueue:
         return tb.to_time(self.now)
 
     # ------------------------------------------------------------- scheduling
-    def schedule(self, time, callback: EventCallback, *, label: str = "") -> Event:
-        """Schedule *callback* at absolute *time* (must not be in the past).
-
-        *time* is in native units; rational values are converted exactly in
-        tick mode.
-        """
-        if self.timebase is not None:
-            if not isinstance(time, int):
-                time = self.timebase.to_ticks(as_rational(time))
-        else:
-            time = as_rational(time)
+    def post(self, time: InternalTime, callback: EventCallback, label: str = "") -> Event:
+        """Post *callback* at absolute *time* in native units, unconverted
+        (must not be in the past): ticks -- an ``int``, or an exact
+        :class:`~fractions.Fraction` tick count between two grid points --
+        in tick mode, rational seconds in fraction mode.  The engine and the
+        drivers post the native times they compute."""
         if time < self.now:
             raise ValueError(f"cannot schedule event at {time} before current time {self.now}")
         sequence = next(self._counter)
@@ -138,10 +142,21 @@ class EventQueue:
         heapq.heappush(self._heap, (time, sequence, event))
         return event
 
+    def schedule(self, time, callback: EventCallback, *, label: str = "") -> Event:
+        """Schedule *callback* at absolute *time* (must not be in the past).
+
+        An ``int`` is native units (ticks in tick mode); any other rational
+        is seconds, converted exactly in tick mode
+        (:class:`~repro.util.rational.TimeBaseError` off the grid).  Native
+        fractional ticks go through :meth:`post`.
+        """
+        return self.post(self.to_internal(time), callback, label)
+
     def schedule_after(self, delay, callback: EventCallback, *, label: str = "") -> Event:
-        """Schedule *callback* ``delay`` (native units) after the current
-        time."""
-        return self.schedule(self.now + self.to_internal(delay), callback, label=label)
+        """Schedule *callback* ``delay`` after the current time (an ``int``
+        is native units, any other rational seconds, as in
+        :meth:`schedule`)."""
+        return self.post(self.now + self.to_internal(delay), callback, label)
 
     def shift_pending(self, shift: InternalTime) -> None:
         """Advance ``now`` *and* every pending event by ``shift`` native
@@ -221,26 +236,30 @@ class EventQueue:
         short by ``max_events`` or ``stop`` leaves ``now`` at the last
         processed event so execution can resume seamlessly.
 
-        In tick mode a rational *end_time* is floored to the tick grid, which
-        processes exactly the same events (they all lie on the grid); ``now``
-        then fast-forwards to that last grid point, and :attr:`now_time`
-        reports the requested instant.
+        In tick mode a rational *end_time* is floored to the tick grid, and
+        the fractional-tick events between that floor and the exact end
+        still run, so the same events are processed as in fraction mode;
+        ``now`` then fast-forwards to the last grid point (unless such an
+        event left it past it), and :attr:`now_time` reports the requested
+        instant.
         """
         tb = self.timebase
         if tb is not None:
             if isinstance(end_time, int):
                 exact_end = tb.to_time(end_time)
+                limit = end_time
             else:
                 exact_end = as_rational(end_time)
                 end_time = tb.ticks_floor(exact_end)
+                limit = exact_end / tb.resolution
         else:
-            end_time = as_rational(end_time)
+            end_time = limit = as_rational(end_time)
         cut_short = False
         heap = self._heap
         pop = heapq.heappop
         while heap:
             time, _, event = heap[0]
-            if time > end_time:
+            if time > end_time and time > limit:
                 break
             pop(heap)
             if event.cancelled:

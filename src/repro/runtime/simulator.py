@@ -225,7 +225,9 @@ class Simulation:
     queue on integer ticks covering every driver period and offset and every
     (speed-scaled) response time, or on exact :class:`~fractions.Fraction`
     timestamps when no such grid exists.  :attr:`time_base` reports which.
-    Both representations give bit-identical traces.
+    A policy that migrates firings across speeds gets the grid too; the
+    instants its rescaled remainders push between two ticks are exact
+    fractional tick counts.  Both representations give bit-identical traces.
     """
 
     def __init__(
@@ -308,9 +310,11 @@ class Simulation:
         for instance in self.instances:
             instance.apply_activation()
 
-        #: the integer-tick base the queue runs on, or ``None`` in fraction
-        #: mode; derived once the instantiated program's durations are known
-        #: and before any event is scheduled
+        #: the tick grid the queue runs on, or ``None`` in fraction mode
+        #: (only when no grid exists); derived once the instantiated
+        #: program's durations are known and before any event is scheduled.
+        #: Under a speed-migrating policy some instants fall between ticks
+        #: and are exact fractional tick counts on this grid.
         self.time_base: Optional[TimeBase] = self.engine.derive_time_base(
             self._driver_durations()
         )

@@ -19,7 +19,10 @@ FIFO semantics.  The runtime drivers implemented here:
 Both drivers convert their period (and offsets) into the event queue's native
 time units and bind their buffer window once, at :meth:`start`: on a
 tick-based queue the per-period hot path then only adds integers and checks
-the window against the buffer's current floors.  Trace timestamps are
+the window against the buffer's current floors.  They post native times
+(:meth:`~repro.runtime.events.EventQueue.post`): a delayed-start sink that
+a completion between two ticks starts (a speed-migrating resume) keeps that
+fractional-tick phase exactly.  Trace timestamps are
 handed over in the same native units (``queue.now``); the
 :class:`~repro.runtime.trace.TraceRecorder` converts them to exact rational
 seconds only when they are read.  A source's buffer keeps its own
@@ -350,7 +353,7 @@ class SourceDriver:
         queue = self.queue
         self._period_i = queue.to_internal(self.period)
         self._label = f"source:{self.name}"
-        queue.schedule(queue.to_internal(self.start_offset), self._tick, label=self._label)
+        queue.post(queue.to_internal(self.start_offset), self._tick, self._label)
 
     def _tick(self) -> None:
         queue = self.queue
@@ -377,7 +380,7 @@ class SourceDriver:
                 if trace.violations_enabled
                 else "",
             )
-        queue.schedule(queue.now + self._period_i, self._tick, label=self._label)
+        queue.post(queue.now + self._period_i, self._tick, self._label)
 
 
 @dataclass
@@ -415,7 +418,7 @@ class SinkDriver:
         self._label = f"sink:{self.name}"
         if self.start_time is not None:
             self.started = True
-            queue.schedule(queue.to_internal(self.start_time), self._tick, label=self._label)
+            queue.post(queue.to_internal(self.start_time), self._tick, self._label)
         else:
             # Delayed-start sinks phase in half a period after data arrives;
             # converted here so the time base must cover the half period too.
@@ -435,7 +438,7 @@ class SinkDriver:
         if self.buffer.can_consume_window(self._window, 1):
             self.started = True
             queue = self.queue
-            queue.schedule(queue.now + self._half_period_i, self._tick, label=self._label)
+            queue.post(queue.now + self._half_period_i, self._tick, self._label)
 
     def _tick(self) -> None:
         queue = self.queue
@@ -457,4 +460,4 @@ class SinkDriver:
                 queue.now,
                 f"buffer {buffer.name!r} empty" if trace.violations_enabled else "",
             )
-        queue.schedule(queue.now + self._period_i, self._tick, label=self._label)
+        queue.post(queue.now + self._period_i, self._tick, self._label)

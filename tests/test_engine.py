@@ -265,22 +265,27 @@ class TestDispatcherEquivalence:
 
 
 @st.composite
+def fleet_shapes(draw):
+    """A fleet factory: a ring of the shapes ``generated_rings`` draws, or a
+    fork-join diamond of width 1-6."""
+    if draw(st.booleans()):
+        task_count, shape, _, _ = draw(generated_rings())
+        return functools.partial(ring_program, task_count, **shape)
+    return functools.partial(
+        fork_join_program,
+        draw(st.integers(1, 6)),
+        worker_wcet=Fraction(draw(st.integers(1, 5)), 1000),
+        overhead_wcet=Fraction(draw(st.integers(1, 3)), 1000),
+    )
+
+
+@st.composite
 def generated_fleets(draw):
-    """A fleet builder and a policy factory: a ring of the shapes
-    ``generated_rings`` draws, or a fork-join diamond of width 1-6, under
+    """A fleet factory (``fleet_shapes``) and a policy factory:
     ``SelfTimedUnbounded``, ``BoundedProcessors(n)``, or
     ``ListScheduledPlatform`` / ``PartitionedHeterogeneous`` on 1-3
     processors of speeds 1 and 2 (homogeneous or mixed)."""
-    if draw(st.booleans()):
-        task_count, shape, _, _ = draw(generated_rings())
-        build = functools.partial(ring_program, task_count, **shape)
-    else:
-        build = functools.partial(
-            fork_join_program,
-            draw(st.integers(1, 6)),
-            worker_wcet=Fraction(draw(st.integers(1, 5)), 1000),
-            overhead_wcet=Fraction(draw(st.integers(1, 3)), 1000),
-        )
+    build = draw(fleet_shapes())
     family = draw(st.sampled_from(["self-timed", "bounded", "list-scheduled", "partitioned"]))
     processors = draw(st.integers(1, 3))
     if family == "self-timed":

@@ -374,21 +374,32 @@ class TestFixedPriorityPreemption:
         assert first["fp:l2"] == (Fraction(0), Fraction(13))
         assert engine.preemptions == 1 and engine.resumes == 1
 
-    def test_auto_time_base_falls_back_to_fractions_for_migrating_policies(self):
-        """A remainder accrued at speed s1 and resumed at s2 is not closed
-        under any tick grid, so the derived time base must keep exact
-        fractions for a preemptive policy on a multi-speed platform instead
-        of crashing mid-simulation with a TimeBaseError."""
+    def test_migrating_policy_runs_on_the_derived_grid(self):
+        """A remainder accrued at speed s1 and resumed at s2 need not be a
+        whole number of ticks.  The run still derives the gcd grid of the
+        wcets and every ``wcet / speed``, and posts such a completion at an
+        exact fractional tick -- only that instant, and those that follow
+        from it, leave the grid."""
         policy = FixedPriorityPreemptive(Platform.heterogeneous([2, 3]))
         assert policy.migrates_across_speeds
         run = run_tasks(
-            ring_program(10, tokens=5, wcet=Fraction(1), stagger=3),
+            ring_program(8, tokens=5, wcet=Fraction(1), stagger=3),
             policy=policy,
             stop_after_firings=60,
         )
-        assert run.queue.timebase is None  # fraction mode chosen
+        resolution = run.queue.timebase.resolution
+        assert resolution == Fraction(1, 6)  # wcets 1-3 s at speeds 2 and 3
         assert run.engine.completed_firings >= 60
-        # same-speed platforms keep the integer-tick fast path
+        assert run.engine.resumes > 0
+        # t3 (1 s of work) starts at 1/2 s (tick 3) on the speed-2 p0, is
+        # preempted at tick 4 and resumes at tick 8 on the speed-3 p1: the 2
+        # ticks owed at speed 2 are 4/3 ticks at speed 3, so it completes
+        # at tick 28/3, 14/9 s.
+        firings = [(f.task, f.start, f.end) for f in run.trace.firings]
+        assert ("ring:t3", Fraction(1, 2), Fraction(14, 9)) in firings
+        off_grid = [end for _, _, end in firings if (end / resolution).denominator > 1]
+        assert 0 < len(off_grid) < len(firings)
+        # same-speed platforms never leave the grid
         homogeneous = FixedPriorityPreemptive(Platform.homogeneous(2))
         assert not homogeneous.migrates_across_speeds
         ticked = run_tasks(
@@ -397,6 +408,30 @@ class TestFixedPriorityPreemption:
             stop_after_firings=60,
         )
         assert ticked.queue.timebase is not None
+        assert all(
+            (firing.end / ticked.queue.timebase.resolution).denominator == 1
+            for firing in ticked.trace.firings
+        )
+
+    def test_undeclared_migration_runs(self):
+        """A policy that resumes firings across speeds without declaring
+        :attr:`migrates_across_speeds` runs like the declared one: its
+        off-grid remainders are fractional ticks too, not a
+        ``TimeBaseError`` (19/320000 s is not a multiple of 1/160000 s)."""
+
+        class Undeclared(FixedPriorityPreemptive):
+            @property
+            def migrates_across_speeds(self):
+                return False
+
+        analysis = Program.from_app("pal_decoder", utilisation=0.8).analyze()
+        platform = Platform.heterogeneous([2, 1])
+        run = analysis.run(Fraction(1, 8), scheduler=Undeclared(platform))
+        declared = analysis.run(Fraction(1, 8), scheduler=FixedPriorityPreemptive(platform))
+        assert run.simulation.queue.now_time == Fraction(1, 8)
+        assert (run.metrics()["preemptions"], run.deadline_misses) == (803, 370)
+        assert (declared.metrics()["preemptions"], declared.deadline_misses) == (803, 370)
+        assert run.trace.firings == declared.trace.firings
 
     def test_busy_time_includes_segment_cut_by_the_horizon(self):
         """A firing still running when the horizon ends the run must count

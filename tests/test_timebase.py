@@ -7,13 +7,19 @@ through the tick count to the exact :class:`~fractions.Fraction` the
 fraction queue would have computed.  Tick mode may only change how fast the
 queue compares timestamps, never what they are.  Every run derives its time
 base; the fraction reference runs inside ``timebase_oracle.fraction_time_base``.
+A policy that migrates firings across speeds runs on the same grid and
+carries the instants a rescaled remainder pushes between two ticks as exact
+fractional tick counts; it is held to the same oracle.
 """
 
+import functools
 import inspect
 import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st, target
+from test_engine import fleet_shapes
 from timebase_oracle import fraction_time_base
 
 from repro.api import Analysis, Program, ProgramSpec, Sweep
@@ -21,7 +27,7 @@ from repro.api.sweep import RUN_AXES
 from repro.engine import ring_program, run_tasks
 from repro.engine.steady_state import SteadyState
 from repro.platform import Platform
-from repro.platform.policies import ListScheduledPlatform
+from repro.platform.policies import FixedPriorityPreemptive, ListScheduledPlatform
 from repro.runtime.events import EventQueue
 from repro.runtime.simulator import Simulation
 from repro.runtime.trace import TRACE_LEVELS
@@ -48,10 +54,10 @@ def assert_measurements_identical(a, b, simulation):
         assert a.task_throughput(task._key) == b.task_throughput(task._key)
 
 
-def assert_runs_identical(tick_run, fraction_run):
-    """Everything a run reports, except which representation ran."""
-    assert tick_run.time_base == "ticks"
-    assert fraction_run.time_base == "fraction"
+def assert_runs_identical(tick_run, fraction_run, *, time_base="ticks"):
+    """Everything a run reports.  The derived run reports *time_base*:
+    ``"ticks"``, or ``"fraction"`` under a speed-migrating policy, whose
+    instants may fall between ticks; the oracle reads ``"fraction"``."""
     assert_traces_identical(tick_run.trace, fraction_run.trace)
     assert_measurements_identical(tick_run.trace, fraction_run.trace, tick_run.simulation)
     assert tick_run.summary() == fraction_run.summary()
@@ -62,7 +68,8 @@ def assert_runs_identical(tick_run, fraction_run):
     assert tick_run.simulation.queue.now_time == fraction_run.simulation.queue.now_time
     assert tick_run.processor_busy == fraction_run.processor_busy
     tick_metrics, fraction_metrics = tick_run.metrics(), fraction_run.metrics()
-    del tick_metrics["time_base"], fraction_metrics["time_base"]
+    assert tick_run.time_base == tick_metrics.pop("time_base") == time_base
+    assert fraction_run.time_base == fraction_metrics.pop("time_base") == "fraction"
     if tick_run.fast_forwarded:
         # The detector keys on ticks and refuses the fraction queue
         # ("fraction-time-base"); the jump itself is exact, so only the
@@ -202,6 +209,40 @@ class TestTickEventQueue:
         queue.run_until(Fraction(1))
         assert seen == [3, 5]
 
+    def test_post_takes_native_fractional_ticks(self):
+        # schedule reads a Fraction as seconds; post takes native units,
+        # so a tick count between two grid points keeps its meaning.
+        queue = EventQueue(TimeBase(Fraction(1, 1000)))
+        seen = []
+        queue.post(Fraction(7, 2), lambda: seen.append(queue.now_time))
+        queue.post(3, lambda: seen.append(queue.now_time))
+        queue.run_until(Fraction(1))
+        assert seen == [Fraction(3, 1000), Fraction(7, 2000)]
+        with pytest.raises(ValueError, match="before current time"):
+            queue.post(Fraction(7, 2), lambda: None)
+
+    def test_fractional_ticks_before_an_off_grid_end_still_run(self):
+        # 1/3 s floors to tick 333 of a 1/1000 s grid.  The event at tick
+        # 333.2 lies before the exact end and runs; the one at 333.4 waits
+        # for the next run -- as on the fraction queue.
+        runs = []
+        for queue, one_tick in (
+            (EventQueue(), Fraction(1, 1000)),
+            (EventQueue(TimeBase(Fraction(1, 1000))), 1),
+        ):
+            seen = []
+            for ticks in (Fraction(3332, 10), Fraction(3334, 10)):
+                queue.post(ticks * one_tick, lambda q=queue: seen.append(q.now_time))
+            queue.run_until(Fraction(1, 3))
+            first = (list(seen), queue.now_time)
+            queue.run_until(Fraction(1, 2))
+            runs.append((first, seen, queue.now_time))
+        assert runs[0] == runs[1] == (
+            ([Fraction(3332, 10_000)], Fraction(1, 3)),
+            [Fraction(3332, 10_000), Fraction(3334, 10_000)],
+            Fraction(1, 2),
+        )
+
 
 # ---------------------------------------------------------------------------
 # Round-trip exactness on incommensurable periodic chains (property-style)
@@ -260,6 +301,15 @@ APP_CASES = [
 ]
 
 
+@functools.lru_cache(maxsize=2)
+def _pal_analysis(utilisation):
+    return Program.from_app("pal_decoder", utilisation=utilisation).analyze()
+
+
+def _migrating_policy():
+    return FixedPriorityPreemptive(Platform.heterogeneous([2, 1]))
+
+
 def tick_and_fraction_runs(analysis, duration, **kwargs):
     tick_run = analysis.run(duration, **kwargs)
     with fraction_time_base():
@@ -305,6 +355,36 @@ class TestSimulationEquivalence:
             assert tick_run.metrics()["util[p0]"] == 0.9382
             assert tick_run.metrics()["util[p1]"] == 0.93435625
 
+    @pytest.mark.parametrize("utilisation", [0.5, 0.8])
+    @pytest.mark.parametrize(
+        "duration", [Fraction(1, 8), Fraction(1, 3), Fraction(1, 2)], ids=str
+    )
+    def test_speed_migrating_preemption(self, utilisation, duration):
+        # FixedPriorityPreemptive on speeds [2, 1] resumes preempted firings
+        # across speeds.  The run keeps its grid and posts each remainder
+        # a migration rescales between two ticks as an exact fractional
+        # tick count: u=0.8's instants leave the grid from the start (tick
+        # denominators up to 16 by 1/8 s, 2,048 by 1/2 s), u=0.5's only
+        # after 1/3 s.  1/3 s also ends between two ticks.
+        analysis = _pal_analysis(utilisation)
+        tick_run = analysis.run(duration, scheduler=_migrating_policy())
+        with fraction_time_base():
+            fraction_run = analysis.run(duration, scheduler=_migrating_policy())
+        resolution = tick_run.simulation.time_base.resolution
+        assert resolution == {0.5: Fraction(1, 128_000), 0.8: Fraction(1, 160_000)}[utilisation]
+        assert tick_run.simulation.queue.now_time == duration
+        assert tick_run.metrics()["preemptions"] > 0
+        finest = max((firing.end / resolution).denominator for firing in tick_run.trace.firings)
+        assert finest == {
+            (0.5, Fraction(1, 8)): 1,
+            (0.5, Fraction(1, 3)): 1,
+            (0.5, Fraction(1, 2)): 4,
+            (0.8, Fraction(1, 8)): 16,
+            (0.8, Fraction(1, 3)): 16,
+            (0.8, Fraction(1, 2)): 2048,
+        }[utilisation, duration]
+        assert_runs_identical(tick_run, fraction_run, time_base="fraction")
+
     def test_full_rate_pal_clocks(self):
         # The paper's unscaled clocks: a 6.4 MHz RF source against 32 kHz
         # audio.  One video line of simulated time is enough to interleave
@@ -324,6 +404,43 @@ class TestSimulationEquivalence:
         assert_traces_identical(a.trace, b.trace)
         assert a.makespan == b.makespan
         assert a.queue.now_time == b.queue.now_time
+
+
+@st.composite
+def migrating_fleets(draw):
+    """A ``fleet_shapes`` fleet factory and a ``FixedPriorityPreemptive``
+    factory on 2-3 processors of mixed speeds drawn from {1, 2, 3}."""
+    build = draw(fleet_shapes())
+    speeds = draw(
+        st.lists(st.sampled_from([1, 2, 3]), min_size=2, max_size=3).filter(
+            lambda speeds: len(set(speeds)) > 1
+        )
+    )
+    return build, functools.partial(FixedPriorityPreemptive, Platform.heterogeneous(speeds))
+
+
+@given(migrating_fleets())
+@settings(max_examples=40, deadline=None)
+def test_speed_migrating_fleets_match_the_fraction_oracle(case):
+    build, make_policy = case
+    tick_run = run_tasks(build(), policy=make_policy(), stop_after_firings=400)
+    # Most drawn fleets never fill their processors; steer the search
+    # toward runs that preempt, where a resume may migrate off the grid.
+    target(float(tick_run.engine.preemptions))
+    with fraction_time_base():
+        fraction_run = run_tasks(build(), policy=make_policy(), stop_after_firings=400)
+    assert tick_run.queue.timebase is not None
+    assert fraction_run.queue.timebase is None
+    assert_traces_identical(tick_run.trace, fraction_run.trace)
+    assert tick_run.makespan == fraction_run.makespan
+    assert tick_run.queue.now_time == fraction_run.queue.now_time
+    assert tick_run.queue.processed == fraction_run.queue.processed
+    tick_engine, fraction_engine = tick_run.engine, fraction_run.engine
+    assert tick_engine.processor_busy_time == fraction_engine.processor_busy_time
+    assert (tick_engine.preemptions, tick_engine.resumes) == (
+        fraction_engine.preemptions,
+        fraction_engine.resumes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +523,16 @@ class TestDerivedTimeBase:
         ]
         assert len(callers) == 1 and callers[0].startswith("engine/dispatcher.py:"), callers
 
-    def test_speed_migrating_policy_derives_no_ticks(self):
-        from repro.platform.policies import FixedPriorityPreemptive
-
+    def test_speed_migrating_policy_reads_fraction_on_a_grid(self):
+        # A policy that migrates firings across speeds runs on the derived
+        # grid, but its instants may fall between ticks: it reads "fraction".
         run = Program.from_app("quickstart").analyze().run(
             Fraction(1, 50),
             scheduler=FixedPriorityPreemptive(Platform.heterogeneous([1, 2])),
         )
         assert run.time_base == "fraction"
+        assert run.simulation.time_base is not None
+        assert run.simulation.queue.timebase is run.simulation.time_base
         homogeneous = Program.from_app("quickstart").analyze().run(
             Fraction(1, 50), scheduler=FixedPriorityPreemptive(Platform.homogeneous(2))
         )
