@@ -1,4 +1,4 @@
-"""Dispatch throughput of the execution engine on a 200-task program.
+"""Dispatch throughput of the execution engine on a 200-module program.
 
 The seed simulator dispatched by brute force: every buffer change triggered a
 rescan of the whole task fleet (repeated to a fixpoint), and every
@@ -7,11 +7,13 @@ replaced both -- window floors kept current plus dependency-indexed ready-set
 dispatch -- and this microbenchmark records what that is worth on a
 dispatch-bound workload, so later changes can track engine throughput.
 
-Workload: a 200-task ring with 8 circulating tokens and staggered response
-times, i.e. (almost) every firing triggers its own dispatch round while ~192
-tasks are ineligible at any instant -- the regime where per-event dispatch
-cost dominates.  Tracing is off (the engine's configurable trace levels exist
-for exactly this).  Three configurations are measured:
+Workload: a 200-module OIL ring (``tests/oil_fleets.py``) with 8 circulating
+tokens and staggered response times, i.e. (almost) every firing triggers its
+own dispatch round while ~192 tasks are ineligible at any instant -- the
+regime where per-event dispatch cost dominates.  Tracing is off (the
+engine's configurable trace levels exist for exactly this), and only the run
+is timed: the simulation is compiled and built before the clock starts.
+Three configurations are measured:
 
 1. the seed-faithful reference: polling dispatch over buffers that recompute
    their window aggregates on every check,
@@ -33,14 +35,15 @@ import contextlib
 import os
 import sys
 import time
+from fractions import Fraction
 
 from _reporting import print_table
 
-from repro.engine import ring_program, run_tasks
+import repro.runtime.simulator as simulator_module
 from repro.graph.circular_buffer import CircularBuffer
-from repro.runtime.trace import TraceRecorder
 
 sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+import oil_fleets  # noqa: E402  (the printed engine fleets)
 from dispatch_oracle import polling_dispatch  # noqa: E402  (the one polling copy)
 
 #: BENCH_SMOKE=1 shrinks the workload and relaxes the floor so CI can run
@@ -51,10 +54,12 @@ TASK_COUNT = 200
 TOKENS = 8
 STAGGER = 7
 FIRINGS = 1000 if SMOKE else 4000
+#: the ring completes about two firings per simulated millisecond
+HORIZON = Fraction(FIRINGS, 2000)
 REPEATS = 1 if SMOKE else 3
 
 #: Acceptance floor: the engine must deliver at least this factor
-#: over the seed-equivalent execution layer on the 200-task program.
+#: over the seed-equivalent execution layer on the 200-module program.
 REQUIRED_SPEEDUP = 2.0 if SMOKE else 5.0
 
 
@@ -96,28 +101,38 @@ class SeedReferenceBuffer(CircularBuffer):
         pass
 
 
-def _events_per_second(buffer_factory, *, polling: bool = False) -> float:
-    """Best-of-N completed firings per wall-clock second."""
+@contextlib.contextmanager
+def _buffers(buffer_factory):
+    """Instantiate the simulator's buffers from *buffer_factory*."""
+    saved = simulator_module.CircularBuffer
+    simulator_module.CircularBuffer = buffer_factory
+    try:
+        yield
+    finally:
+        simulator_module.CircularBuffer = saved
+
+
+def _events_per_second(ring, buffer_factory, *, polling: bool = False) -> float:
+    """Best-of-N completed firings per wall-clock second of the run."""
     best = 0.0
     for _ in range(REPEATS):
-        tasks = ring_program(
-            TASK_COUNT, tokens=TOKENS, stagger=STAGGER, buffer_factory=buffer_factory
-        )
+        with _buffers(buffer_factory):
+            simulation = ring.simulation(trace="off", fast_forward=False)
         with polling_dispatch() if polling else contextlib.nullcontext():
             started = time.perf_counter()
-            run = run_tasks(
-                tasks, stop_after_firings=FIRINGS, trace=TraceRecorder(level="off")
-            )
+            simulation.run(HORIZON)
             elapsed = time.perf_counter() - started
-        assert run.engine.completed_firings >= FIRINGS
-        best = max(best, run.engine.completed_firings / elapsed)
+        completed = simulation.engine.completed_firings
+        assert completed >= FIRINGS
+        best = max(best, completed / elapsed)
     return best
 
 
 def test_engine_dispatch_throughput():
-    seed_rate = _events_per_second(SeedReferenceBuffer, polling=True)
-    polling_rate = _events_per_second(CircularBuffer, polling=True)
-    engine_rate = _events_per_second(CircularBuffer)
+    ring = oil_fleets.ring(TASK_COUNT, tokens=TOKENS, stagger=STAGGER)
+    seed_rate = _events_per_second(ring, SeedReferenceBuffer, polling=True)
+    polling_rate = _events_per_second(ring, CircularBuffer, polling=True)
+    engine_rate = _events_per_second(ring, CircularBuffer)
 
     rows = [
         ["polling + uncached windows (seed)", f"{seed_rate:,.0f}", "1.0x"],
@@ -125,7 +140,7 @@ def test_engine_dispatch_throughput():
         ["engine (ready set + bound windows)", f"{engine_rate:,.0f}", f"{engine_rate / seed_rate:.1f}x"],
     ]
     print_table(
-        f"Engine dispatch throughput ({TASK_COUNT}-task ring, {FIRINGS} firings, tracing off)",
+        f"Engine dispatch throughput ({TASK_COUNT}-module ring, {FIRINGS}+ firings, tracing off)",
         ["configuration", "events/s", "speedup"],
         rows,
     )

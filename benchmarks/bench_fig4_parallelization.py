@@ -7,20 +7,28 @@ guarded, and the variable ``y`` becomes a circular buffer with two producers
 and one consumer (Fig. 4b).
 
 The second experiment quantifies what the parallelization is *for*: the
-extracted parallelism executed on a bounded number of processors.  The
-scheduler engine's ``BoundedProcessors(n)`` policy list-schedules a wide
-fork/join workload on n processors; the processor-count grid runs through
-the facade's sweep machinery (``repro.api.Sweep.from_callable``) and the
-aggregated makespans yield the speedup-vs-cores curve of the Fig. 4
-scenario axis.
+extracted parallelism executed on a bounded number of processors.  An OIL
+fork/join program (``tests/oil_fleets.py``: a split, eight calls of one
+``Work`` module, a join) runs under the scheduler engine's
+``BoundedProcessors(n)`` policy, which list-schedules its extracted tasks on
+n processors.  The processor-count grid runs through the facade's sweep
+machinery (``repro.api.Sweep.from_callable``: the capacities of a fork/join
+are given, not sized) and the firings each point completes over a fixed
+horizon yield the speedup-vs-cores curve of the Fig. 4 scenario axis.
 """
+
+import os
+import sys
 
 from _reporting import print_table
 
 from repro.api import Sweep
-from repro.engine import BoundedProcessors, fork_join_program, run_tasks
+from repro.engine import BoundedProcessors
 from repro.graph import extract_task_graph, task_graph_to_sdf, static_order_schedule
 from repro.lang import parse_module
+
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+import oil_fleets  # noqa: E402  (the printed engine fleets)
 
 FIG4_SOURCE = """
 mod seq M(out int x, int s){
@@ -69,42 +77,38 @@ def test_fig4_bounded_processor_speedup(benchmark):
     swept over the processor grid through the facade's sweep machinery."""
     width = 8
     rounds = 25
-    firings = rounds * (width + 2)  # split + workers + join per round
+    # one processor needs a worker second per worker and round
+    horizon = rounds * width + 1
+    fleet = oil_fleets.fork_join(width)
 
-    def makespan(processors: int):
-        run = run_tasks(
-            fork_join_program(width),
-            policy=BoundedProcessors(processors),
-            stop_after_firings=firings,
-        )
-        assert run.engine.completed_firings == firings
-        return run.makespan
+    def firings(processors: int) -> int:
+        run = fleet.run(horizon, scheduler=BoundedProcessors(processors), trace="off")
+        return run.completed_firings
 
     def point(processors: int):
-        return {"makespan": float(makespan(processors))}
+        return {"completed_firings": firings(processors)}
 
     report = (
         Sweep.from_callable(point, name="fig4 fork/join speedup")
         .add_axis("processors", [1, 2, 4, 8])
         .run()
     )
-    benchmark(makespan, 8)
+    benchmark(firings, 8)
 
     speedup = {
-        row["processors"]: row["speedup"] for row in report.speedup_table("makespan")
+        row["processors"]: row["speedup"]
+        for row in report.speedup_table("completed_firings")
     }
-    makespans = dict(zip(report.column("processors"), report.column("makespan")))
-    rows = [
-        [n, f"{makespans[n]:.3f} s", f"{speedup[n]:.2f}x"]
-        for n in sorted(makespans)
-    ]
+    completed = dict(zip(report.column("processors"), report.column("completed_firings")))
+    rows = [[n, completed[n], f"{speedup[n]:.2f}x"] for n in sorted(completed)]
     print_table(
-        f"Fig. 4 scenario axis: {width}-wide fork/join, {rounds} rounds, list scheduling",
-        ["processors", "makespan", "speedup"],
+        f"Fig. 4 scenario axis: {width}-wide OIL fork/join over {horizon} s, list scheduling",
+        ["processors", "firings", "speedup"],
         rows,
     )
 
     # The speedup curve must be monotone and approach the width.
     assert report.ok
-    assert makespans[1] >= makespans[2] >= makespans[4] >= makespans[8]
+    assert completed[1] >= rounds * (width + 2)  # split + workers + join per round
+    assert completed[1] <= completed[2] <= completed[4] <= completed[8]
     assert speedup[8] > 4

@@ -2,7 +2,7 @@
 
 Two questions the platform subsystem must keep answering cheaply:
 
-1. **What do platform decisions cost?**  On the 200-task synthetic ring
+1. **What do platform decisions cost?**  On the 200-module OIL ring
    (the dispatch-bound regime of ``bench_engine_dispatch``) we record
    events/s for ``BoundedProcessors`` (list scheduling on anonymous
    processors), ``ListScheduledPlatform`` on the same processors described
@@ -11,8 +11,9 @@ Two questions the platform subsystem must keep answering cheaply:
    ``FixedPriorityPreemptive`` (suspend/resume with completion events
    cancelled and re-posted).  Every policy runs the engine's one dispatch
    loop.  The floors are deliberately relaxed -- they only trip when a
-   policy degenerates pathologically, not on shared-runner jitter -- and
-   each timed run starts from a fresh garbage collection, so a collection
+   policy degenerates pathologically, not on shared-runner jitter.  Only
+   the run is timed (the simulation is built first), and each timed run
+   starts from a fresh garbage collection, so a collection
    of what earlier benchmarks left on the heap does not land inside a
    run that lasts milliseconds under ``BENCH_SMOKE=1``.
 
@@ -31,19 +32,22 @@ from __future__ import annotations
 
 import gc
 import os
+import sys
 import time
 from fractions import Fraction
 
 from _reporting import print_table
 
 from repro.api import Sweep
-from repro.engine import BoundedProcessors, ring_program, run_tasks
+from repro.engine import BoundedProcessors
 from repro.platform import (
     FixedPriorityPreemptive,
     ListScheduledPlatform,
     Platform,
 )
-from repro.runtime.trace import TraceRecorder
+
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+import oil_fleets  # noqa: E402  (the printed engine fleets)
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
@@ -52,6 +56,8 @@ TOKENS = 8
 STAGGER = 7
 PROCESSORS = 4  # fewer processors than tokens: contention, hence preemption
 FIRINGS = 1000 if SMOKE else 4000
+#: four processors complete about one firing per simulated millisecond
+HORIZON = Fraction(FIRINGS, 1000)
 REPEATS = 1 if SMOKE else 3
 
 #: Relaxed floors: the described platform and the preemptive policy must
@@ -67,42 +73,40 @@ SLOW_COUNTS = (1, 2, 4) if SMOKE else (1, 2, 4, 8)
 PAL_DURATION = Fraction(1, 10) if SMOKE else Fraction(1, 4)
 
 
-def _events_per_second(policy_factory) -> float:
-    """Best-of-N completed firings per wall-clock second on the ring."""
+def _events_per_second(ring, policy_factory) -> float:
+    """Best-of-N completed firings per wall-clock second of the ring's run."""
     best = 0.0
     for _ in range(REPEATS):
-        tasks = ring_program(TASK_COUNT, tokens=TOKENS, stagger=STAGGER)
-        policy = policy_factory()
+        simulation = ring.simulation(
+            scheduler=policy_factory(), trace="off", fast_forward=False
+        )
         gc.collect()
         started = time.perf_counter()
-        run = run_tasks(
-            tasks,
-            policy=policy,
-            stop_after_firings=FIRINGS,
-            trace=TraceRecorder(level="off"),
-        )
+        simulation.run(HORIZON)
         elapsed = time.perf_counter() - started
-        assert run.engine.completed_firings >= FIRINGS
-        best = max(best, run.engine.completed_firings / elapsed)
+        completed = simulation.engine.completed_firings
+        assert completed >= FIRINGS
+        best = max(best, completed / elapsed)
     return best
 
 
 def test_platform_dispatch_throughput():
-    bounded_rate = _events_per_second(lambda: BoundedProcessors(PROCESSORS))
+    ring = oil_fleets.ring(TASK_COUNT, tokens=TOKENS, stagger=STAGGER)
+    bounded_rate = _events_per_second(ring, lambda: BoundedProcessors(PROCESSORS))
     platform_rate = _events_per_second(
-        lambda: ListScheduledPlatform(Platform.homogeneous(PROCESSORS))
+        ring, lambda: ListScheduledPlatform(Platform.homogeneous(PROCESSORS))
     )
     preemptive_rate = _events_per_second(
-        lambda: FixedPriorityPreemptive(Platform.homogeneous(PROCESSORS))
+        ring, lambda: FixedPriorityPreemptive(Platform.homogeneous(PROCESSORS))
     )
     # sanity: the preemptive run must actually preempt on this workload
-    probe = run_tasks(
-        ring_program(TASK_COUNT, tokens=TOKENS, stagger=STAGGER),
-        policy=FixedPriorityPreemptive(Platform.homogeneous(PROCESSORS)),
-        stop_after_firings=FIRINGS // 2,
-        trace=TraceRecorder(level="off"),
+    probe = ring.run(
+        HORIZON / 2,
+        scheduler=FixedPriorityPreemptive(Platform.homogeneous(PROCESSORS)),
+        trace="off",
+        fast_forward=False,
     )
-    assert probe.engine.preemptions > 0
+    assert probe.preemptions > 0
 
     rows = [
         ["BoundedProcessors (anonymous processors)", f"{bounded_rate:,.0f}", "1.00x"],
@@ -118,8 +122,8 @@ def test_platform_dispatch_throughput():
         ],
     ]
     print_table(
-        f"platform dispatch, {TASK_COUNT}-task ring on {PROCESSORS} processors "
-        f"({FIRINGS} firings, preemptions={probe.engine.preemptions})",
+        f"platform dispatch, {TASK_COUNT}-module ring on {PROCESSORS} processors "
+        f"({FIRINGS}+ firings, preemptions={probe.preemptions})",
         ("configuration", "events/sec", "vs bounded"),
         rows,
     )

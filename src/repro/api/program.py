@@ -539,13 +539,17 @@ class RunResult:
     def time_base(self) -> str:
         """Time representation the run executed with: ``"ticks"`` (integer
         tick counts, converted back to exact rationals at this surface) or
-        ``"fraction"``: no tick grid exists, or the policy
+        ``"fraction"``: no tick grid exists, or instants may fall between
+        ticks and are carried as exact fractions -- the policy
         :attr:`~repro.platform.policies.PlatformPolicyBase.migrates_across_speeds`,
-        so instants may fall between ticks and are carried as exact
-        fractions."""
+        or a resume did post a completion between two ticks
+        (:attr:`~repro.engine.dispatcher.ExecutionEngine.off_grid`)."""
         simulation = self.simulation
-        if simulation.time_base is None or getattr(
-            simulation.engine.policy, "migrates_across_speeds", False
+        engine = simulation.engine
+        if (
+            simulation.time_base is None
+            or engine.off_grid
+            or getattr(engine.policy, "migrates_across_speeds", False)
         ):
             return "fraction"
         return "ticks"

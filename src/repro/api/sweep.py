@@ -56,10 +56,11 @@ compiling anything, and every ok row is stored the moment its point
 completes, so a sweep killed mid-run resumes by running again on the same
 store (see :mod:`repro.service`).
 
-Engine-level scenarios that have no OIL program (synthetic task fleets,
-scheduler experiments) use :meth:`Sweep.from_callable`, which runs an
-arbitrary ``params -> metrics-mapping`` function over the same grid
-machinery -- the Fig. 4 benchmark sweeps ``fork_join_program`` this way.
+Scenarios a program sweep cannot express use :meth:`Sweep.from_callable`,
+which runs an arbitrary ``params -> metrics-mapping`` function over the same
+grid machinery.  ``Sweep(program=...)`` sizes every program's buffers, so
+the Fig. 4 benchmark sweeps its OIL fork/join -- whose capacities are given,
+since the analysis cannot size them -- this way.
 
 Example::
 
@@ -544,8 +545,8 @@ class Sweep:
         name: str = "sweep",
     ) -> "Sweep":
         """A sweep whose points call ``runner(**params)`` and aggregate the
-        returned metric mapping -- for engine-level scenarios (synthetic task
-        fleets, scheduler experiments) that have no OIL program."""
+        returned metric mapping -- for scenarios a program sweep cannot
+        express, such as runs on given rather than analysed capacities."""
         sweep = cls(name=name, base=base, grid=grid)
         sweep._runner = runner
         return sweep

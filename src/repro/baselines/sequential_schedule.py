@@ -104,21 +104,29 @@ def generate_sequential_program(graph: SDFGraph) -> SequentialProgram:
     )
 
 
+def _called_function(task) -> str:
+    """Schedule key of an actor's task: the function it calls.  A
+    module-level function, so the policy pickles for process sweeps."""
+    return task.task.function
+
+
 def static_order_policy(graph: SDFGraph, *, cyclic: bool = True) -> StaticOrder:
     """The explicit sequential schedule of *graph* as a scheduler policy.
 
-    Executing the graph's tasks under the returned
-    :class:`~repro.engine.policies.StaticOrder` policy (see
-    :func:`repro.engine.synthetic.tasks_from_sdf` and
-    :func:`repro.engine.dispatcher.run_tasks`) reproduces firing for firing
-    the program :func:`generate_sequential_program` renders -- the Fig. 2b
-    baseline as a plug-in of the engine instead of a parallel code path.
-    Raises ``ValueError`` when the graph deadlocks (no schedule exists).
+    Executing the graph written as an OIL program -- one module per actor,
+    calling the actor's function once per loop iteration, each edge a FIFO
+    and its initial tokens an ``init`` of the producer -- under the returned
+    :class:`~repro.engine.policies.StaticOrder` policy reproduces firing
+    for firing the program :func:`generate_sequential_program` renders: the
+    Fig. 2b baseline as a plug-in of the engine instead of a parallel code
+    path.  Tasks are matched by the function they call, so the one-shot
+    ``init`` firings stay outside the schedule.  Raises ``ValueError`` when
+    the graph deadlocks (no schedule exists).
     """
     deadlock = check_deadlock(graph)
     if not deadlock.deadlock_free:
         raise ValueError(f"graph {graph.name!r} deadlocks; no static-order policy exists")
-    return StaticOrder(deadlock.schedule, cyclic=cyclic)
+    return StaticOrder(deadlock.schedule, cyclic=cyclic, key=_called_function)
 
 
 def rate_conversion_graph(produce: int, consume: int, *, initial_factor: int = 2) -> SDFGraph:

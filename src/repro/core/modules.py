@@ -52,6 +52,9 @@ class DerivedInstance:
     warnings: List[str] = field(default_factory=list)
     #: for sequential modules: the task components (used by reports/tests)
     sequential: Optional[DerivedSequentialModule] = None
+    #: for parallel modules: the instance of each call, in call order; the
+    #: simulator names and sizes its runtime instances after them
+    calls: List["DerivedInstance"] = field(default_factory=list)
 
 
 class DerivationContext:
@@ -332,7 +335,11 @@ def build_parallel_module(
         )
         context.latency_constraints.append(latency)
 
-    return DerivedInstance(component=component, interfaces=interfaces)
+    return DerivedInstance(
+        component=component,
+        interfaces=interfaces,
+        calls=[instance for _, instance in instances],
+    )
 
 
 def _wire_buffered_stream(

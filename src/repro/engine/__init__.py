@@ -13,10 +13,10 @@ task occupies which processor when.
 * :mod:`repro.engine.dispatcher` -- the ready-set dispatch core: one
   dispatch loop, one start and one completion for every policy on either
   time base (suspend/resume of in-flight firings and per-processor
-  accounting included), and a standalone task runner.  The polling
-  reference it is verified against lives in the test suite,
-* :mod:`repro.engine.synthetic` -- synthetic task programs (ring, fork/join,
-  SDF-derived) for scheduler experiments and benchmarks.
+  accounting included).  The polling reference it is verified against
+  lives in the test suite,
+* :mod:`repro.engine.steady_state` -- online steady-state detection and
+  value-exact fast-forward.
 
 Real platform models -- processor sets with speeds, preemptive fixed
 priorities, partitioned heterogeneous scheduling -- live in
@@ -24,23 +24,18 @@ priorities, partitioned heterogeneous scheduling -- live in
 protocol.
 
 The simulator (:mod:`repro.runtime.simulator`) instantiates compiled OIL
-programs on top of this engine; benchmarks and scheduler tests drive it
-directly.  See ARCHITECTURE.md for the full pipeline.
+programs on top of this engine; every run enters through it
+(``Program`` -> ``Analysis.run`` / ``Analysis.simulation`` ->
+``Simulation.run``).  See ARCHITECTURE.md for the full pipeline.
 """
 
-from repro.engine.dispatcher import EngineRun, ExecutionEngine, ReadySet, run_tasks
+from repro.engine.dispatcher import ExecutionEngine, ReadySet
 from repro.engine.policies import BoundedProcessors, SelfTimedUnbounded, StaticOrder
-from repro.engine.synthetic import fork_join_program, ring_program, tasks_from_sdf
 
 __all__ = [
-    "EngineRun",
     "ExecutionEngine",
     "ReadySet",
-    "run_tasks",
     "BoundedProcessors",
     "SelfTimedUnbounded",
     "StaticOrder",
-    "fork_join_program",
-    "ring_program",
-    "tasks_from_sdf",
 ]

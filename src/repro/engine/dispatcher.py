@@ -59,7 +59,6 @@ them the event count, do not depend on which wakes pushed.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Union
@@ -67,11 +66,10 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequ
 from repro.engine.policies import SelfTimedUnbounded
 from repro.graph.circular_buffer import CircularBuffer
 from repro.util.rational import Rat, TimeBase, as_rational
-from repro.util.validation import check_non_negative
 
 if TYPE_CHECKING:  # imports only for annotations: runtime.simulator imports us
     from repro.engine.steady_state import SteadyState
-    from repro.platform.model import Platform, Processor
+    from repro.platform.model import Processor
     from repro.platform.policies import PlatformPolicy
     from repro.runtime.events import Event, EventQueue
     from repro.runtime.sources import SinkDriver, SourceDriver
@@ -173,9 +171,7 @@ class ExecutionEngine:
     The engine owns the hot path of a simulation: deciding which task starts
     when.  It is independent of the OIL module hierarchy --
     :class:`~repro.runtime.simulator.Simulation` instantiates that hierarchy
-    and registers the resulting tasks here; benchmarks and scheduler tests
-    drive the engine directly on synthetic task sets
-    (:mod:`repro.engine.synthetic`).
+    and registers the resulting tasks here.
 
     Parameters
     ----------
@@ -230,6 +226,9 @@ class ExecutionEngine:
         self._last_completion: Union[int, Fraction] = 0
         #: True once :meth:`wire_buffers` bound the firing path
         self.kernel_active = False
+        #: True once a resume posted a completion between two ticks: from
+        #: then on some of the run's instants are fractional tick counts
+        self.off_grid = False
         #: steady-state fast-forward detector (enable_fast_forward)
         self._steady: Optional["SteadyState"] = None
         # A fresh engine is a fresh execution: drop any processor accounting
@@ -284,7 +283,6 @@ class ExecutionEngine:
         extra_state=None,
         sources: Sequence["SourceDriver"] = (),
         sinks: Sequence["SinkDriver"] = (),
-        firing_target: Optional[int] = None,
         functions=None,
     ) -> Optional[str]:
         """Install the steady-state detector for a run up to *horizon*.
@@ -295,7 +293,7 @@ class ExecutionEngine:
         configuration cannot fast-forward -- see
         :func:`repro.engine.steady_state.fast_forward_refusal`.  Calling
         again (a second ``run`` on the same simulation) refreshes the
-        horizon and firing target but keeps the learned state table.
+        horizon but keeps the learned state table.
 
         The detector folds buffer contents, stimulus state and the state of
         the *functions* mapping (name -> ``FunctionSpec`` with
@@ -313,7 +311,6 @@ class ExecutionEngine:
             horizon = self.queue.timebase.ticks_floor(as_rational(horizon))
         if self._steady is not None:
             self._steady.horizon = horizon
-            self._steady.firing_target = firing_target
             return None
         self._steady = SteadyState(
             self,
@@ -321,7 +318,6 @@ class ExecutionEngine:
             extra_state=extra_state,
             sources=sources,
             sinks=sinks,
-            firing_target=firing_target,
             functions=functions,
         )
         return None
@@ -582,7 +578,9 @@ class ExecutionEngine:
         ``int`` when it lands on the grid and is otherwise posted as an
         exact :class:`~fractions.Fraction` tick count, so only the instants
         a migration pushes between ticks (and those that follow from them)
-        carry a fraction."""
+        carry a fraction.  The first such post sets :attr:`off_grid` and
+        stops an installed fast-forward detector: a jump over fractional
+        tick state is not proven exact."""
         task = firing.task
         del self._suspended[task]
         task.suspended = False
@@ -593,8 +591,13 @@ class ExecutionEngine:
             # the work still owed (remaining time x old speed) at the new speed
             remaining = remaining * firing.speed / processor.speed
         end = now + remaining
-        if queue.timebase is not None and end.denominator == 1:
-            end = int(end)  # back on the grid: keep the heap on int ticks
+        if queue.timebase is not None:
+            if end.denominator == 1:
+                end = int(end)  # back on the grid: keep the heap on int ticks
+            elif not self.off_grid:
+                self.off_grid = True
+                if self._steady is not None:
+                    self._steady.done = True
         firing.processor = processor
         firing.segment_start = now
         firing.remaining = None
@@ -609,126 +612,3 @@ class ExecutionEngine:
         would skip them; they are pushed directly."""
         for index in self._suspended.values():
             self._ready.push(index)
-
-
-@dataclass
-class EngineRun:
-    """Outcome of a standalone engine execution (no module hierarchy)."""
-
-    engine: ExecutionEngine
-    queue: EventQueue
-    trace: TraceRecorder
-    #: fast-forward fallbacks and give-ups (empty when disabled or clean)
-    warnings: List[str] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.warnings is None:
-            self.warnings = []
-
-    @property
-    def fast_forwarded(self) -> bool:
-        """True when at least one steady-state jump skipped simulated work."""
-        steady = self.engine.steady_state
-        return steady is not None and steady.jumps > 0
-
-    @property
-    def makespan(self):
-        """Completion time of the last finished firing (engine-tracked, so
-        it is correct at every trace level, including ``"off"``)."""
-        return self.engine.last_completion_time
-
-    def firing_sequence(self) -> List[str]:
-        """Task names in completion order (with one-processor policies this
-        equals the start order, i.e. the executed schedule).  Requires the
-        default ``"full"`` trace level -- the sequence is read off the
-        recorded firings."""
-        return [task.rsplit(":", 1)[-1] for task in self.trace.firing_tasks()]
-
-
-def run_tasks(
-    tasks: Sequence[RuntimeTask],
-    *,
-    policy: Optional["PlatformPolicy"] = None,
-    platform: Optional["Platform"] = None,
-    stop_after_firings: Optional[int] = None,
-    horizon=Fraction(10**9),
-    trace: Optional[TraceRecorder] = None,
-    fast_forward: Union[bool, str] = "auto",
-) -> EngineRun:
-    """Execute *tasks* data-driven on a fresh event queue.
-
-    Runs until the queue drains, *horizon* is reached, or (when
-    *stop_after_firings* is given) at least that many firings completed --
-    whichever comes first.  This is the entry point for scheduler experiments
-    and benchmarks that need the execution layer without compiling an OIL
-    program.
-
-    ``platform`` is a :class:`~repro.platform.model.Platform` shorthand for
-    ``policy=platform.policy()`` (its natural default policy); pass a
-    platform policy via ``policy=`` directly for preemptive / partitioned
-    variants.  Mutually exclusive with ``policy``.
-
-    The queue's time base is derived, as for every simulation, by
-    :meth:`ExecutionEngine.derive_time_base`: integer ticks on the gcd of
-    the tasks' response times (and their speed-scaled variants on every
-    platform processor), exact fractions when no grid exists.  A remainder
-    a migration rescales between two ticks is posted as an exact fractional
-    tick count.  *horizon* is in seconds; a negative one raises
-    :class:`ValueError`.
-
-    ``fast_forward`` selects the steady-state detector
-    (:mod:`repro.engine.steady_state`):
-
-    * ``"auto"`` (the default) installs the value-exact detector when every
-      function the fleet invokes declares jump-exact behaviour
-      (``stateless``, ``jump_invariant`` or ``get_state`` -- see
-      :class:`~repro.runtime.functions.FunctionSpec`); the run is then
-      bit-identical to naive execution, data values included.  Fleets with
-      undeclared functions run naively, recording an
-      ``undeclared-function`` :class:`~repro.util.runwarnings.RunWarning`;
-      engine-level refusals fall back silently (auto never promised a
-      jump).
-    * ``False`` runs naively.
-
-    Any other value raises :class:`ValueError`.
-
-    Every policy runs through the engine's one dispatch loop, on either
-    time base.
-    """
-    from repro.engine.steady_state import check_fast_forward, function_qualification
-    from repro.runtime.events import EventQueue
-    from repro.runtime.trace import TraceRecorder
-
-    check_fast_forward(fast_forward)
-    horizon = check_non_negative(as_rational(horizon), "horizon")
-    if platform is not None:
-        if policy is not None:
-            raise ValueError("pass either policy= or platform=, not both")
-        policy = platform.policy()
-    queue = EventQueue()
-    trace = trace if trace is not None else TraceRecorder()
-    engine = ExecutionEngine(queue, trace, policy=policy)
-    for task in tasks:
-        engine.register_task(task)
-    engine.derive_time_base()
-    engine.wire_buffers()
-    engine.wake_all()
-    engine.schedule_dispatch()
-    warnings: List[str] = []
-    if fast_forward == "auto":
-        qualified, specs, warning = function_qualification(tasks)
-        if warning is not None:
-            warnings.append(warning)
-        if qualified:
-            # Refusals are silent: "auto" never promised a jump.
-            engine.enable_fast_forward(
-                horizon, firing_target=stop_after_firings, functions=specs
-            )
-    if stop_after_firings is None:
-        queue.run_until(horizon)
-    else:
-        target = stop_after_firings
-        queue.run_until(horizon, stop=lambda: engine.completed_firings >= target)
-    if engine.steady_state is not None:
-        warnings.extend(engine.steady_state.warnings)
-    return EngineRun(engine=engine, queue=queue, trace=trace, warnings=warnings)

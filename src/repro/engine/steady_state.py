@@ -71,8 +71,8 @@ multiple of ``H``.  That loses no recurrence and detects it less than one
 ``H`` later; exactness does not depend on where the samples fall, because
 key equality still proves each jump.  A jump moves the next grid instant
 with the clock (a jump spans whole periods, so the grid stays aligned).
-Fleets without drivers (:func:`~repro.engine.dispatcher.run_tasks` rings)
-have no grid and sample at every anchor completion.  The key is recomputed
+Programs without sources or sinks (token rings, fork/joins) have no grid
+and sample at every anchor completion.  The key is recomputed
 from scratch at each sample, which on the grid is a small fraction of the
 naive stepping between two samples.
 
@@ -108,11 +108,13 @@ speed-migrating preemptive platform policies (rescaled remainders are not
 closed under a tick grid, so their instants may fall between ticks),
 fraction-mode queues (durations that admit no tick grid), and
 policies that do not expose ``steady_state_key()``.  Refused runs fall back silently to naive
-simulation.  The *value-exact qualification* (every stimulus
-``value_periodic``, every used function ``jump_exact``) is checked by the
-callers (:mod:`repro.engine.dispatcher`, :mod:`repro.runtime.simulator`)
+simulation.  A policy that migrates firings across speeds without declaring
+it is stopped at its first resume between two ticks instead: the engine
+sets :attr:`SteadyState.done` there, as silently.  The *value-exact
+qualification* (every stimulus ``value_periodic``, every used function
+``jump_exact``) is checked by the caller (:mod:`repro.runtime.simulator`)
 through :func:`function_qualification`, whose ``undeclared-function``
-warning they record on the fallback path.
+warning it records on the fallback path.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ def function_qualification(
     declare jump-exact behaviour, and the ``undeclared-function``
     :class:`RunWarning` naming those that do not (None when none).  An
     unregistered name disqualifies silently: there is nothing to declare
-    on (a synthetic fleet's fallback name)."""
+    on (a black box whose function was never registered)."""
     specs: Dict[str, "FunctionSpec"] = {}
     qualified = True
     undeclared: List[str] = []
@@ -280,7 +282,6 @@ class SteadyState:
         extra_state: Optional[Callable[[], tuple]] = None,
         sources: Sequence["SourceDriver"] = (),
         sinks: Sequence["SinkDriver"] = (),
-        firing_target: Optional[int] = None,
         functions: Optional[Mapping[str, "FunctionSpec"]] = None,
     ) -> None:
         self.engine = engine
@@ -290,7 +291,6 @@ class SteadyState:
         self.extra_state = extra_state
         self.sources = tuple(sources)
         self.sinks = tuple(sinks)
-        self.firing_target = firing_target
         self._stateful_functions: Tuple[Tuple[str, "FunctionSpec"], ...] = tuple(
             sorted(
                 ((name, spec) for name, spec in (functions or {}).items()
@@ -305,7 +305,8 @@ class SteadyState:
         self.anchor: Optional["RuntimeTask"] = next(
             (task for task in engine.tasks if not task.one_shot), None
         )
-        #: give up: no anchor, state budget exhausted
+        #: give up: no anchor, state budget exhausted, or the engine left the
+        #: tick grid (ExecutionEngine.off_grid)
         self.done = self.anchor is None
         self._seen: Dict[tuple, _Snapshot] = {}
         self._buffers = self._collect_buffers()
@@ -326,7 +327,7 @@ class SteadyState:
             task.producer_key() for task in engine.tasks if task.one_shot
         )
         self.warnings: List[str] = []
-        # Detection / jump statistics (reported by EngineRun / RunResult).
+        # Detection / jump statistics (reported by RunResult).
         self.jumps = 0
         self.skipped_ticks = 0
         self.skipped_events = 0
@@ -515,13 +516,6 @@ class SteadyState:
             self.transient_ticks = snapshot.now
             self.period_firings = self.engine.completed_firings - snapshot.completed
         periods = (self.horizon - now) // delta
-        completed_delta = self.engine.completed_firings - snapshot.completed
-        if self.firing_target is not None and completed_delta > 0:
-            # Stop strictly short of the firing target: the final firings run
-            # naively, so a stop=... run halts at the very same completion
-            # (and instant) a naive run would.
-            remaining = self.firing_target - 1 - self.engine.completed_firings
-            periods = min(periods, remaining // completed_delta)
         if periods < 1:
             return
         self._jump(snapshot, periods, delta)

@@ -16,12 +16,12 @@ Built-in policies:
   :class:`PartitionedHeterogeneous` (pinned tasks on mixed-speed
   processors).
 
-Plumbing: ``Simulation(..., platform=...)`` / ``run_tasks(...,
-platform=...)`` accept a :class:`Platform` (its :meth:`Platform.policy`
-default) or any policy instance via ``scheduler=``/``policy=``;
-``Analysis.run(platform=...)`` and the ``"platform"`` sweep axis expose the
-same knob through the facade, and platforms are plain picklable data so
-heterogeneous speedup grids run on the process sweep backend.  This package
+Plumbing: ``Simulation(..., platform=...)`` accepts a :class:`Platform`
+(its :meth:`Platform.policy` default) or any policy instance via
+``scheduler=``; ``Analysis.run(platform=...)`` and the ``"platform"`` sweep
+axis expose the same knob through the facade, and platforms are plain
+picklable data so heterogeneous speedup grids run on the process sweep
+backend.  This package
 imports nothing from :mod:`repro.engine`; the engine's policies build on it.
 """
 

@@ -278,10 +278,9 @@ class StaticOrderPlatform(PlatformPolicyBase):
     occupy the processor) advances nothing.
 
     Schedule entries are matched against ``key(task)`` -- bare ``task.name``
-    by default, which is unambiguous for SDF-derived and synthetic task sets
-    (one task per actor).  For compiled OIL programs, where distinct module
-    instances may contain same-named tasks, pass ``key=lambda t:
-    t.producer_key()`` and spell the schedule in ``"instance:name"`` form.
+    by default.  Distinct module instances may contain same-named tasks, so
+    pass ``key=lambda t: t.producer_key()`` and spell the schedule in
+    ``"instance:name"`` form to tell them apart.
     A *platform* of one (possibly scaled) processor runs the schedule on
     slower or faster silicon.
     """

@@ -86,8 +86,8 @@ class EventQueue:
         self.now: InternalTime = 0 if timebase is not None else Fraction(0)
         self.processed = 0
         self._cancelled_pending = 0
-        #: tick mode: the tick an exhausted :meth:`run_until` left ``now``
-        #: on, and the exact instant that run reached past it;
+        #: tick mode: the tick :meth:`run_until` left ``now`` on, and the
+        #: exact instant that run reached past it;
         #: :attr:`now_time` reports the instant while ``now`` is that tick
         self._end_tick: InternalTime = -1
         self._end_time: Rat = Fraction(0)
@@ -218,23 +218,9 @@ class EventQueue:
         return self.to_time(self._heap[0][0])
 
     # -------------------------------------------------------------- execution
-    def run_until(
-        self,
-        end_time,
-        *,
-        max_events: Optional[int] = None,
-        stop: Optional[Callable[[], bool]] = None,
-    ) -> InternalTime:
-        """Process events up to (and including) *end_time*; returns the final
-        (native-unit) time.
-
-        ``max_events`` bounds the *total* processed count (a safety valve for
-        runaway simulations); ``stop`` is re-evaluated after every event and
-        ends the run early when it returns true (used to run "until N firings
-        completed").  Only an exhausted run -- queue drained or next event
-        beyond *end_time* -- fast-forwards the clock to *end_time*; a run cut
-        short by ``max_events`` or ``stop`` leaves ``now`` at the last
-        processed event so execution can resume seamlessly.
+    def run_until(self, end_time) -> InternalTime:
+        """Process events up to (and including) *end_time*, then move the
+        clock to *end_time*; returns the final (native-unit) time.
 
         In tick mode a rational *end_time* is floored to the tick grid, and
         the fractional-tick events between that floor and the exact end
@@ -254,7 +240,6 @@ class EventQueue:
                 limit = exact_end / tb.resolution
         else:
             end_time = limit = as_rational(end_time)
-        cut_short = False
         heap = self._heap
         pop = heapq.heappop
         while heap:
@@ -268,15 +253,8 @@ class EventQueue:
             self.now = time
             event.callback()
             self.processed += 1
-            if max_events is not None and self.processed >= max_events:
-                cut_short = True
-                break
-            if stop is not None and stop():
-                cut_short = True
-                break
-        if not cut_short:
-            if self.now < end_time:
-                self.now = end_time
-            if tb is not None and exact_end > self.now_time:
-                self._end_tick, self._end_time = self.now, exact_end
+        if self.now < end_time:
+            self.now = end_time
+        if tb is not None and exact_end > self.now_time:
+            self._end_tick, self._end_time = self.now, exact_end
         return self.now

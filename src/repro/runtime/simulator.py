@@ -33,6 +33,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.compiler import CompilationResult
+from repro.core.modules import DerivedInstance
 from repro.engine.dispatcher import ExecutionEngine
 from repro.engine.steady_state import check_fast_forward, function_qualification
 from repro.graph.circular_buffer import CircularBuffer
@@ -240,7 +241,6 @@ class Simulation:
         default_capacity: int = 64,
         mode_schedules: Optional[ModeSchedule] = None,
         sink_start_times: Optional[Mapping[str, Rat]] = None,
-        top: Optional[str] = None,
         scheduler: Optional["PlatformPolicy"] = None,
         platform: Optional["Platform"] = None,
         trace_level: str = "full",
@@ -290,16 +290,16 @@ class Simulation:
         self._instance_of: Dict[RuntimeTask, SequentialInstance] = {}
         self._wired = False
 
-        top_name = top or self._default_top()
-        top_module = result.program.module(top_name)
-        if isinstance(top_module, ast.SequentialModule):
+        # the module the compiler instantiated as the root
+        top_module = result.program.module(result.root.component.metadata["module"])
+        if not isinstance(top_module, ast.ParallelModule):
             raise OilRuntimeError(
                 "the simulation entry point must be a parallel module with sources and sinks"
             )
         #: the keys a mode schedule may use: every sequential instance's path
         #: and module name
         self._schedulable: set = set()
-        self._instantiate_parallel(top_module, bindings={}, path=top_name)
+        self._instantiate_parallel(top_module, {}, top_module.name, result.root)
         unknown = sorted(self.mode_schedules.keys() - self._schedulable)
         if unknown:
             raise ValueError(
@@ -337,15 +337,6 @@ class Simulation:
         return durations
 
     # ------------------------------------------------------------------ build
-    def _default_top(self) -> str:
-        metadata = self.result.root.component.metadata
-        name = metadata.get("module")
-        if isinstance(name, str):
-            return name
-        if self.result.program.main is not None:
-            return self.result.program.main.name
-        raise OilRuntimeError("cannot determine the top-level module of the simulation")
-
     def _capacity_for(self, *keys: str, minimum: int = 1) -> int:
         """Combine the analysis capacities of the buffers chained between two
         modules into the capacity of the single runtime buffer implementing
@@ -361,40 +352,42 @@ class Simulation:
             total = self.default_capacity
         return max(total, minimum)
 
-    def _access_capacity_keys(self, module_name: str, param: str) -> List[str]:
+    def _access_capacity_keys(
+        self, module_name: str, derived: DerivedInstance, param: str
+    ) -> List[str]:
         """The analysis buffer names of all distribution/combination buffers
-        that sit between *param* of *module_name* and the tasks that finally
-        access it.
+        that sit between *param* of the instance *derived* of *module_name*
+        and the tasks that finally access it.
 
-        For a sequential module these are its own ``<param>.access*`` buffers;
-        for a parallel module the stream is forwarded to inner module calls,
-        so the walk recurses into every call that receives the parameter.
-        Black boxes contribute nothing (they access the FIFO directly).
+        For a sequential module these are its own ``<param>.access*`` buffers,
+        keyed by its instance name; for a parallel module the stream is
+        forwarded to inner module calls, so the walk recurses into every
+        call that receives the parameter.  Black boxes contribute nothing
+        (they access the FIFO directly).
         """
         boxes = self.result.analysis.black_boxes
         if module_name in boxes:
             return []
-        try:
-            definition = self.result.program.module(module_name)
-        except KeyError:
-            return []
+        definition = self.result.program.module(module_name)
         if isinstance(definition, ast.SequentialModule):
-            prefix = f"{module_name}/"
+            prefix = f"{derived.component.name}/"
             needle = f"/{param}.access"
             return [
                 name for name in self.capacities if name.startswith(prefix) and needle in name
             ]
         keys: List[str] = []
-        for call in definition.calls:
-            target = boxes.get(call.module)
-            if target is not None:
-                params = [p.name for p in target.ports]
-            else:
-                params = [p.name for p in self.result.program.module(call.module).params]
-            for inner_param, argument in zip(params, call.arguments):
+        for call, child in zip(definition.calls, derived.calls):
+            for inner_param, argument in zip(self._param_names(call.module), call.arguments):
                 if argument.name == param:
-                    keys.extend(self._access_capacity_keys(call.module, inner_param))
+                    keys.extend(self._access_capacity_keys(call.module, child, inner_param))
         return keys
+
+    def _param_names(self, module_name: str) -> List[str]:
+        """The parameter (port) names of a module or black box, in order."""
+        box = self.result.analysis.black_boxes.get(module_name)
+        if box is not None:
+            return [port.name for port in box.ports]
+        return [param.name for param in self.result.program.module(module_name).params]
 
     def _transfer_floor(self, module_name: str, param: str) -> int:
         """The largest number of values transferred in one access of *param*
@@ -419,12 +412,7 @@ class Simulation:
             return 1
         floor = 1
         for call in definition.calls:
-            target = boxes.get(call.module)
-            if target is not None:
-                params = [p.name for p in target.ports]
-            else:
-                params = [p.name for p in self.result.program.module(call.module).params]
-            for inner_param, argument in zip(params, call.arguments):
+            for inner_param, argument in zip(self._param_names(call.module), call.arguments):
                 if argument.name == param:
                     floor = max(floor, self._transfer_floor(call.module, inner_param))
         return floor
@@ -434,27 +422,25 @@ class Simulation:
         module: ast.ParallelModule,
         bindings: Mapping[str, CircularBuffer],
         path: str,
+        derived: DerivedInstance,
     ) -> None:
+        """Instantiate *module* at *path*.  *derived* is the compiler's
+        instance of it: each call runs under the instance name the compiler
+        gave it (``Dec``, ``Dec_2``, ...) and reads the capacities analysed
+        under that name."""
         local: Dict[str, CircularBuffer] = dict(bindings)
 
         # Who uses each locally declared stream? (for capacity aggregation)
-        users: Dict[str, List[Tuple[str, str]]] = {}
-        for call in module.calls:
-            target = self.result.analysis.black_boxes.get(call.module)
-            params: List[Tuple[str, bool]]
-            if target is not None:
-                params = [(p.name, p.is_output) for p in target.ports]
-            else:
-                definition = self.result.program.module(call.module)
-                params = [(p.name, p.is_output) for p in definition.params]
-            for (param_name, _), argument in zip(params, call.arguments):
-                users.setdefault(argument.name, []).append((call.module, param_name))
+        users: Dict[str, List[Tuple[str, DerivedInstance, str]]] = {}
+        for call, child in zip(module.calls, derived.calls):
+            for param_name, argument in zip(self._param_names(call.module), call.arguments):
+                users.setdefault(argument.name, []).append((call.module, child, param_name))
 
         def stream_capacity(par_key: str, stream: str) -> int:
             keys = [f"{par_key}/{stream}"]
             floor = 1
-            for user_module, user_param in users.get(stream, []):
-                keys.extend(self._access_capacity_keys(user_module, user_param))
+            for user_module, user, user_param in users.get(stream, []):
+                keys.extend(self._access_capacity_keys(user_module, user, user_param))
                 floor = max(floor, self._transfer_floor(user_module, user_param))
             return self._capacity_for(*keys, minimum=floor)
 
@@ -502,8 +488,9 @@ class Simulation:
             self.sinks[sink.name] = driver
 
         # Instantiate the called modules.
-        for index, call in enumerate(module.calls):
-            child_path = f"{path}/{call.module}" if path else call.module
+        for call, child in zip(module.calls, derived.calls):
+            name = child.component.name
+            child_path = f"{path}/{name}"
             if call.module in self.result.analysis.black_boxes:
                 box = self.result.analysis.black_boxes[call.module]
                 child_bindings = {
@@ -518,16 +505,19 @@ class Simulation:
                 for param, argument in zip(definition.params, call.arguments)
             }
             if isinstance(definition, ast.ParallelModule):
-                self._instantiate_parallel(definition, child_bindings, child_path)
+                self._instantiate_parallel(definition, child_bindings, child_path, child)
             else:
-                self._instantiate_sequential(definition, child_bindings, child_path)
+                self._instantiate_sequential(definition, child_bindings, child_path, name)
 
     def _instantiate_sequential(
         self,
         module: ast.SequentialModule,
         bindings: Mapping[str, CircularBuffer],
         path: str,
+        name: str,
     ) -> None:
+        """Instantiate *module* at *path* under the compiler's instance
+        *name*, which keys its analysed variable capacities."""
         graph = self.result.task_graphs[module.name]
         instance = SequentialInstance(path=path, graph=graph)
 
@@ -536,7 +526,7 @@ class Simulation:
         for buffer_spec in graph.buffers.values():
             if buffer_spec.kind != "variable":
                 continue
-            capacity = self._capacity_for(f"{module.name}/{buffer_spec.name}", minimum=2)
+            capacity = self._capacity_for(f"{name}/{buffer_spec.name}", minimum=2)
             buffer = CircularBuffer(f"{path}/{buffer_spec.name}", capacity)
             self.buffers[buffer.name] = buffer
             buffers[buffer_spec.name] = buffer

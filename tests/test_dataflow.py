@@ -176,17 +176,12 @@ class TestOnlinePeriodicityCrossCheck:
     offline state-space split computed by ``self_timed_statespace``."""
 
     def _steady(self, graph, horizon):
-        from repro.engine import run_tasks
-        from repro.engine.synthetic import tasks_from_sdf
+        # The graph printed as OIL (one module per actor); its actor bodies
+        # are declared stateless averagers, so "auto" arms the detector.
+        import oil_fleets
 
-        tasks = tasks_from_sdf(graph, iterations=64)
-        # Declare the synthetic actor bodies (pure averagers) stateless, so
-        # the default "auto" detector may arm on the fleet.
-        registry = tasks[0].registry
-        for task in tasks:
-            registry.register(task.name, registry.get(task.name).callable, stateless=True)
-        run = run_tasks(tasks, horizon=Fraction(horizon))
-        return run, run.engine.steady_state
+        run = oil_fleets.sdf(graph, iterations=64).run(Fraction(horizon))
+        return run, run.simulation.engine.steady_state
 
     def test_online_period_is_integer_iteration_multiple(self):
         graph = fig2_task_graph()
@@ -197,7 +192,7 @@ class TestOnlinePeriodicityCrossCheck:
         # iterations: its span in seconds is an exact integer multiple of
         # the offline iteration period, and its firing count is the same
         # multiple of the repetition-vector total.
-        period_seconds = run.queue.to_time(steady.period_ticks)
+        period_seconds = run.simulation.queue.to_time(steady.period_ticks)
         multiple = period_seconds / offline.iteration_period
         assert multiple.denominator == 1 and multiple >= 1
         q = repetition_vector(graph)
@@ -208,7 +203,7 @@ class TestOnlinePeriodicityCrossCheck:
         run, steady = self._steady(graph, 500)
         assert steady.transient_ticks is not None
         # Detection happens strictly inside the naive prefix of the run.
-        transient_seconds = run.queue.to_time(steady.transient_ticks)
+        transient_seconds = run.simulation.queue.to_time(steady.transient_ticks)
         assert 0 <= transient_seconds < Fraction(500)
 
     def test_online_throughput_matches_offline(self):
@@ -218,7 +213,7 @@ class TestOnlinePeriodicityCrossCheck:
         # wrapped, which takes this slower graph past 700 s.
         run, steady = self._steady(graph, 5000)
         assert steady.period_ticks is not None
-        period_seconds = run.queue.to_time(steady.period_ticks)
+        period_seconds = run.simulation.queue.to_time(steady.period_ticks)
         q = repetition_vector(graph)
         online_period_per_iteration = (
             period_seconds * q.total_firings() / steady.period_firings

@@ -3,9 +3,10 @@
 The load-bearing guarantee of the engine refactor is *observational
 equivalence*: indexed ready-set dispatch must produce bit-identical traces to
 the brute-force polling reference (the seed implementation, kept as the
-oracle in tests/dispatch_oracle.py) on every application, while the policies
-reshape timing in exactly the documented ways (bounded processors serialise,
-static order replays the sequential baseline's schedule).
+oracle in tests/dispatch_oracle.py) on every application and on the OIL
+fleets tests/oil_fleets.py prints, while the policies reshape timing in
+exactly the documented ways (bounded processors serialise, static order
+replays the sequential baseline's schedule).
 """
 
 import functools
@@ -14,32 +15,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oil_fleets
 from dispatch_oracle import polling_dispatch
 from timebase_oracle import fraction_time_base
 from repro.api import Analysis, Program
 from repro.apps.producer_consumer import quickstart_program, quickstart_registry
-from repro.apps.rate_converter import fig2_task_graph
 from repro.baselines.sequential_schedule import (
     generate_sequential_program,
     rate_conversion_graph,
     static_order_policy,
 )
-from repro.engine import (
-    BoundedProcessors,
-    ReadySet,
-    SelfTimedUnbounded,
-    StaticOrder,
-    fork_join_program,
-    ring_program,
-    run_tasks,
-    tasks_from_sdf,
-)
+from repro.engine import BoundedProcessors, ReadySet, SelfTimedUnbounded, StaticOrder
 from repro.graph.circular_buffer import CircularBuffer
-from repro.graph.taskgraph import Access, Task
 from repro.platform import ListScheduledPlatform, PartitionedHeterogeneous, Platform
 from repro.runtime.functions import FunctionRegistry
 from repro.runtime.simulator import Simulation
-from repro.runtime.tasks import RuntimeTask
 from repro.runtime.trace import TraceRecorder
 from test_fastforward import generated_rings
 
@@ -195,11 +185,9 @@ class TestDispatcherEquivalence:
         assert_traces_identical(*traces)
 
     def test_rate_converter_traces_identical(self):
-        # The Fig. 2 rate-conversion task graph, executed self-timed.
-        a, b = engine_and_oracle(
-            lambda: run_tasks(tasks_from_sdf(fig2_task_graph(), iterations=40),
-                              stop_after_firings=150)
-        )
+        # The Fig. 2 rate-conversion program, executed self-timed.
+        analysis = Program.from_app("rate_converter").analyze()
+        a, b = engine_and_oracle(lambda: analysis.run(Fraction(1, 10)))
         assert len(a.trace.firings) >= 150
         assert_traces_identical(a.trace, b.trace)
 
@@ -223,19 +211,18 @@ class TestDispatcherEquivalence:
         assert_traces_identical(*traces)
 
     def test_ring_traces_identical(self):
-        a, b = engine_and_oracle(
-            lambda: run_tasks(ring_program(60, tokens=5, stagger=7), stop_after_firings=600)
-        )
-        assert a.engine.completed_firings == b.engine.completed_firings == 600
+        ring = oil_fleets.ring(60, tokens=5, stagger=7)
+        a, b = engine_and_oracle(lambda: ring.run(Fraction(1, 2), fast_forward=False))
+        assert a.completed_firings == b.completed_firings >= 600
         assert_traces_identical(a.trace, b.trace)
 
     def test_bounded_processors_traces_identical(self):
         # A gating policy: eligible-but-denied tasks stall and re-queue.
+        ring = oil_fleets.ring(10, tokens=2)
         a, b = engine_and_oracle(
-            lambda: run_tasks(ring_program(10, tokens=2), policy=BoundedProcessors(2),
-                              stop_after_firings=500)
+            lambda: ring.run(Fraction(1, 4), scheduler=BoundedProcessors(2), fast_forward=False)
         )
-        assert a.engine.completed_firings == b.engine.completed_firings == 500
+        assert a.completed_firings == b.completed_firings >= 500
         assert_traces_identical(a.trace, b.trace)
 
     def test_static_order_traces_identical(self):
@@ -243,36 +230,40 @@ class TestDispatcherEquivalence:
         # generated program's schedule.
         graph = rate_conversion_graph(3, 2)
         program = generate_sequential_program(graph)
+        fleet = oil_fleets.sdf(graph, iterations=3)
         a, b = engine_and_oracle(
-            lambda: run_tasks(tasks_from_sdf(graph, iterations=3),
-                              policy=static_order_policy(graph),
-                              stop_after_firings=len(program.schedule) * 3)
+            lambda: fleet.run(len(program.schedule) * 3, scheduler=static_order_policy(graph))
         )
-        assert a.firing_sequence() == b.firing_sequence() == program.schedule * 3
+        assert (
+            oil_fleets.firing_sequence(a.trace)
+            == oil_fleets.firing_sequence(b.trace)
+            == program.schedule * 3
+        )
         assert_traces_identical(a.trace, b.trace)
 
     def test_fraction_time_base_traces_identical(self):
         # The dispatch loop runs on both time bases; Fraction timestamps
         # must not change what it dispatches.
+        ring = oil_fleets.ring(30, tokens=4, stagger=2)
         with fraction_time_base():
-            a, b = engine_and_oracle(
-                lambda: run_tasks(ring_program(30, tokens=4, stagger=2),
-                                  stop_after_firings=2000)
-            )
-        assert b.queue.timebase is None and b.engine.kernel_active
-        assert a.engine.completed_firings == b.engine.completed_firings == 2000
+            a, b = engine_and_oracle(lambda: ring.run(Fraction(4, 5), fast_forward=False))
+        assert b.simulation.queue.timebase is None and b.simulation.engine.kernel_active
+        assert a.completed_firings == b.completed_firings >= 2000
         assert_traces_identical(a.trace, b.trace)
+
+
+#: every generated fleet runs at least this many firings
+FLEET_FIRINGS = 400
 
 
 @st.composite
 def fleet_shapes(draw):
-    """A fleet factory: a ring of the shapes ``generated_rings`` draws, or a
+    """A printed fleet: a ring of the shapes ``generated_rings`` draws, or a
     fork-join diamond of width 1-6."""
     if draw(st.booleans()):
         task_count, shape, _, _ = draw(generated_rings())
-        return functools.partial(ring_program, task_count, **shape)
-    return functools.partial(
-        fork_join_program,
+        return oil_fleets.ring(task_count, **shape)
+    return oil_fleets.fork_join(
         draw(st.integers(1, 6)),
         worker_wcet=Fraction(draw(st.integers(1, 5)), 1000),
         overhead_wcet=Fraction(draw(st.integers(1, 3)), 1000),
@@ -281,35 +272,35 @@ def fleet_shapes(draw):
 
 @st.composite
 def generated_fleets(draw):
-    """A fleet factory (``fleet_shapes``) and a policy factory:
+    """A printed fleet (``fleet_shapes``) and a policy factory:
     ``SelfTimedUnbounded``, ``BoundedProcessors(n)``, or
     ``ListScheduledPlatform`` / ``PartitionedHeterogeneous`` on 1-3
     processors of speeds 1 and 2 (homogeneous or mixed)."""
-    build = draw(fleet_shapes())
+    fleet = draw(fleet_shapes())
     family = draw(st.sampled_from(["self-timed", "bounded", "list-scheduled", "partitioned"]))
     processors = draw(st.integers(1, 3))
     if family == "self-timed":
-        return build, SelfTimedUnbounded
+        return fleet, SelfTimedUnbounded
     if family == "bounded":
-        return build, functools.partial(BoundedProcessors, processors)
+        return fleet, functools.partial(BoundedProcessors, processors)
     speeds = draw(st.lists(st.sampled_from([1, 2]), min_size=processors, max_size=processors))
     policy = ListScheduledPlatform if family == "list-scheduled" else PartitionedHeterogeneous
-    return build, functools.partial(policy, Platform.heterogeneous(speeds))
+    return fleet, functools.partial(policy, Platform.heterogeneous(speeds))
 
 
 @given(generated_fleets())
 @settings(max_examples=60, deadline=None)
 def test_engine_equals_polling_oracle_on_generated_fleets(case):
-    build, make_policy = case
+    fleet, make_policy = case
+    horizon = fleet.horizon(FLEET_FIRINGS)
 
     def run():
-        policy = make_policy()
-        return run_tasks(build(), policy=policy, stop_after_firings=400, fast_forward=False)
+        return fleet.run(horizon, scheduler=make_policy(), fast_forward=False)
 
     reference, candidate = engine_and_oracle(run)
-    assert candidate.engine.completed_firings == reference.engine.completed_firings == 400
+    assert candidate.completed_firings == reference.completed_firings >= FLEET_FIRINGS
     assert_traces_identical(reference.trace, candidate.trace)
-    assert candidate.queue.processed == reference.queue.processed
+    assert candidate.simulation.queue.processed == reference.simulation.queue.processed
 
 
 # ---------------------------------------------------------------------------
@@ -357,39 +348,41 @@ class TestWakeRule:
 # StaticOrder: the sequential baseline as a policy
 # ---------------------------------------------------------------------------
 
+def assert_serial(trace):
+    firings = sorted(trace.firings, key=lambda f: (f.start, f.end))
+    for earlier, later in zip(firings, firings[1:]):
+        assert earlier.end <= later.start, (
+            f"{earlier.task} (ends {earlier.end}) overlaps "
+            f"{later.task} (starts {later.start})"
+        )
+
+
 class TestStaticOrderPolicy:
     @pytest.mark.parametrize("produce,consume", [(3, 2), (5, 3), (4, 7)])
     def test_matches_generated_sequential_program(self, produce, consume):
+        # Every actor fires for 1 s on the one processor: the horizon holds
+        # exactly three iterations.
         graph = rate_conversion_graph(produce, consume)
         program = generate_sequential_program(graph)
         iterations = 3
-        run = run_tasks(
-            tasks_from_sdf(graph, iterations=iterations),
-            policy=static_order_policy(graph),
-            stop_after_firings=len(program.schedule) * iterations,
+        run = oil_fleets.sdf(graph, iterations=iterations).run(
+            len(program.schedule) * iterations, scheduler=static_order_policy(graph)
         )
-        assert run.firing_sequence() == program.schedule * iterations
+        assert oil_fleets.firing_sequence(run.trace) == program.schedule * iterations
 
     def test_static_order_is_serial(self):
         graph = rate_conversion_graph(3, 2)
-        run = run_tasks(
-            tasks_from_sdf(graph, iterations=3),
-            policy=static_order_policy(graph),
-            stop_after_firings=10,
-        )
-        firings = sorted(run.trace.firings, key=lambda f: (f.start, f.end))
-        for earlier, later in zip(firings, firings[1:]):
-            assert earlier.end <= later.start
+        run = oil_fleets.sdf(graph, iterations=3).run(10, scheduler=static_order_policy(graph))
+        assert len(run.trace.firings) >= 10
+        assert_serial(run.trace)
 
     def test_non_cyclic_schedule_stops_after_one_iteration(self):
         graph = rate_conversion_graph(3, 2)
         program = generate_sequential_program(graph)
-        run = run_tasks(
-            tasks_from_sdf(graph, iterations=3),
-            policy=StaticOrder(program.schedule, cyclic=False),
-            stop_after_firings=100,
+        run = oil_fleets.sdf(graph, iterations=3).run(
+            100, scheduler=static_order_policy(graph, cyclic=False)
         )
-        assert run.firing_sequence() == program.schedule
+        assert oil_fleets.firing_sequence(run.trace) == program.schedule
 
     def test_deadlocking_graph_rejected(self):
         from repro.dataflow.sdf import SDFGraph
@@ -402,44 +395,37 @@ class TestStaticOrderPolicy:
         with pytest.raises(ValueError):
             static_order_policy(graph)
 
+    #: a 2-module ring (``fa``, ``fb``) whose token ``B``'s init seeds,
+    #: plus a loop-free ``Boot`` module: two one-shot firings of 1 s each,
+    #: both eligible at t = 0
+    INIT_PLUS_LOOP = """
+mod seq A(float x, out float y){
+  loop{ fa(x, out y); } while(1);
+}
+mod seq B(float x, out float y){
+  init(0, out y);
+  loop{ fb(x, out y); } while(1);
+}
+mod seq Boot(out float s){
+  boot(out s);
+}
+mod par SO(){
+  fifo float p, q, s;
+  Boot(out s) || A(q, out p) || B(p, out q)
+}
+"""
+
     def _init_plus_loop_program(self):
-        """A 2-task steady-state ring plus a one-shot init task that is
-        eligible at t = 0 alongside the first steady-state firing."""
         registry = FunctionRegistry()
-        registry.register("fa", lambda value: value)
-        registry.register("fb", lambda value: value)
-        registry.register("fi", lambda: 1.0)
-
-        def make(name, reads, writes, *, one_shot=False):
-            task = Task(name=name, kind="call", function=f"f{name}",
-                        firing_duration=Fraction(1))
-            task.reads = [Access(buffer.name, 1) for buffer in reads]
-            task.writes = [Access(buffer.name, 1) for buffer in writes]
-            runtime = RuntimeTask(
-                name=name,
-                task=task,
-                instance="so",
-                registry=registry,
-                buffers={buffer.name: buffer for buffer in (*reads, *writes)},
-                wcet=Fraction(1),
-                one_shot=one_shot,
-            )
-            key = runtime.producer_key()
-            for buffer in reads:
-                buffer.register_consumer(key)
-            for buffer in writes:
-                buffer.register_producer(key)
-            return runtime
-
-        ring_in = CircularBuffer("so/ring_in", 2, initial_values=[0.0])
-        ring_out = CircularBuffer("so/ring_out", 2)
-        seed = CircularBuffer("so/seed", 2)
-        # init first: extraction orders one-shots before the loop tasks
-        return [
-            make("i", [], [seed], one_shot=True),
-            make("a", [ring_in], [ring_out]),
-            make("b", [ring_out], [ring_in]),
-        ]
+        registry.register("init", float, stateless=True)
+        registry.register("boot", lambda: 1.0, stateless=True)
+        registry.register("fa", lambda value: value, stateless=True)
+        registry.register("fb", lambda value: value, stateless=True)
+        return Program.from_source(
+            self.INIT_PLUS_LOOP,
+            function_wcets={"init": 1, "boot": 1, "fa": 1, "fb": 1},
+            registry=registry,
+        )
 
     def test_stale_completion_does_not_corrupt_schedule_position(self):
         # Mirror of the BoundedProcessors hardening: a stale completion
@@ -477,23 +463,24 @@ class TestStaticOrderPolicy:
             name = "a"
 
         assert revived.decide_start(_Steady()) is not None
+        # the baseline's policy, keyed by the function a task calls, too
+        graph = rate_conversion_graph(3, 2)
+        built = pickle.loads(pickle.dumps(static_order_policy(graph)))
+        assert built.order == generate_sequential_program(graph).schedule
 
     def test_one_shot_cannot_overlap_in_flight_firing(self):
         # Regression: one-shot init tasks were admitted unconditionally, so
-        # an init firing could start while a steady-state firing was in
-        # flight -- two firings on the supposedly single processor.
-        run = run_tasks(
-            self._init_plus_loop_program(),
-            policy=StaticOrder(["a", "b"]),
-            stop_after_firings=5,
+        # an init firing could start while another firing was in flight --
+        # two firings on the supposedly single processor.
+        run = self._init_plus_loop_program().run(
+            5,
+            scheduler=StaticOrder(["fa", "fb"], key=lambda task: task.task.function),
+            capacities={"SO/p": 2, "SO/q": 2, "SO/s": 2},
         )
-        firings = sorted(run.trace.firings, key=lambda f: (f.start, f.end))
-        assert any(f.task == "so:i" for f in firings)  # the init did fire
-        for earlier, later in zip(firings, firings[1:]):
-            assert earlier.end <= later.start, (
-                f"{earlier.task} (ends {earlier.end}) overlaps "
-                f"{later.task} (starts {later.start})"
-            )
+        tasks = [f.task for f in run.trace.firings]
+        assert "SO/Boot:t_boot" in tasks and "SO/B:t_init" in tasks  # both inits fired
+        assert len(tasks) >= 5
+        assert_serial(run.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -502,34 +489,27 @@ class TestStaticOrderPolicy:
 
 class TestBoundedProcessors:
     def test_one_processor_serialises(self):
-        run = run_tasks(
-            fork_join_program(4), policy=BoundedProcessors(1), stop_after_firings=30
-        )
-        firings = sorted(run.trace.firings, key=lambda f: (f.start, f.end))
-        for earlier, later in zip(firings, firings[1:]):
-            assert earlier.end <= later.start
+        run = oil_fleets.fork_join(4).run(21, scheduler=BoundedProcessors(1))
+        assert run.completed_firings >= 30
+        assert_serial(run.trace)
 
     def test_speedup_curve_is_monotone(self):
-        makespans = {}
+        # Firings over a fixed horizon: 50 at one processor.
+        fleet = oil_fleets.fork_join(8)
+        firings = {}
         for processors in (1, 2, 4, 8):
-            run = run_tasks(
-                fork_join_program(8),
-                policy=BoundedProcessors(processors),
-                stop_after_firings=50,
-            )
-            assert run.engine.completed_firings == 50
-            makespans[processors] = run.makespan
-        assert makespans[1] >= makespans[2] >= makespans[4] >= makespans[8]
+            run = fleet.run(41, scheduler=BoundedProcessors(processors), trace="off")
+            firings[processors] = run.completed_firings
+        assert firings[1] >= 50
+        assert firings[1] <= firings[2] <= firings[4] <= firings[8]
         # near-linear scaling on the embarrassingly parallel rounds
-        assert makespans[1] / makespans[8] > 4
+        assert firings[8] / firings[1] > 4
 
     def test_matches_unbounded_when_processors_exceed_tasks(self):
-        tasks_bounded = ring_program(20, tokens=4)
-        tasks_unbounded = ring_program(20, tokens=4)
-        a = run_tasks(tasks_bounded, policy=BoundedProcessors(64),
-                      stop_after_firings=200)
-        b = run_tasks(tasks_unbounded, policy=SelfTimedUnbounded(),
-                      stop_after_firings=200)
+        ring = oil_fleets.ring(20, tokens=4)
+        a = ring.run(Fraction(1, 20), scheduler=BoundedProcessors(64), fast_forward=False)
+        b = ring.run(Fraction(1, 20), scheduler=SelfTimedUnbounded(), fast_forward=False)
+        assert a.completed_firings >= 200
         assert_traces_identical(a.trace, b.trace)
 
     def test_invalid_processor_count_rejected(self):
@@ -537,14 +517,16 @@ class TestBoundedProcessors:
             BoundedProcessors(0)
 
     def test_policy_instance_reusable_across_runs(self):
-        # A run stopped mid-flight leaves in-flight firings whose completions
-        # never ran; the next engine must reset the processor accounting or
-        # the policy would refuse every start forever.
+        # A run that ends mid-flight leaves in-flight firings whose
+        # completions never ran; the next engine must reset the processor
+        # accounting or the policy would refuse every start forever.
         policy = BoundedProcessors(1)
-        first = run_tasks(fork_join_program(4), policy=policy, stop_after_firings=7)
-        assert first.engine.completed_firings >= 7
-        second = run_tasks(fork_join_program(4), policy=policy, stop_after_firings=12)
-        assert second.engine.completed_firings >= 12
+        fleet = oil_fleets.fork_join(4)
+        first = fleet.run(Fraction(9, 2), scheduler=policy)
+        assert first.completed_firings >= 7
+        assert any(task.busy for task in first.simulation.tasks)  # cut mid-firing
+        second = fleet.run(Fraction(17, 2), scheduler=policy)
+        assert second.completed_firings >= 12
 
     def test_stale_completion_cannot_over_admit(self):
         # A run stopped mid-flight leaves completions that never fired; when
@@ -563,12 +545,10 @@ class TestBoundedProcessors:
         assert policy.decide_start(object()) is None
 
     def test_makespan_available_with_tracing_off(self):
-        run = run_tasks(
-            ring_program(20, tokens=4),
-            policy=BoundedProcessors(2),
-            stop_after_firings=100,
-            trace=TraceRecorder(level="off"),
+        run = oil_fleets.ring(20, tokens=4).run(
+            Fraction(1, 20), scheduler=BoundedProcessors(2), trace="off"
         )
+        assert run.completed_firings >= 100
         assert run.trace.firings == []
         assert run.makespan > 0
 
@@ -668,3 +648,21 @@ class TestTraceLevels:
             ).simulation
             consumed[level] = list(simulation.sinks["averages"].consumed)
         assert consumed["off"] == consumed["endpoints"] == consumed["full"]
+
+
+# ---------------------------------------------------------------------------
+# One way in: Program -> Analysis -> Simulation.run up to an instant
+# ---------------------------------------------------------------------------
+
+def test_one_way_into_the_engine():
+    import importlib
+
+    import repro.engine
+
+    for name in ("run_tasks", "EngineRun", "ring_program", "fork_join_program", "tasks_from_sdf"):
+        assert not hasattr(repro.engine, name), name
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.engine.synthetic")
+    simulation = oil_fleets.ring(4, tokens=1).simulation()
+    with pytest.raises(TypeError, match="firing_target"):
+        simulation.engine.enable_fast_forward(Fraction(1), firing_target=10)

@@ -20,6 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oil_fleets
 import repro.engine.steady_state as steady_state_module
 from repro.api import Program
 from repro.api.sweep import Sweep
@@ -27,15 +28,12 @@ from repro.apps.producer_consumer import QUICKSTART_OIL_SOURCE, quickstart_wcets
 from repro.apps.rate_converter import fig2_task_graph
 from repro.baselines.comparison import decimation_pipeline_source
 from repro.dataflow import repetition_vector, self_timed_statespace
-from repro.engine.dispatcher import run_tasks
 from repro.engine.policies import BoundedProcessors, SelfTimedUnbounded, StaticOrder
 from repro.engine.steady_state import fast_forward_refusal
-from repro.engine.synthetic import fork_join_program, ring_program, tasks_from_sdf
 from repro.platform.model import Platform, Processor
 from repro.platform.policies import FixedPriorityPreemptive, ListScheduledPlatform, PlatformDecision
 from repro.runtime.functions import FunctionRegistry
 from repro.runtime.sources import ConstantStimulus, GeneratorStimulus, PeriodicStimulus
-from repro.runtime.trace import TraceRecorder
 from repro.util.runwarnings import warning_code
 from sampling_oracle import every_completion
 from timebase_oracle import fraction_time_base
@@ -77,35 +75,6 @@ def assert_metrics_identical(naive, ff):
     assert metrics_naive == metrics_ff
 
 
-def _identity(value):
-    return value
-
-
-def declared(tasks, **bodies):
-    """Re-register a synthetic fleet's bodies as declared stateless, so
-    ``"auto"`` may jump it; *bodies* replace callables by name.  The
-    builders' own bodies stay undeclared (the dispatch benchmarks need ring
-    runs to step naively under the default)."""
-    registry = tasks[0].registry
-    for name in sorted({name for task in tasks for name in task.function_names()}):
-        registry.register(name, bodies.get(name, registry.get(name).callable), stateless=True)
-    return tasks
-
-
-def declared_ring(task_count, **kwargs):
-    """A ring whose ``step`` is a declared identity: the token values
-    circulate unchanged, so the value state recurs."""
-    return declared(ring_program(task_count, **kwargs), step=_identity)
-
-
-def declared_fork_join(width, **kwargs):
-    return declared(fork_join_program(width, **kwargs), work=_identity)
-
-
-def declared_sdf(graph, **kwargs):
-    return declared(tasks_from_sdf(graph, **kwargs))
-
-
 def _undeclared_registry():
     registry = FunctionRegistry()
     registry.register("average2", lambda pair: sum(pair) / len(pair))
@@ -125,130 +94,104 @@ def _undeclared_quickstart():
 
 
 # ---------------------------------------------------------------------------
-# Engine-level fast-forward (run_tasks)
+# Printed fleets: rings, fork/joins and SDF graphs without drivers
 # ---------------------------------------------------------------------------
+
+def naive_and_auto(fleet, duration, **kwargs):
+    """*fleet* run naively and under the default ``"auto"``."""
+    return (
+        fleet.run(duration, fast_forward=False, **kwargs),
+        fleet.run(duration, **kwargs),
+    )
+
 
 class TestEngineFastForward:
     def test_ring_long_horizon_exact(self):
-        horizon = Fraction(100)
-        naive = run_tasks(
-            declared_ring(20, tokens=3, stagger=3), horizon=horizon, fast_forward=False
-        )
-        ff = run_tasks(declared_ring(20, tokens=3, stagger=3), horizon=horizon)
-        steady = ff.engine.steady_state
+        naive, ff = naive_and_auto(oil_fleets.ring(20, tokens=3, stagger=3), Fraction(100))
+        steady = ff.simulation.engine.steady_state
         assert ff.fast_forwarded and steady.jumps >= 1
         assert steady.skipped_events > 0
-        assert ff.engine.completed_firings == naive.engine.completed_firings
+        assert ff.completed_firings == naive.completed_firings
         assert ff.makespan == naive.makespan
         # processed is replayed through jumps, so it matches naive exactly;
         # the actually executed events are the difference
-        assert ff.queue.processed == naive.queue.processed
-        assert steady.skipped_events < naive.queue.processed
+        assert ff.simulation.queue.processed == naive.simulation.queue.processed
+        assert steady.skipped_events < naive.simulation.queue.processed
         assert_traces_identical(naive.trace, ff.trace)
 
     def test_short_horizon_is_bit_identical_without_jumps(self):
         # A horizon inside the transient: the detector is armed but never
         # jumps, and the run is trivially bit-identical.
-        naive = run_tasks(
-            declared_ring(20, tokens=3), horizon=Fraction(1, 500), fast_forward=False
-        )
-        ff = run_tasks(declared_ring(20, tokens=3), horizon=Fraction(1, 500))
-        assert ff.engine.steady_state is not None
+        naive, ff = naive_and_auto(oil_fleets.ring(20, tokens=3), Fraction(1, 500))
+        assert ff.simulation.engine.steady_state is not None
         assert not ff.fast_forwarded
-        assert_traces_identical(naive.trace, ff.trace)
-
-    def test_stop_after_firings_halts_at_naive_instant(self):
-        naive = run_tasks(
-            declared_ring(20, tokens=3), stop_after_firings=5000, fast_forward=False
-        )
-        ff = run_tasks(declared_ring(20, tokens=3), stop_after_firings=5000)
-        assert ff.fast_forwarded
-        assert ff.engine.completed_firings == naive.engine.completed_firings
-        assert ff.makespan == naive.makespan
         assert_traces_identical(naive.trace, ff.trace)
 
     @pytest.mark.parametrize(
         "policy_factory",
         [
             lambda: BoundedProcessors(2),
-            lambda: StaticOrder([f"t{i}" for i in range(10)]),
+            lambda: StaticOrder(
+                [f"Ring/R{i}" for i in range(10)], key=lambda task: task.instance
+            ),
         ],
         ids=["bounded", "static-order"],
     )
     def test_policies_fast_forward_exactly(self, policy_factory):
-        horizon = Fraction(50)
-        naive = run_tasks(
-            declared_ring(10, tokens=2),
-            policy=policy_factory(),
-            horizon=horizon,
-            fast_forward=False,
-        )
-        ff = run_tasks(declared_ring(10, tokens=2), policy=policy_factory(), horizon=horizon)
+        ring = oil_fleets.ring(10, tokens=2)
+        naive = ring.run(Fraction(50), scheduler=policy_factory(), fast_forward=False)
+        ff = ring.run(Fraction(50), scheduler=policy_factory())
         assert ff.fast_forwarded
-        assert ff.engine.completed_firings == naive.engine.completed_firings
+        assert ff.completed_firings == naive.completed_firings
         assert ff.makespan == naive.makespan
         assert_traces_identical(naive.trace, ff.trace)
 
     def test_preemptive_policy_jumps_past_cancelled_completions(self):
         # Every preemption cancels a completion event, which stays in the
         # heap until it reaches the top, so samples see cancelled entries.
-        def run(**kwargs):
-            return run_tasks(
-                declared_ring(12, tokens=5, stagger=1),
-                policy=FixedPriorityPreemptive(Platform.homogeneous(2)),
-                horizon=Fraction(5),
-                **kwargs,
-            )
-
-        naive = run(fast_forward=False)
-        ff = run()
+        naive, ff = naive_and_auto(
+            oil_fleets.ring(12, tokens=5, stagger=1),
+            Fraction(5),
+            scheduler=FixedPriorityPreemptive(Platform.homogeneous(2)),
+        )
         assert ff.fast_forwarded
-        assert ff.engine.preemptions == naive.engine.preemptions > 0
-        assert ff.engine.completed_firings == naive.engine.completed_firings
+        assert ff.preemptions == naive.preemptions > 0
+        assert ff.completed_firings == naive.completed_firings
         assert ff.makespan == naive.makespan
         assert_traces_identical(naive.trace, ff.trace)
 
     def test_platform_policy_fast_forwards_with_busy_accounting(self):
-        horizon = Fraction(50)
-        naive = run_tasks(
-            declared_fork_join(4),
-            policy=ListScheduledPlatform(Platform.homogeneous(2)),
-            horizon=horizon,
+        fleet = oil_fleets.fork_join(4)
+        naive = fleet.run(
+            Fraction(50),
+            scheduler=ListScheduledPlatform(Platform.homogeneous(2)),
             fast_forward=False,
         )
-        ff = run_tasks(
-            declared_fork_join(4),
-            policy=ListScheduledPlatform(Platform.homogeneous(2)),
-            horizon=horizon,
-        )
+        ff = fleet.run(Fraction(50), scheduler=ListScheduledPlatform(Platform.homogeneous(2)))
         assert ff.fast_forwarded
-        assert ff.engine.completed_firings == naive.engine.completed_firings
-        assert ff.engine.processor_busy_time == naive.engine.processor_busy_time
+        assert ff.completed_firings == naive.completed_firings
+        assert ff.processor_busy == naive.processor_busy
         assert_traces_identical(naive.trace, ff.trace)
 
     def test_trace_retention_keeps_streaming_counters_exact(self):
-        horizon = Fraction(200)
-        naive = run_tasks(declared_ring(12, tokens=2), horizon=horizon, fast_forward=False)
-        capped = TraceRecorder(level="full", retention=50)
-        ff = run_tasks(declared_ring(12, tokens=2), horizon=horizon, trace=capped)
+        ring = oil_fleets.ring(12, tokens=2)
+        naive = ring.run(Fraction(200), fast_forward=False)
+        ff = ring.run(Fraction(200), trace_retention=50)
+        capped = ff.trace
         assert ff.fast_forwarded
-        assert ff.engine.completed_firings == naive.engine.completed_firings
+        assert ff.completed_firings == naive.completed_firings
         # stored records are capped, the totals and per-task counters are not
         assert len(capped.firings) <= 50
         assert capped.firing_total == len(naive.trace.firings)
-        for i in range(12):
-            key = f"ring:t{i}"
+        for task in ff.simulation.tasks:
+            key = task.producer_key()
             assert capped.task_firing_count(key) == naive.trace.task_firing_count(key)
             assert capped.task_throughput(key) == naive.trace.task_throughput(key)
 
     def test_multiple_jumps_across_repeated_horizon_extensions(self):
-        graph = fig2_task_graph()
-        naive = run_tasks(
-            declared_sdf(graph, iterations=50), horizon=Fraction(400), fast_forward=False
-        )
-        ff = run_tasks(declared_sdf(graph, iterations=50), horizon=Fraction(400))
+        naive, ff = naive_and_auto(oil_fleets.sdf(fig2_task_graph(), iterations=50), 400)
         assert ff.fast_forwarded
-        assert ff.engine.completed_firings == naive.engine.completed_firings
+        assert ff.completed_firings == naive.completed_firings
         assert_traces_identical(naive.trace, ff.trace)
 
 
@@ -275,12 +218,12 @@ def _policy(family, processors):
     return ListScheduledPlatform(Platform.homogeneous(processors))
 
 
-def _held_tokens(tasks):
+def _held_tokens(simulation):
     """The values each buffer holds at the end, oldest first, read through
     the consumer windows (not the raw storage ring, whose slot alignment a
     jump may rotate)."""
     held = {}
-    for task in tasks:
+    for task in simulation.tasks:
         for access in task.task.reads:
             buffer = task.buffers[access.buffer]
             held[buffer.name] = buffer.peek(task.producer_key(), buffer.tokens_available)
@@ -295,20 +238,17 @@ def test_auto_equals_naive_on_generated_rings(case):
     # the slowest (11-12 tasks, nearly full of staggered tokens) first jump
     # past half a second.
     horizon = Fraction(1)
-    naive_tasks = declared_ring(task_count, **shape)
-    naive = run_tasks(
-        naive_tasks, policy=_policy(family, processors), horizon=horizon, fast_forward=False
-    )
-    auto_tasks = declared_ring(task_count, **shape)
-    auto = run_tasks(auto_tasks, policy=_policy(family, processors), horizon=horizon)
+    ring = oil_fleets.ring(task_count, **shape)
+    naive = ring.run(horizon, scheduler=_policy(family, processors), fast_forward=False)
+    auto = ring.run(horizon, scheduler=_policy(family, processors))
     # the property must not pass vacuously: every generated ring jumps
     assert auto.fast_forwarded
     assert auto.warnings == []
     assert auto.trace.firings == naive.trace.firings
-    assert auto.queue.processed == naive.queue.processed
+    assert auto.simulation.queue.processed == naive.simulation.queue.processed
     assert auto.makespan == naive.makespan
-    assert auto.engine.processor_busy_time == naive.engine.processor_busy_time
-    assert _held_tokens(auto_tasks) == _held_tokens(naive_tasks)
+    assert auto.processor_busy == naive.processor_busy
+    assert _held_tokens(auto.simulation) == _held_tokens(naive.simulation)
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +259,21 @@ class TestCompiledKernel:
     def test_kernel_active_once_wired_under_every_policy(self):
         # Every policy runs the one loop the wiring binds; ``kernel_active``
         # stays readable and reports the wiring.
-        platform_run = run_tasks(
-            ring_program(10, tokens=2),
-            policy=ListScheduledPlatform(Platform.homogeneous(2)),
-            stop_after_firings=50,
+        ring = oil_fleets.ring(10, tokens=2)
+        platform_run = ring.run(
+            Fraction(1, 20), scheduler=ListScheduledPlatform(Platform.homogeneous(2))
         )
-        assert platform_run.engine.kernel_active
+        assert platform_run.completed_firings >= 50
+        assert platform_run.simulation.engine.kernel_active
         with fraction_time_base():
-            fraction_run = run_tasks(ring_program(10, tokens=2), stop_after_firings=50)
-        assert fraction_run.engine.kernel_active
+            fraction_run = ring.run(Fraction(1, 20))
+        assert fraction_run.simulation.engine.kernel_active
 
     def test_kernel_composes_with_fast_forward(self):
-        horizon = Fraction(100)
-        reference = run_tasks(declared_ring(16, tokens=3), horizon=horizon, fast_forward=False)
-        combined = run_tasks(declared_ring(16, tokens=3), horizon=horizon)
-        assert combined.fast_forwarded and combined.engine.kernel_active
-        assert combined.engine.completed_firings == reference.engine.completed_firings
-        assert_traces_identical(reference.trace, combined.trace)
+        naive, combined = naive_and_auto(oil_fleets.ring(16, tokens=3), Fraction(100))
+        assert combined.fast_forwarded and combined.simulation.engine.kernel_active
+        assert combined.completed_firings == naive.completed_firings
+        assert_traces_identical(naive.trace, combined.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -349,24 +287,24 @@ class TestRefusals:
     :func:`fast_forward_refusal` still names the stable reason."""
 
     def test_speed_migrating_preemptive_policy_refuses(self):
-        run = run_tasks(
-            declared_ring(10, tokens=2),
-            policy=FixedPriorityPreemptive(Platform.heterogeneous([1, 2])),
-            stop_after_firings=100,
+        run = oil_fleets.ring(10, tokens=2).run(
+            Fraction(1, 10), scheduler=FixedPriorityPreemptive(Platform.heterogeneous([1, 2]))
         )
-        assert run.engine.steady_state is None
+        engine = run.simulation.engine
+        assert engine.steady_state is None
         assert not run.fast_forwarded
         assert run.warnings == []
-        refusal = fast_forward_refusal(run.engine.policy, run.queue.timebase)
+        refusal = fast_forward_refusal(engine.policy, engine.queue.timebase)
         assert warning_code(refusal) == "speed-migrating-policy"
-        assert run.engine.completed_firings == 100
+        assert run.completed_firings >= 100
 
     def test_fraction_time_base_refuses(self):
         with fraction_time_base():
-            run = run_tasks(declared_ring(10, tokens=2), stop_after_firings=100)
-        assert run.engine.steady_state is None
+            run = oil_fleets.ring(10, tokens=2).run(Fraction(1, 10))
+        engine = run.simulation.engine
+        assert engine.steady_state is None
         assert run.warnings == []
-        refusal = fast_forward_refusal(run.engine.policy, run.queue.timebase)
+        refusal = fast_forward_refusal(engine.policy, engine.queue.timebase)
         assert warning_code(refusal) == "fraction-time-base"
 
     def test_policy_without_steady_state_key_refuses(self):
@@ -401,22 +339,18 @@ class TestRefusals:
             def reset(self):
                 pass
 
-        run = run_tasks(
-            declared_ring(10, tokens=2),
-            policy=OpaquePolicy(),
-            stop_after_firings=100,
-        )
-        assert run.engine.steady_state is None
+        run = oil_fleets.ring(10, tokens=2).run(Fraction(1, 10), scheduler=OpaquePolicy())
+        engine = run.simulation.engine
+        assert engine.steady_state is None
         assert run.warnings == []
-        refusal = fast_forward_refusal(run.engine.policy, run.queue.timebase)
+        refusal = fast_forward_refusal(engine.policy, engine.queue.timebase)
         assert warning_code(refusal) == "no-steady-state-key"
 
     def test_refused_run_matches_naive(self):
         with fraction_time_base():
-            naive = run_tasks(declared_ring(10, tokens=2),
-                              stop_after_firings=200, fast_forward=False)
-            refused = run_tasks(declared_ring(10, tokens=2), stop_after_firings=200)
-        assert refused.engine.steady_state is None
+            naive, refused = naive_and_auto(oil_fleets.ring(10, tokens=2), Fraction(1, 5))
+        assert refused.simulation.engine.steady_state is None
+        assert naive.completed_firings >= 200
         assert_traces_identical(naive.trace, refused.trace)
 
 
@@ -499,8 +433,9 @@ class TestFastForwardModes:
 
     @pytest.mark.parametrize("mode", ["off", True])
     def test_run_tasks_rejects(self, mode):
+        # a simulation of a printed ring, built without running it
         with pytest.raises(ValueError, match="fast_forward"):
-            run_tasks(declared_ring(5, tokens=2), stop_after_firings=10, fast_forward=mode)
+            oil_fleets.ring(5, tokens=2).simulation(fast_forward=mode)
 
     @pytest.mark.parametrize("mode", ["off", True])
     def test_analysis_run_rejects(self, mode):
@@ -789,8 +724,8 @@ class TestSamplingGrid:
 
         monkeypatch.setattr(detector, "on_anchor_completion", completion)
         monkeypatch.setattr(detector, "state_key", sample)
-        run = run_tasks(declared_ring(12, tokens=2), horizon=Fraction(1))
-        steady = run.engine.steady_state
+        run = oil_fleets.ring(12, tokens=2).run(Fraction(1))
+        steady = run.simulation.engine.steady_state
         assert steady.grid is None and steady.jumps >= 1
         assert counts["samples"] == counts["completions"] > 1
 
@@ -806,8 +741,8 @@ class TestOfflineCrossCheck:
         offline = self_timed_statespace(graph)
         assert offline.iteration_period is not None and not offline.deadlocked
 
-        run = run_tasks(declared_sdf(graph, iterations=64), horizon=Fraction(500))
-        steady = run.engine.steady_state
+        run = oil_fleets.sdf(graph, iterations=64).run(500)
+        steady = run.simulation.engine.steady_state
         assert run.fast_forwarded and steady.period_ticks is not None
 
         # The online anchor-period spans an integer number of graph
@@ -815,7 +750,7 @@ class TestOfflineCrossCheck:
         # offline periodic phase: period_firings / period_seconds ==
         # sum(repetition vector) / iteration_period.
         q = repetition_vector(graph)
-        period_seconds = run.queue.to_time(steady.period_ticks)
+        period_seconds = run.simulation.queue.to_time(steady.period_ticks)
         assert (
             Fraction(steady.period_firings) * offline.iteration_period
             == Fraction(q.total_firings()) * period_seconds
@@ -823,8 +758,8 @@ class TestOfflineCrossCheck:
 
     def test_online_transient_is_finite_and_period_positive(self):
         graph = fig2_task_graph()
-        run = run_tasks(declared_sdf(graph, iterations=64), horizon=Fraction(500))
-        steady = run.engine.steady_state
+        run = oil_fleets.sdf(graph, iterations=64).run(500)
+        steady = run.simulation.engine.steady_state
         assert steady.transient_ticks >= 0
         assert steady.period_ticks > 0
         assert steady.skipped_events > 0

@@ -1,7 +1,11 @@
 """Tests for OIL semantic validation and the pretty printer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oil_fleets
+from repro.baselines.sequential_schedule import rate_conversion_graph
+from repro.core.compiler import compile_program
 from repro.lang import (
     BlackBoxModule,
     BlackBoxPort,
@@ -13,7 +17,7 @@ from repro.lang import (
 from repro.apps.modal_audio import MUTE_OIL_SOURCE, TWO_MODE_OIL_SOURCE
 from repro.apps.pal_decoder import PalDecoderApp
 from repro.apps.producer_consumer import QUICKSTART_OIL_SOURCE
-from repro.apps.rate_converter import FIG2_OIL_SOURCE
+from repro.apps.rate_converter import FIG2_OIL_SOURCE, fig2_task_graph
 
 
 def errors_of(source, boxes=None):
@@ -199,3 +203,36 @@ class TestPrettyPrinter:
         printed = format_program(parse_program(app.source_text()))
         assert "6.4 MHz" in printed
         assert "32 kHz" in printed
+
+
+@st.composite
+def printed_fleets(draw):
+    """OIL source of one of the printed engine fleets (tests/oil_fleets.py):
+    a ring (2-12 modules, 1..n-1 tokens, stagger 1-3), a fork/join of width
+    1-8, or an SDF graph of the rate pairs the engine tests run."""
+    shape = draw(st.sampled_from(["ring", "fork-join", "sdf"]))
+    if shape == "ring":
+        task_count = draw(st.integers(2, 12))
+        return oil_fleets.ring_source(
+            task_count,
+            tokens=draw(st.integers(1, task_count - 1)),
+            stagger=draw(st.integers(1, 3)),
+        )
+    if shape == "fork-join":
+        return oil_fleets.fork_join_source(draw(st.integers(1, 8)))
+    produce, consume = draw(st.sampled_from([(3, 2), (5, 3), (4, 7)]))
+    return oil_fleets.sdf_source(rate_conversion_graph(produce, consume))
+
+
+@given(printed_fleets())
+@settings(max_examples=40, deadline=None)
+def test_printed_fleets_compile_and_round_trip(printed):
+    compile_program(printed)  # raises on any semantic error
+    formatted = format_program(parse_program(printed))
+    assert format_program(parse_program(formatted)) == formatted
+
+
+def test_fig2_graph_prints_as_a_clean_program():
+    printed = oil_fleets.sdf_source(fig2_task_graph())
+    assert errors_of(printed) == []
+    assert "init(4, out by:4);" in printed

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+import oil_fleets
 from repro.api import Program
 from repro.api.program import Analysis
 from repro.api.sweep import Sweep
@@ -28,16 +29,7 @@ from repro.baselines.sequential_schedule import (
     generate_sequential_program,
     rate_conversion_graph,
 )
-from repro.engine import (
-    BoundedProcessors,
-    ExecutionEngine,
-    SelfTimedUnbounded,
-    StaticOrder,
-    fork_join_program,
-    ring_program,
-    run_tasks,
-    tasks_from_sdf,
-)
+from repro.engine import BoundedProcessors, ExecutionEngine, SelfTimedUnbounded, StaticOrder
 from repro.graph.circular_buffer import CircularBuffer
 from repro.graph.taskgraph import Access, Task
 from repro.platform import (
@@ -51,7 +43,7 @@ from repro.platform import (
 )
 from repro.runtime.events import EventQueue
 from repro.runtime.functions import FunctionRegistry
-from repro.runtime.tasks import RuntimeTask
+from repro.runtime.tasks import OilRuntimeError, RuntimeTask
 from repro.runtime.trace import TraceRecorder
 from repro.util.rational import TimeBase
 
@@ -181,60 +173,57 @@ class TestDegenerateEquivalenceOnApps:
         assert all(0.0 <= value <= 1.0 for value in utilisation.values())
 
 
+def _function(task):
+    """Schedule key of the printed SDF fleets: the actor a task calls."""
+    return task.task.function
+
+
 class TestDegenerateEquivalenceSynthetic:
+    """The same pairs on printed OIL fleets (tests/oil_fleets.py)."""
+
     def test_self_timed_ring_traces_identical(self):
-        a = run_tasks(ring_program(60, tokens=5, stagger=7), policy=SelfTimedUnbounded(),
-                      stop_after_firings=600)
-        b = run_tasks(ring_program(60, tokens=5, stagger=7), policy=SelfTimedPlatform(),
-                      stop_after_firings=600)
-        assert a.engine.completed_firings == b.engine.completed_firings == 600
+        ring = oil_fleets.ring(60, tokens=5, stagger=7)
+        a = ring.run(Fraction(1, 2), scheduler=SelfTimedUnbounded(), fast_forward=False)
+        b = ring.run(Fraction(1, 2), scheduler=SelfTimedPlatform(), fast_forward=False)
+        assert a.completed_firings == b.completed_firings >= 600
         assert_traces_identical(a.trace, b.trace)
 
     @pytest.mark.parametrize("processors", [1, 2, 4])
     def test_bounded_fork_join_traces_identical(self, processors):
-        a = run_tasks(fork_join_program(8), policy=BoundedProcessors(processors),
-                      stop_after_firings=50)
-        b = run_tasks(
-            fork_join_program(8),
-            policy=ListScheduledPlatform(Platform.homogeneous(processors)),
-            stop_after_firings=50,
-        )
+        fleet = oil_fleets.fork_join(8)
+        a = fleet.run(41, scheduler=BoundedProcessors(processors))
+        b = fleet.run(41, scheduler=ListScheduledPlatform(Platform.homogeneous(processors)))
+        assert a.completed_firings >= 50
         assert_traces_identical(a.trace, b.trace)
 
     @pytest.mark.parametrize("produce,consume", [(3, 2), (5, 3), (4, 7)])
     def test_static_order_matches_legacy_policy(self, produce, consume):
+        # Every actor fires for 1 s: the horizon holds three iterations.
         graph = rate_conversion_graph(produce, consume)
         program = generate_sequential_program(graph)
         iterations = 3
-        firings = len(program.schedule) * iterations
-        a = run_tasks(
-            tasks_from_sdf(graph, iterations=iterations),
-            policy=StaticOrder(program.schedule),
-            stop_after_firings=firings,
+        fleet = oil_fleets.sdf(graph, iterations=iterations)
+        horizon = len(program.schedule) * iterations
+        a = fleet.run(horizon, scheduler=StaticOrder(program.schedule, key=_function))
+        b = fleet.run(horizon, scheduler=StaticOrderPlatform(program.schedule, key=_function))
+        assert (
+            oil_fleets.firing_sequence(a.trace)
+            == oil_fleets.firing_sequence(b.trace)
+            == program.schedule * iterations
         )
-        b = run_tasks(
-            tasks_from_sdf(graph, iterations=iterations),
-            policy=StaticOrderPlatform(program.schedule),
-            stop_after_firings=firings,
-        )
-        assert a.firing_sequence() == b.firing_sequence() == program.schedule * iterations
         assert_traces_identical(a.trace, b.trace)
 
     def test_run_tasks_accepts_platform_shorthand(self):
-        run = run_tasks(
-            ring_program(20, tokens=4),
-            platform=Platform.homogeneous(2),
-            stop_after_firings=100,
+        run = oil_fleets.ring(20, tokens=4).run(
+            Fraction(1, 20), platform=Platform.homogeneous(2), fast_forward=False
         )
-        assert run.engine.completed_firings == 100
-        assert set(run.engine.processor_busy_time) == {"p0", "p1"}
+        assert run.completed_firings >= 100
+        assert set(run.processor_busy) == {"p0", "p1"}
 
     def test_run_tasks_rejects_policy_and_platform_together(self):
-        with pytest.raises(ValueError):
-            run_tasks(
-                ring_program(10, tokens=2),
-                policy=SelfTimedUnbounded(),
-                platform=Platform.homogeneous(2),
+        with pytest.raises(OilRuntimeError, match="not both"):
+            oil_fleets.ring(10, tokens=2).simulation(
+                scheduler=SelfTimedUnbounded(), platform=Platform.homogeneous(2)
             )
 
 
@@ -293,7 +282,7 @@ class TestFixedPriorityPreemption:
         engine.wake_all()
         engine.schedule_dispatch()
         queue.schedule(3, lambda: h_in.produce("ext", [1.0], 1), label="ext-token")
-        queue.run_until(100, stop=lambda: engine.completed_firings >= 2)
+        queue.run_until(12)
 
         # H fired [3, 5]; L started at 0, lost [3, 5] to H, finished at 12.
         assert [(f.task, f.start, f.end) for f in trace.firings] == [
@@ -324,7 +313,8 @@ class TestFixedPriorityPreemption:
         assert engine.suspended_tasks == [low]
         # the preempted completion event sits cancelled in the heap
         assert queue.cancelled_pending == 1
-        queue.run_until(20, stop=lambda: engine.completed_firings >= 2)
+        queue.run_until(12)  # both completed
+        assert engine.completed_firings == 2
         assert engine.suspended_tasks == []
         assert queue.cancelled_pending == 0
 
@@ -358,7 +348,8 @@ class TestFixedPriorityPreemption:
         engine.wake_all()
         engine.schedule_dispatch()
         queue.schedule(Fraction(2), lambda: h_in.produce("ext", [1.0], 1), label="ext")
-        queue.run_until(Fraction(40), stop=lambda: engine.completed_firings >= 3)
+        queue.run_until(Fraction(13))
+        assert engine.completed_firings == 3
 
         first = {}
         for firing in trace.firings:
@@ -382,34 +373,30 @@ class TestFixedPriorityPreemption:
         from it, leave the grid."""
         policy = FixedPriorityPreemptive(Platform.heterogeneous([2, 3]))
         assert policy.migrates_across_speeds
-        run = run_tasks(
-            ring_program(8, tokens=5, wcet=Fraction(1), stagger=3),
-            policy=policy,
-            stop_after_firings=60,
-        )
-        resolution = run.queue.timebase.resolution
+        run = oil_fleets.ring(10, tokens=7, wcet=Fraction(1), stagger=3).run(30, scheduler=policy)
+        resolution = run.simulation.queue.timebase.resolution
         assert resolution == Fraction(1, 6)  # wcets 1-3 s at speeds 2 and 3
-        assert run.engine.completed_firings >= 60
-        assert run.engine.resumes > 0
-        # t3 (1 s of work) starts at 1/2 s (tick 3) on the speed-2 p0, is
-        # preempted at tick 4 and resumes at tick 8 on the speed-3 p1: the 2
-        # ticks owed at speed 2 are 4/3 ticks at speed 3, so it completes
-        # at tick 28/3, 14/9 s.
+        assert run.completed_firings >= 60
+        assert run.simulation.engine.resumes > 0
+        # R7 (2 s of work) starts at 3 s (tick 18) on the speed-2 p0, is
+        # preempted at tick 22 and resumes at tick 32 on the speed-3 p1: the
+        # 2 ticks owed at speed 2 are 4/3 ticks at speed 3, so it completes
+        # at tick 100/3, 50/9 s.
         firings = [(f.task, f.start, f.end) for f in run.trace.firings]
-        assert ("ring:t3", Fraction(1, 2), Fraction(14, 9)) in firings
+        assert ("Ring/R7:t_step2", Fraction(3), Fraction(50, 9)) in firings
         off_grid = [end for _, _, end in firings if (end / resolution).denominator > 1]
         assert 0 < len(off_grid) < len(firings)
         # same-speed platforms never leave the grid
         homogeneous = FixedPriorityPreemptive(Platform.homogeneous(2))
         assert not homogeneous.migrates_across_speeds
-        ticked = run_tasks(
-            ring_program(10, tokens=5, wcet=Fraction(1), stagger=3),
-            policy=homogeneous,
-            stop_after_firings=60,
+        ticked = oil_fleets.ring(10, tokens=5, wcet=Fraction(1), stagger=3).run(
+            60, scheduler=homogeneous
         )
-        assert ticked.queue.timebase is not None
+        assert ticked.completed_firings >= 60
+        timebase = ticked.simulation.queue.timebase
+        assert timebase is not None
         assert all(
-            (firing.end / ticked.queue.timebase.resolution).denominator == 1
+            (firing.end / timebase.resolution).denominator == 1
             for firing in ticked.trace.firings
         )
 
@@ -433,23 +420,63 @@ class TestFixedPriorityPreemption:
         assert (declared.metrics()["preemptions"], declared.deadline_misses) == (803, 370)
         assert run.trace.firings == declared.trace.firings
 
+    def test_undeclared_migration_leaves_the_grid_visibly(self, monkeypatch):
+        """The first resume that posts a completion between two ticks marks
+        the run: it reads ``time_base`` ``"fraction"``, and the installed
+        detector samples no more, as the up-front refusal would have kept it
+        out of a declared migration."""
+        from repro.engine.steady_state import SteadyState
+
+        class Undeclared(FixedPriorityPreemptive):
+            @property
+            def migrates_across_speeds(self):
+                return False
+
+        samples, off_grid_posts = [], []
+        state_key, post = SteadyState.state_key, EventQueue.post
+
+        def sampled(self):
+            samples.append(self.queue.processed)
+            return state_key(self)
+
+        def posted(self, time, callback, label=""):
+            if self.timebase is not None and isinstance(time, Fraction):
+                off_grid_posts.append(self.processed)
+            return post(self, time, callback, label)
+
+        monkeypatch.setattr(SteadyState, "state_key", sampled)
+        monkeypatch.setattr(EventQueue, "post", posted)
+        analysis = Program.from_app("pal_decoder", utilisation=0.8).analyze()
+        run = analysis.run(Fraction(1, 8), scheduler=Undeclared(Platform.heterogeneous([2, 1])))
+        engine = run.simulation.engine
+        assert len(off_grid_posts) == 884
+        assert run.time_base == run.metrics()["time_base"] == "fraction"
+        assert engine.steady_state is not None
+        assert all(sample <= off_grid_posts[0] for sample in samples)
+        assert engine.off_grid and engine.steady_state.done
+        assert not run.fast_forwarded
+        # on one speed no resume leaves the grid: ticks, and the detector runs
+        samples.clear()
+        homogeneous = analysis.run(
+            Fraction(1, 8), scheduler=Undeclared(Platform.homogeneous(2))
+        )
+        assert not homogeneous.simulation.engine.off_grid
+        assert homogeneous.time_base == "ticks"
+        assert not homogeneous.simulation.engine.steady_state.done and samples
+
     def test_busy_time_includes_segment_cut_by_the_horizon(self):
         """A firing still running when the horizon ends the run must count
         its executed segment, or saturated processors under-report -- up to
         the exact horizon, although the derived 10 s tick floors it to 0."""
-        registry = FunctionRegistry()
-        registry.register("l", lambda value: value)
-        loop = CircularBuffer("fp/l_loop", 2, initial_values=[0.0])
-        task = _black_box_task("l", registry, reads=[(loop, 1)], writes=[(loop, 1)], wcet=10)
-        run = run_tasks(
-            [task],
-            policy=ListScheduledPlatform(Platform.homogeneous(1)),
-            horizon=Fraction(4),
+        run = oil_fleets.ring(2, tokens=1, wcet=Fraction(10)).run(
+            Fraction(4), scheduler=ListScheduledPlatform(Platform.homogeneous(1))
         )
-        assert run.queue.timebase.resolution == Fraction(10)
-        assert run.queue.now == 0 and run.queue.now_time == Fraction(4)
-        assert run.engine.completed_firings == 0  # cut mid-firing
-        assert run.engine.processor_busy_time == {"p0": Fraction(4)}
+        queue = run.simulation.queue
+        assert queue.timebase.resolution == Fraction(10)
+        assert queue.now == 0 and queue.now_time == Fraction(4)
+        # only the instantaneous init completed; the first step is cut
+        assert [f.task for f in run.trace.firings] == ["Ring/R1:t_init"]
+        assert run.processor_busy == {"p0": Fraction(4)}
 
     def test_preemptive_run_preserves_data_semantics(self, quickstart_sized):
         """Preemption reshapes timing only: sink values match the default
@@ -471,41 +498,34 @@ class TestFixedPriorityPreemption:
 
 class TestPartitionedHeterogeneous:
     def test_firing_duration_scales_with_pinned_processor_speed(self):
-        registry = FunctionRegistry()
-        registry.register("a", lambda value: value)
-        registry.register("b", lambda value: value)
-        loop_a = CircularBuffer("ph/a", 2, initial_values=[0.0])
-        loop_b = CircularBuffer("ph/b", 2, initial_values=[0.0])
-        task_a = _black_box_task("a", registry, reads=[(loop_a, 1)], writes=[(loop_a, 1)], wcet=2)
-        task_b = _black_box_task("b", registry, reads=[(loop_b, 1)], writes=[(loop_b, 1)], wcet=2)
-        platform = Platform.heterogeneous([2, 1], mapping={"a": "p0", "b": "p1"})
-        run = run_tasks(
-            [task_a, task_b],
-            policy=PartitionedHeterogeneous(platform),
-            stop_after_firings=4,
+        # a two-module ring, each module pinned by its task key
+        mapping = {"Ring/R0:t_step1": "p0", "Ring/R1:t_step1": "p1"}
+        platform = Platform.heterogeneous([2, 1], mapping=mapping)
+        run = oil_fleets.ring(2, tokens=1, wcet=Fraction(2)).run(
+            6, scheduler=PartitionedHeterogeneous(platform)
         )
         by_task = {}
         for firing in run.trace.firings:
             by_task.setdefault(firing.task, []).append(firing.end - firing.start)
-        assert by_task["fp:a"][0] == Fraction(1)  # wcet 2 at speed 2
-        assert by_task["fp:b"][0] == Fraction(2)  # wcet 2 at speed 1
+        assert by_task["Ring/R0:t_step1"][0] == Fraction(1)  # wcet 2 at speed 2
+        assert by_task["Ring/R1:t_step1"][0] == Fraction(2)  # wcet 2 at speed 1
 
     def test_round_robin_fallback_pins_every_task(self):
-        tasks = ring_program(6, tokens=2)
         policy = PartitionedHeterogeneous(Platform.homogeneous(2))
-        run = run_tasks(tasks, policy=policy, stop_after_firings=30)
-        assert run.engine.completed_firings == 30
-        pinned = {policy.processor_of(task).name for task in tasks}
+        run = oil_fleets.ring(6, tokens=2).run(Fraction(1, 20), scheduler=policy)
+        assert run.completed_firings >= 30
+        pinned = {policy.processor_of(task).name for task in run.simulation.tasks}
         assert pinned == {"p0", "p1"}
 
     def test_partitioned_serialises_per_processor(self):
         """Two tasks pinned to one processor never overlap; tasks on
         different processors may."""
-        tasks = ring_program(4, tokens=2)
-        mapping = {task.name: "p0" for task in tasks}
+        ring = oil_fleets.ring(4, tokens=2)
+        mapping = {task.producer_key(): "p0" for task in ring.simulation().tasks}
         platform = Platform.homogeneous(2, name="pin-all")
         policy = PartitionedHeterogeneous(platform, mapping=mapping)
-        run = run_tasks(tasks, policy=policy, stop_after_firings=20)
+        run = ring.run(Fraction(1, 50), scheduler=policy)
+        assert run.completed_firings >= 20
         firings = sorted(run.trace.firings, key=lambda f: (f.start, f.end))
         for earlier, later in zip(firings, firings[1:]):
             assert earlier.end <= later.start  # everything shares p0

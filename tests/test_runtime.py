@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import oil_fleets
 from repro.graph.circular_buffer import CircularBuffer
 from repro.graph.taskgraph import Access, Task
 from repro.lang import ast
@@ -369,30 +370,29 @@ class TestRunParameterErrors:
 
     def test_negative_duration_raises(self):
         from repro.api import Program, Sweep
-        from repro.engine import ring_program, run_tasks
 
         program = Program.from_app("quickstart")
+        ring = oil_fleets.ring(4, tokens=1)
         with pytest.raises(ValueError, match="-1"):
             program.run(-1)
         with pytest.raises(ValueError, match="-1/100"):
             program.analyze().simulation().run(Fraction(-1, 100))
         with pytest.raises(ValueError, match="-3"):
-            run_tasks(ring_program(4, tokens=1), horizon=-3)
+            ring.run(-3)
         report = Sweep("quickstart").add_axis("duration", [Fraction(-1, 2)]).run()
         assert not report.ok and "-1/2" in report.results[0].error
-        # zero is a valid (empty) horizon
+        # zero is a valid (empty) horizon: only the instantaneous init fires
         assert program.run(0).deadline_misses == 0
-        assert run_tasks(ring_program(4, tokens=1), horizon=0).engine.completed_firings == 0
+        assert [f.task for f in ring.run(0).trace.firings] == ["Ring/R3:t_init"]
 
     def test_run_tasks_horizon_is_in_seconds(self):
-        # An integer horizon means seconds on every time base (a tick count
+        # An integer duration means seconds on every time base (a tick count
         # would make the end depend on the derived resolution).
-        from repro.engine import ring_program, run_tasks
-
-        run = run_tasks(ring_program(3, tokens=1, wcet=Fraction(1, 2)), horizon=2)
-        assert run.queue.timebase.resolution == Fraction(1, 2)
-        assert run.queue.now_time == 2
-        assert run.engine.completed_firings == 4
+        run = oil_fleets.ring(3, tokens=1, wcet=Fraction(1, 2)).run(2)
+        queue = run.simulation.queue
+        assert queue.timebase.resolution == Fraction(1, 2)
+        assert queue.now_time == 2
+        assert run.completed_firings == 1 + 4  # the init, then a step per 1/2 s
 
     def test_mode_schedule_with_unknown_loop_raises(self):
         from repro.api import Program
@@ -419,3 +419,55 @@ class TestRunParameterErrors:
         for schedule in ([("loop0", 1), ("loop1", 1)], [("loop0", 7), ("loop1", 2)]):
             run = analysis.run(Fraction(1, 10), mode_schedules={"TwoMode": schedule})
             assert run.completed_firings > 0
+
+
+class TestRepeatedInstances:
+    """Two calls of one module are two runtime instances: each runs under
+    the instance name the compiler gave it (``Dec``, ``Dec_2``) and reads
+    the capacities the analysis sized under that name."""
+
+    SOURCE = """
+mod seq Dec(sample x, out sample y){
+  loop{ dec(x:4, out y); } while(1);
+}
+mod par Top(){
+  source sample a = cap() @ 4 kHz;
+  source sample b = cap() @ 16 kHz;
+  sink sample c = emit() @ 1 kHz;
+  sink sample d = emit() @ 4 kHz;
+  Dec(a, out c) || Dec(b, out d)
+}
+"""
+
+    @pytest.fixture(scope="class")
+    def analysis(self):
+        from repro.api import Program
+
+        registry = FunctionRegistry()
+        registry.register("dec", lambda window: sum(window) / len(window), stateless=True)
+        program = Program.from_source(
+            self.SOURCE, function_wcets={"dec": Fraction(1, 5000)}, registry=registry
+        )
+        return program.analyze()
+
+    def test_each_call_is_its_own_instance(self, analysis):
+        from repro.platform import SelfTimedPlatform
+
+        assert analysis.capacities["Top/b"] == 4
+        assert analysis.capacities["Dec_2/loop0/x.access0"] == 7
+        run = analysis.run(Fraction(1, 2), scheduler=SelfTimedPlatform())
+        simulation = run.simulation
+        assert [task.producer_key() for task in simulation.tasks] == [
+            "Top/Dec:t_dec",
+            "Top/Dec_2:t_dec",
+        ]
+        # 4 kHz / 4 and 16 kHz / 4 over half a second (the last Dec_2
+        # firing is still in flight at the end)
+        assert run.trace.task_firing_count("Top/Dec:t_dec") == 500
+        assert run.trace.task_firing_count("Top/Dec_2:t_dec") == 1999
+        # one virtual processor per task
+        assert set(run.processor_busy) == {"Top/Dec:t_dec", "Top/Dec_2:t_dec"}
+        # Top/b feeds Dec_2: its own capacity plus Dec_2's access buffer
+        assert simulation.buffers["Top/b"].capacity == 4 + 7
+        assert simulation.buffers["Top/a"].capacity == 4 + 4
+        assert run.deadline_misses == 0

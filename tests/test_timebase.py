@@ -19,13 +19,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st, target
-from test_engine import fleet_shapes
+from test_engine import FLEET_FIRINGS, fleet_shapes
 from timebase_oracle import fraction_time_base
 
+import oil_fleets
 from repro.api import Analysis, Program, ProgramSpec, Sweep
 from repro.api.sweep import RUN_AXES
-from repro.engine import ring_program, run_tasks
 from repro.engine.steady_state import SteadyState
+from repro.runtime.functions import FunctionRegistry
 from repro.platform import Platform
 from repro.platform.policies import FixedPriorityPreemptive, ListScheduledPlatform
 from repro.runtime.events import EventQueue
@@ -188,12 +189,16 @@ class TestTickEventQueue:
                 clocks.append((queue.now_time, seen))
             assert clocks[0] == clocks[1]
 
-    def test_cut_short_run_reports_the_last_event(self):
+    def test_run_until_takes_only_an_end(self):
+        # A run ends at an instant: there is no event budget and no stop
+        # predicate that could leave the clock at the last event.
         queue = EventQueue(TimeBase(Fraction(1, 1000)))
         queue.schedule(Fraction(5, 1000), lambda: None)
-        queue.schedule(Fraction(9, 1000), lambda: None)
-        queue.run_until(Fraction(1, 3), stop=lambda: True)
-        assert queue.now_time == Fraction(5, 1000)
+        with pytest.raises(TypeError, match="stop"):
+            queue.run_until(Fraction(1, 3), stop=lambda: True)
+        with pytest.raises(TypeError, match="max_events"):
+            queue.run_until(Fraction(1, 3), max_events=1)
+        assert queue.processed == 0
 
     def test_timebase_fixed_once_history_exists(self):
         queue = EventQueue()
@@ -277,7 +282,7 @@ class TestPeriodicRoundTrip:
 
             queue.schedule(queue.to_internal(Fraction(0)), tick_a)
             queue.schedule(queue.to_internal(Fraction(0)), tick_b)
-            queue.run_until(period_a * 200, max_events=400)
+            queue.run_until(period_a * 200)
             return stamps
 
         fraction_stream = stream(EventQueue())
@@ -396,14 +401,13 @@ class TestSimulationEquivalence:
         assert_runs_identical(tick_run, fraction_run)
 
     def test_engine_run_tasks_equivalence(self):
-        with fraction_time_base():
-            a = run_tasks(ring_program(40, tokens=4, stagger=5), stop_after_firings=300)
-        b = run_tasks(ring_program(40, tokens=4, stagger=5), stop_after_firings=300)
-        assert a.queue.timebase is None
-        assert b.queue.timebase is not None
-        assert_traces_identical(a.trace, b.trace)
-        assert a.makespan == b.makespan
-        assert a.queue.now_time == b.queue.now_time
+        # A printed ring without drivers: its grid is the gcd of the wcets.
+        ring = oil_fleets.ring(40, tokens=4, stagger=5)
+        tick_run, fraction_run = tick_and_fraction_runs(ring, Fraction(1, 4), fast_forward=False)
+        assert fraction_run.simulation.queue.timebase is None
+        assert tick_run.simulation.time_base.resolution == Fraction(1, 1000)
+        assert tick_run.completed_firings >= 300
+        assert_runs_identical(tick_run, fraction_run)
 
 
 @st.composite
@@ -422,21 +426,20 @@ def migrating_fleets(draw):
 @given(migrating_fleets())
 @settings(max_examples=40, deadline=None)
 def test_speed_migrating_fleets_match_the_fraction_oracle(case):
-    build, make_policy = case
-    tick_run = run_tasks(build(), policy=make_policy(), stop_after_firings=400)
+    fleet, make_policy = case
+    horizon = fleet.horizon(FLEET_FIRINGS)
+    tick_run = fleet.run(horizon, scheduler=make_policy())
     # Most drawn fleets never fill their processors; steer the search
     # toward runs that preempt, where a resume may migrate off the grid.
-    target(float(tick_run.engine.preemptions))
+    target(float(tick_run.preemptions))
     with fraction_time_base():
-        fraction_run = run_tasks(build(), policy=make_policy(), stop_after_firings=400)
-    assert tick_run.queue.timebase is not None
-    assert fraction_run.queue.timebase is None
-    assert_traces_identical(tick_run.trace, fraction_run.trace)
-    assert tick_run.makespan == fraction_run.makespan
-    assert tick_run.queue.now_time == fraction_run.queue.now_time
-    assert tick_run.queue.processed == fraction_run.queue.processed
-    tick_engine, fraction_engine = tick_run.engine, fraction_run.engine
-    assert tick_engine.processor_busy_time == fraction_engine.processor_busy_time
+        fraction_run = fleet.run(horizon, scheduler=make_policy())
+    assert tick_run.completed_firings >= FLEET_FIRINGS
+    assert tick_run.simulation.queue.timebase is not None
+    assert fraction_run.simulation.queue.timebase is None
+    assert_runs_identical(tick_run, fraction_run, time_base="fraction")
+    assert tick_run.simulation.queue.processed == fraction_run.simulation.queue.processed
+    tick_engine, fraction_engine = tick_run.simulation.engine, fraction_run.simulation.engine
     assert (tick_engine.preemptions, tick_engine.resumes) == (
         fraction_engine.preemptions,
         fraction_engine.resumes,
@@ -469,18 +472,38 @@ class TestFractionFallback:
         tick_run, fallback_run = tick_and_fraction_runs(analysis, Fraction(1, 10))
         assert_runs_identical(tick_run, fallback_run)
 
+    #: a driverless acyclic program whose every duration is zero: an init
+    #: hands 20 values to one loop task, which drains them at t = 0
+    ZERO_WCET = """
+mod seq Feed(out float y){
+  init(20, out y:20);
+}
+mod seq Drain(float x){
+  loop{ drain(x); } while(1);
+}
+mod par Top(){
+  fifo float b;
+  Feed(out b) || Drain(b)
+}
+"""
+
     def test_run_tasks_fallback_without_positive_wcets(self):
-        tasks = ring_program(10, tokens=2, wcet=0)
-        run = run_tasks(tasks, stop_after_firings=20)
-        assert run.queue.timebase is None
-        assert run.engine.completed_firings >= 20
+        registry = FunctionRegistry()
+        registry.register("init", lambda count: [0.0] * count, stateless=True)
+        registry.register("drain", lambda value: None, stateless=True)
+        program = Program.from_source(self.ZERO_WCET, registry=registry)
+        run = program.analyze().run(Fraction(1), capacities={"Top/b": 20})
+        assert run.simulation.time_base is None
+        assert run.time_base == "fraction"
+        assert run.completed_firings == 1 + 20
+        assert run.simulation.queue.now_time == 1
 
     def test_unknown_time_base_rejected(self):
         # The representation is derived, never chosen: a time_base keyword
         # of any value is an unexpected keyword.
         for value in ("nanoseconds", "fraction", TimeBase(Fraction(1, 10_000))):
             with pytest.raises(TypeError, match="time_base"):
-                run_tasks(ring_program(10, tokens=2), time_base=value)
+                oil_fleets.ring(10, tokens=2).simulation(time_base=value)
             with pytest.raises(TypeError, match="time_base"):
                 Program.from_app("quickstart").analyze().run(
                     Fraction(1, 100), time_base=value
@@ -500,7 +523,6 @@ class TestDerivedTimeBase:
             Analysis.simulation,
             Analysis.run,
             Simulation.__init__,
-            run_tasks,
         ):
             assert "time_base" not in inspect.signature(function).parameters, function
         assert "time_base" not in {f.name for f in ProgramSpec.__dataclass_fields__.values()}

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 
 from occupancy_oracle import sampled_high_water, seed_occupancy
 from repro.api import Program
-from repro.engine import BoundedProcessors, run_tasks
+from repro.engine import BoundedProcessors
 from repro.graph.circular_buffer import CircularBuffer
 from repro.platform import Platform
 from repro.platform.policies import FixedPriorityPreemptive
@@ -29,7 +29,7 @@ from repro.runtime.events import EventQueue
 from repro.runtime.sources import SourceDriver
 from repro.runtime.trace import TRACE_LEVELS, EndpointEvent, TraceRecorder
 from repro.util.rational import TimeBase
-from test_engine import generated_fleets
+from test_engine import FLEET_FIRINGS, generated_fleets
 
 APP_DURATIONS = {
     "quickstart": Fraction(1, 10),
@@ -186,9 +186,12 @@ class TestBufferHighWater:
 @given(generated_fleets())
 @settings(max_examples=25, deadline=None)
 def test_marks_equal_the_seed_samples_on_generated_fleets(case):
-    build, make_policy = case
+    fleet, make_policy = case
     with sampled_high_water() as marks:
-        run = run_tasks(build(), policy=make_policy(), stop_after_firings=400, fast_forward=False)
+        run = fleet.run(
+            fleet.horizon(FLEET_FIRINGS), scheduler=make_policy(), fast_forward=False
+        )
+    assert run.completed_firings >= FLEET_FIRINGS
     assert marks
     assert run.trace.buffer_high_water == marks
 

@@ -28,8 +28,7 @@ def _no_time_base(engine: ExecutionEngine, durations=()) -> None:
 
 @contextmanager
 def fraction_time_base() -> Iterator[None]:
-    """Run every simulation and ``run_tasks`` fleet built inside the block
-    on exact fractions."""
+    """Run every simulation built inside the block on exact fractions."""
     original = ExecutionEngine.derive_time_base
     ExecutionEngine.derive_time_base = _no_time_base
     try:
